@@ -5,7 +5,7 @@ from .axioms import (ForbiddenFrame, Verdict, axiom_I, axiom_II,
                      classify_frame, forbidden_frames, xi)
 from .crown import (CrownReduction, OracleResult, crown, crown_sat_bruteforce,
                     crown_sat_oracle, reduce_to_crown)
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, VerificationError
 from .formula import (And, Bottom, Box, Diamond, Formula, Iff, Implies, Not,
                       Or, ParseError, Var, ast_size, closure, modal_depth,
                       parse, pretty, subformulas, substitute, variables)

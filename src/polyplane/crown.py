@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BudgetExceededError
-from .formula import (And, Bottom, Box, Diamond, Formula, Iff, Implies, Not,
-                      Or, Var, variables)
-from .kripke import Frame, Model, WorldMap, is_p_morphism, truth_mask
+from .errors import BudgetExceededError, VerificationError
+from .formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, Formula,
+                      compile)
+from .kripke import Frame, Model, WorldMap, is_p_morphism, program_masks
 
 
 def crown(n: int) -> Frame:
@@ -202,59 +202,22 @@ class _CrownTables:
     Endpoints see only themselves, so truth there depends on the endpoint's
     atom pattern alone; truth at a middle depends on its pattern plus its two
     endpoint neighbours.  Truth at the root needs, per subformula, whether it
-    holds at some / at every non-root world.  Subformulas are compiled to an
-    index program so signature computation is pure integer work.
+    holds at some / at every non-root world.  A signature has one bit per
+    node of the compiled program, so signature computation is pure integer
+    work.
     """
-
-    _VAR, _BOT, _NOT, _AND, _OR, _IMP, _IFF, _DIA, _BOX = range(9)
 
     def __init__(self, phi: Formula):
         self.phi = phi
-        self.names = sorted(variables(phi))
-        self.k = len(self.names)
-        self.npat = 1 << self.k
-        order: list[Formula] = []
-        seen: set[Formula] = set()
-
-        def visit(f: Formula):
-            if f in seen:
-                return
-            from .formula import children
-            for c in children(f):
-                visit(c)
-            seen.add(f)
-            order.append(f)
-
-        visit(phi)
-        self.subs = order
-        self.idx = {f: i for i, f in enumerate(order)}
-        self.full = (1 << len(order)) - 1
-        prog = []
-        for f in order:
-            if isinstance(f, Var):
-                prog.append((self._VAR, self.names.index(f.name), 0))
-            elif isinstance(f, Bottom):
-                prog.append((self._BOT, 0, 0))
-            elif isinstance(f, Not):
-                prog.append((self._NOT, self.idx[f.sub], 0))
-            elif isinstance(f, And):
-                prog.append((self._AND, self.idx[f.left], self.idx[f.right]))
-            elif isinstance(f, Or):
-                prog.append((self._OR, self.idx[f.left], self.idx[f.right]))
-            elif isinstance(f, Implies):
-                prog.append((self._IMP, self.idx[f.left], self.idx[f.right]))
-            elif isinstance(f, Iff):
-                prog.append((self._IFF, self.idx[f.left], self.idx[f.right]))
-            elif isinstance(f, Diamond):
-                prog.append((self._DIA, self.idx[f.sub], 0))
-            else:
-                prog.append((self._BOX, self.idx[f.sub], 0))
-        self.prog = prog
+        self.prog = compile(phi)
+        self.names = self.prog.names
+        self.npat = 1 << len(self.names)
+        self.phi_bit = 1 << self.prog.root
         # the root evaluation only consults these bits of the accumulators
-        tracked = 1 << self.idx[phi]
-        for f in order:
-            if isinstance(f, (Diamond, Box)):
-                tracked |= 1 << self.idx[f.sub]
+        tracked = self.phi_bit
+        for op, a, _ in self.prog.code:
+            if op in (DIA, BOX):
+                tracked |= 1 << a
         self.tracked = tracked
         self._end: dict[int, int] = {}
         self._mid: dict[tuple[int, int, int], int] = {}
@@ -266,22 +229,22 @@ class _CrownTables:
         # the root); for an endpoint pass the vector being built itself
         out = 0
         reflexive = some is None
-        for i, (op, a, b) in enumerate(self.prog):
-            if op == self._VAR:
+        for i, (op, a, b) in enumerate(self.prog.code):
+            if op == VAR:
                 v = pattern >> a & 1
-            elif op == self._BOT:
+            elif op == BOT:
                 v = 0
-            elif op == self._NOT:
+            elif op == NOT:
                 v = 1 ^ (out >> a & 1)
-            elif op == self._AND:
+            elif op == AND:
                 v = (out >> a & 1) & (out >> b & 1)
-            elif op == self._OR:
+            elif op == OR:
                 v = (out >> a & 1) | (out >> b & 1)
-            elif op == self._IMP:
+            elif op == IMP:
                 v = (1 ^ (out >> a & 1)) | (out >> b & 1)
-            elif op == self._IFF:
+            elif op == IFF:
                 v = 1 ^ ((out >> a & 1) ^ (out >> b & 1))
-            elif op == self._DIA:
+            elif op == DIA:
                 v = out >> a & 1
                 if not reflexive:
                     v |= some >> a & 1
@@ -335,17 +298,20 @@ def crown_sat_oracle(phi: Formula, max_n: int,
         if not _crown_feasible(tables, n, steps, step_budget):
             continue
         pins = _crown_lex_search(tables, n, steps, step_budget)
-        assert pins is not None, "feasible crown lost during reconstruction"
+        if pins is None:
+            raise VerificationError(
+                f"feasible crown({n}) lost during reconstruction")
         model = _model_from_patterns(tables, n, pins)
-        mask = truth_mask(model, phi)
-        assert mask, "oracle search produced a non-model"
+        mask = program_masks(model, tables.prog)[tables.prog.root]
+        if not mask:
+            raise VerificationError("oracle search produced a non-model")
         world = next(w for w in range(2 * n + 1) if mask >> w & 1)
         return OracleResult(n, model, world)
     return None
 
 
 def _root_ok(tables: _CrownTables, any_mask: int, all_mask: int) -> bool:
-    phi_bit = 1 << tables.idx[tables.phi]
+    phi_bit = tables.phi_bit
     if any_mask & phi_bit:
         return True
     return any(tables.root_sig(a_r, any_mask, all_mask) & phi_bit
@@ -414,7 +380,7 @@ def _crown_lex_search(tables: _CrownTables, n: int, steps: list[int],
     crown(n), or None.  Patterns are chosen from world 2n downward so the
     first complete success is the least valuation integer."""
     P = tables.npat
-    phi_bit = 1 << tables.idx[tables.phi]
+    phi_bit = tables.phi_bit
     tr = tables.tracked
 
     def root_round(any_mask: int, all_mask: int) -> Optional[int]:
@@ -474,7 +440,8 @@ def crown_sat_bruteforce(phi: Formula, max_n: int,
     """Plain per-valuation loop with the same contract as crown_sat_oracle;
     only usable when 2^(k*(2n+1)) fits the budget.  Kept as an independent
     cross-check for the table-driven oracle."""
-    names = sorted(variables(phi))
+    prog = compile(phi)
+    names = prog.names
     k = len(names)
     for n in range(1, max_n + 1):
         worlds = 2 * n + 1
@@ -488,7 +455,7 @@ def crown_sat_bruteforce(phi: Formula, max_n: int,
                                    if value >> (w * k + j) & 1)
                    for j, name in enumerate(names)}
             model = Model(frame, val)
-            mask = truth_mask(model, phi)
+            mask = program_masks(model, prog)[prog.root]
             if mask:
                 world = next(w for w in range(worlds) if mask >> w & 1)
                 return OracleResult(n, model, world)

@@ -17,6 +17,8 @@ Binding strength: ``~ [] <>``  >  ``&``  >  ``|``  >  ``->``  >  ``<->``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 
 class Formula:
     """Base class of all formula nodes.
@@ -169,12 +171,7 @@ def modal_depth(f: Formula) -> int:
 
 def variables(f: Formula) -> frozenset[str]:
     """Set of variable names occurring in f."""
-    if isinstance(f, Var):
-        return frozenset((f.name,))
-    out: frozenset[str] = frozenset()
-    for c in children(f):
-        out |= variables(c)
-    return out
+    return frozenset(compile(f).names)
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
@@ -219,6 +216,69 @@ def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
     if isinstance(f, Diamond):
         return Diamond(substitute(f.sub, mapping))
     return type(f)(substitute(f.left, mapping), substitute(f.right, mapping))
+
+
+# ---------------------------------------------------------------------------
+# Compiled programs
+
+VAR, BOT, NOT, AND, OR, IMP, IFF, DIA, BOX = range(9)
+_OPCODE = {Not: NOT, And: AND, Or: OR, Implies: IMP, Iff: IFF,
+           Diamond: DIA, Box: BOX}
+
+
+@dataclass(frozen=True, eq=False)
+class Program:
+    """A formula flattened into its distinct subformulas, children first.
+
+    Node i is `nodes[i]`, computed by `code[i] = (opcode, a, b)`: for VAR,
+    `a` indexes `names`; for NOT, DIA and BOX, `a` is the operand node; for
+    the binary opcodes `a` and `b` are the left and right operand nodes.
+    Unused operands are 0.  `names` are the variables in sorted order and
+    `index` maps each node's formula to its position.
+    """
+
+    nodes: tuple[Formula, ...]
+    code: tuple[tuple[int, int, int], ...]
+    names: tuple[str, ...]
+    root: int
+    index: dict[Formula, int]
+
+
+def compile(phi: Formula) -> Program:
+    """Flatten phi into a Program; iterative, so depth is unbounded."""
+    index: dict[Formula, int] = {}
+    code: list[tuple] = []
+    # (formula, operands done): the True entry of f is popped after all of
+    # f's subformulas and before anything else can index f
+    stack = [(phi, False)]
+    while stack:
+        f, ready = stack.pop()
+        if ready:
+            op = _OPCODE[type(f)]
+            if op in (NOT, DIA, BOX):
+                code.append((op, index[f.sub], 0))
+            else:
+                code.append((op, index[f.left], index[f.right]))
+        elif f in index:
+            continue
+        elif type(f) in _OPCODE:
+            stack.append((f, True))
+            if isinstance(f, _UNARY):
+                stack.append((f.sub, False))
+            else:
+                stack += ((f.right, False), (f.left, False))
+            continue
+        elif isinstance(f, Var):
+            code.append((VAR, f.name, 0))  # name replaced by its index below
+        elif isinstance(f, Bottom):
+            code.append((BOT, 0, 0))
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        index[f] = len(index)
+    names = sorted({a for op, a, _ in code if op == VAR})
+    slot = {name: j for j, name in enumerate(names)}
+    code = [(VAR, slot[a], 0) if op == VAR else (op, a, b) for op, a, b in code]
+    return Program(tuple(index), tuple(code), tuple(names), index[phi], index)
 
 
 def conj(parts: list[Formula]) -> Formula:

@@ -7,14 +7,15 @@ construction.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .errors import BudgetExceededError
-from .formula import (And, Bottom, Box, Diamond, Formula, Iff, Implies, Not,
-                      Or, Var, conj, disj, variables)
+from .formula import (AND, BOT, DIA, IFF, IMP, NOT, OR, VAR, And, Box, Diamond,
+                      Formula, Implies, Not, Program, Var, compile, conj, disj)
 
 
 def _closure_rows(rows: list[int], n: int) -> list[int]:
@@ -154,49 +155,60 @@ class Model:
         object.__setattr__(self, "val", norm)
 
 
-def _truth(frame: Frame, phi: Formula, atoms: dict[str, int], memo: dict) -> int:
-    got = memo.get(phi)
-    if got is not None:
-        return got
-    full = (1 << frame.n) - 1
-    if isinstance(phi, Var):
-        out = atoms.get(phi.name, 0)
-    elif isinstance(phi, Bottom):
-        out = 0
-    elif isinstance(phi, Not):
-        out = full & ~_truth(frame, phi.sub, atoms, memo)
-    elif isinstance(phi, And):
-        out = _truth(frame, phi.left, atoms, memo) & _truth(frame, phi.right, atoms, memo)
-    elif isinstance(phi, Or):
-        out = _truth(frame, phi.left, atoms, memo) | _truth(frame, phi.right, atoms, memo)
-    elif isinstance(phi, Implies):
-        out = (full & ~_truth(frame, phi.left, atoms, memo)) | _truth(frame, phi.right, atoms, memo)
-    elif isinstance(phi, Iff):
-        l = _truth(frame, phi.left, atoms, memo)
-        r = _truth(frame, phi.right, atoms, memo)
-        out = full & ~(l ^ r)
-    elif isinstance(phi, Diamond):
-        s = _truth(frame, phi.sub, atoms, memo)
-        out = 0
-        for w in range(frame.n):
-            if frame.rows[w] & s:
-                out |= 1 << w
-    elif isinstance(phi, Box):
-        s = _truth(frame, phi.sub, atoms, memo)
-        out = 0
-        for w in range(frame.n):
-            if frame.rows[w] & ~s == 0:
-                out |= 1 << w
-    else:
-        raise TypeError(f"not a formula: {phi!r}")
-    memo[phi] = out
-    return out
+def _blocks(value: int, n: int, lanes: int) -> list[int]:
+    """The n world blocks of a world-major value, each `lanes` bits wide."""
+    lane = (1 << lanes) - 1
+    return [value >> (w * lanes) & lane for w in range(n)]
 
 
-def truth_mask(model: Model, phi: Formula, _memo: dict | None = None) -> int:
+def _evaluate(frame: Frame, prog: Program, columns: list[int],
+              lanes: int = 1) -> list[int]:
+    """Value of every node of prog on the frame under `lanes` valuations at
+    once.
+
+    Values are world-major: bit w*lanes + k is the truth at world w under
+    valuation k, and columns[j] holds variable prog.names[j] in that layout.
+    With lanes=1 a value is the bitmask of worlds where the node holds.
+    """
+    n = frame.n
+    full = (1 << (n * lanes)) - 1
+    succs = [_mask_worlds(row) for row in frame.rows]
+    vals: list[int] = []
+    for op, a, b in prog.code:
+        if op == VAR:
+            v = columns[a]
+        elif op == BOT:
+            v = 0
+        elif op == NOT:
+            v = full ^ vals[a]
+        elif op == AND:
+            v = vals[a] & vals[b]
+        elif op == OR:
+            v = vals[a] | vals[b]
+        elif op == IMP:
+            v = (full ^ vals[a]) | vals[b]
+        elif op == IFF:
+            v = full ^ (vals[a] ^ vals[b])
+        else:  # DIA, BOX: OR / AND the operand's blocks over successors
+            blocks = _blocks(vals[a], n, lanes)
+            join = or_ if op == DIA else and_
+            v = 0
+            for w in range(n):
+                v |= reduce(join, [blocks[u] for u in succs[w]]) << (w * lanes)
+        vals.append(v)
+    return vals
+
+
+def program_masks(model: Model, prog: Program) -> list[int]:
+    """Bitmask of worlds where each node of prog holds in the model."""
+    columns = [_worlds_mask(model.val.get(name, ())) for name in prog.names]
+    return _evaluate(model.frame, prog, columns)
+
+
+def truth_mask(model: Model, phi: Formula) -> int:
     """Bitmask of worlds where phi holds (S4 semantics, box dual to diamond)."""
-    atoms = {name: _worlds_mask(ws) for name, ws in model.val.items()}
-    return _truth(model.frame, phi, atoms, {} if _memo is None else _memo)
+    prog = compile(phi)
+    return program_masks(model, prog)[prog.root]
 
 
 def eval_formula(model: Model, world: int, phi: Formula) -> bool:
@@ -227,12 +239,7 @@ class ValidityReport:
         return self.valid
 
 
-def _val_from_int(value: int, names: list[str], n: int) -> dict[str, frozenset[int]]:
-    out = {}
-    for j, name in enumerate(names):
-        block = value >> (j * n) & ((1 << n) - 1)
-        out[name] = frozenset(_mask_worlds(block))
-    return out
+_CHUNK = 1 << 16  # valuations evaluated together by valid_on_frame
 
 
 def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
@@ -241,106 +248,76 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
     """Validity of phi on the frame.
 
     Exhaustive mode decides by checking every valuation of vars(phi) and is
-    rejected when 2^(n*|vars|) exceeds the budget.  Sampled mode draws
-    `samples` seeded random valuations and can only report the absence of a
-    counterexample among them.
+    rejected when 2^(n*|vars|) exceeds the budget; valuation v gives the
+    j-th variable in sorted order the worlds w with bit j*n + w of v set.
+    Sampled mode draws `samples` seeded random valuations, one
+    `getrandbits(n)` per sorted variable per sample, and can only report the
+    absence of a counterexample among them.
+
+    Both modes evaluate up to 2^16 valuations at once and report the first
+    failing valuation in their order (`checked` is its position + 1) with
+    the least world where phi fails under it.
     """
-    names = sorted(variables(phi))
-    n = frame.n
-    full = (1 << n) - 1
-    if mode == "sampled":
-        import random
+    prog = compile(phi)
+    names, k, n = prog.names, len(prog.names), frame.n
+    exhaustive = mode == "exhaustive"
+    if exhaustive:
+        total = 1 << (n * k)
+        if total > budget:
+            raise BudgetExceededError(
+                f"2^{n * k} valuations exceed the exhaustive budget {budget}")
+        # lane block of each valuation bit: a fixed pattern for the bits
+        # that vary inside a chunk, all ones or all zeros for the others
+        width = min(total, _CHUNK)
+        periodic = [int(("1" * (1 << b) + "0" * (1 << b)) * (width >> (b + 1)), 2)
+                    for b in range(width.bit_length() - 1)]
+    elif mode == "sampled":
         rng = random.Random(seed)
-        for i in range(samples):
-            atoms = {name: rng.getrandbits(n) for name in names}
-            mask = _truth(frame, phi, atoms, {})
-            if mask != full:
-                world = next(w for w in range(n) if not mask >> w & 1)
-                val = {name: frozenset(_mask_worlds(m)) for name, m in atoms.items()}
-                return ValidityReport(False, False, i + 1, val, world)
-        return ValidityReport(True, False, samples)
-    if mode != "exhaustive":
+        total = samples
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    bits = n * len(names)
-    if (1 << bits) > budget:
-        raise BudgetExceededError(
-            f"2^{bits} valuations exceed the exhaustive budget {budget}")
-    total = 1 << bits
-    if bits <= 10:
-        for value in range(total):
-            atoms = {name: value >> (j * n) & full for j, name in enumerate(names)}
-            mask = _truth(frame, phi, atoms, {})
-            if mask != full:
-                world = next(w for w in range(n) if not mask >> w & 1)
-                return ValidityReport(False, True, value + 1,
-                                      _val_from_int(value, names, n), world)
-        return ValidityReport(True, True, total)
-    return _valid_vectorized(frame, phi, names, total)
-
-
-def _valid_vectorized(frame: Frame, phi: Formula, names: list[str], total: int) -> ValidityReport:
-    n = frame.n
-    succs = [frame.successors(w) for w in range(n)]
-    order = _topo_subformulas(phi)
-    chunk = 1 << 20
-    for base in range(0, total, chunk):
-        hi = min(base + chunk, total)
-        vals = np.arange(base, hi, dtype=np.int64)
-        cols: dict[Formula, np.ndarray] = {}
-        for f in order:
-            if isinstance(f, Var):
-                j = names.index(f.name)
-                arr = np.empty((hi - base, n), dtype=bool)
-                for w in range(n):
-                    arr[:, w] = (vals >> (j * n + w)) & 1
-            elif isinstance(f, Bottom):
-                arr = np.zeros((hi - base, n), dtype=bool)
-            elif isinstance(f, Not):
-                arr = ~cols[f.sub]
-            elif isinstance(f, And):
-                arr = cols[f.left] & cols[f.right]
-            elif isinstance(f, Or):
-                arr = cols[f.left] | cols[f.right]
-            elif isinstance(f, Implies):
-                arr = ~cols[f.left] | cols[f.right]
-            elif isinstance(f, Iff):
-                arr = cols[f.left] == cols[f.right]
-            elif isinstance(f, Diamond):
-                sub = cols[f.sub]
-                arr = np.empty_like(sub)
-                for w in range(n):
-                    arr[:, w] = sub[:, succs[w]].any(axis=1)
+    for base in range(0, total, _CHUNK):
+        lanes = min(_CHUNK, total - base)
+        if exhaustive:
+            ones = (1 << lanes) - 1
+            blocks = periodic + [ones * (base >> b & 1)
+                                 for b in range(len(periodic), n * k)]
+            columns = [sum(blocks[j * n + w] << (w * lanes) for w in range(n))
+                       for j in range(k)]
+        else:
+            draws = [rng.getrandbits(n) for _ in range(lanes * k)]
+            columns = [_transpose(draws[j::k], n) for j in range(k)]
+        hit = _first_failure(frame, prog, columns, lanes)
+        if hit is not None:
+            lane, world = hit
+            if exhaustive:
+                masks = [(base + lane) >> (j * n) & ((1 << n) - 1) for j in range(k)]
             else:
-                sub = cols[f.sub]
-                arr = np.empty_like(sub)
-                for w in range(n):
-                    arr[:, w] = sub[:, succs[w]].all(axis=1)
-            cols[f] = arr
-        res = cols[phi]
-        if not res.all():
-            flat = np.argmin(res.reshape(-1))
-            value = base + int(flat) // n
-            world = int(flat) % n
-            return ValidityReport(False, True, value + 1,
-                                  _val_from_int(value, names, n), world)
-    return ValidityReport(True, True, total)
+                masks = draws[lane * k:(lane + 1) * k]
+            val = {name: frozenset(_mask_worlds(m)) for name, m in zip(names, masks)}
+            return ValidityReport(False, exhaustive, base + lane + 1, val, world)
+    return ValidityReport(True, exhaustive, total)
 
 
-def _topo_subformulas(phi: Formula) -> list[Formula]:
-    from .formula import children
-    seen: list[Formula] = []
-    mark: set[Formula] = set()
+def _transpose(draws: list[int], n: int) -> int:
+    """World-major value with bit w*len(draws) + k = bit w of draws[k]."""
+    # written most significant bit first: worlds descending, lanes descending
+    rows = "".join(format(d, f"0{n}b") for d in reversed(draws))
+    return int("".join(rows[i::n] for i in range(n)), 2)
 
-    def visit(f: Formula):
-        if f in mark:
-            return
-        for c in children(f):
-            visit(c)
-        mark.add(f)
-        seen.append(f)
 
-    visit(phi)
-    return seen
+def _first_failure(frame: Frame, prog: Program, columns: list[int],
+                   lanes: int) -> Optional[tuple[int, int]]:
+    """(least lane, least world in it) where the root of prog is false."""
+    n = frame.n
+    vals = _evaluate(frame, prog, columns, lanes)
+    fail = ((1 << (n * lanes)) - 1) ^ vals[prog.root]
+    if not fail:
+        return None
+    blocks = _blocks(fail, n, lanes)
+    lane = min((b & -b).bit_length() for b in blocks if b) - 1
+    world = next(w for w, b in enumerate(blocks) if b >> lane & 1)
+    return lane, world
 
 
 def sat_on_frame(frame: Frame, phi: Formula, budget: int = 1 << 24):

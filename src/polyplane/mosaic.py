@@ -16,9 +16,9 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .crown import crown
 from .errors import BudgetExceededError
-from .formula import (And, Bottom, Box, Diamond, Formula, Iff, Implies, Not,
-                      Or, Var, ast_size, closure, pretty)
-from .kripke import Model, truth_mask
+from .formula import (AND, BOT, BOX, DIA, IFF, IMP, OR, VAR, Formula, Not,
+                      Var, ast_size, children, closure, compile, conj, pretty)
+from .kripke import Model, program_masks
 
 
 class MosaicError(RuntimeError):
@@ -45,38 +45,16 @@ class LabelSpace:
             self.ref(f)  # validates closure under single negation
         self.size = len(self.positives)
 
-        self.kinds: list[str] = []
-        self.operands: list[tuple] = []
-        for f in self.positives:
-            if isinstance(f, Var):
-                self.kinds.append("var")
-                self.operands.append(())
-            elif isinstance(f, Bottom):
-                self.kinds.append("bot")
-                self.operands.append(())
-            elif isinstance(f, Diamond):
-                self.kinds.append("dia")
-                self.operands.append((self.ref(f.sub),))
-            elif isinstance(f, Box):
-                self.kinds.append("box")
-                self.operands.append((self.ref(f.sub),))
-            elif isinstance(f, And):
-                self.kinds.append("and")
-                self.operands.append((self.ref(f.left), self.ref(f.right)))
-            elif isinstance(f, Or):
-                self.kinds.append("or")
-                self.operands.append((self.ref(f.left), self.ref(f.right)))
-            elif isinstance(f, Implies):
-                self.kinds.append("imp")
-                self.operands.append((self.ref(f.left), self.ref(f.right)))
-            elif isinstance(f, Iff):
-                self.kinds.append("iff")
-                self.operands.append((self.ref(f.left), self.ref(f.right)))
-            else:
-                raise TypeError(f"not a formula: {f!r}")
+        # one program covering every positive member; theta's suffices
+        # when the members are its closure
+        self.program = compile(conj(self.positives) if theta is None else theta)
+        self.nodes = [self.program.index[f] for f in self.positives]
+        self.ops = [self.program.code[i][0] for i in self.nodes]
+        self.operands = [tuple(self.ref(c) for c in children(f))
+                         for f in self.positives]
 
-        self.dia_list = [i for i, k in enumerate(self.kinds) if k == "dia"]
-        self.box_list = [i for i, k in enumerate(self.kinds) if k == "box"]
+        self.dia_list = [i for i, op in enumerate(self.ops) if op == DIA]
+        self.box_list = [i for i, op in enumerate(self.ops) if op == BOX]
         self._vec_cache: dict[int, tuple[int, int, int, int]] = {}
 
     @classmethod
@@ -126,17 +104,17 @@ class LabelSpace:
         changed = [True]
         while changed[0]:
             changed[0] = False
-            for i, kind in enumerate(self.kinds):
+            for i, op in enumerate(self.ops):
                 c = values[i]
-                if kind == "var":
+                if op == VAR:
                     continue
-                if kind == "bot":
+                if op == BOT:
                     if c is True:
                         return False
                     if c is None and not put((i, True), False):
                         return False
                     continue
-                if kind == "dia":
+                if op == DIA:
                     a = self._value(values, self.operands[i][0])
                     if a is True:
                         if c is False:
@@ -147,7 +125,7 @@ class LabelSpace:
                         if not put(self.operands[i][0], False):
                             return False
                     continue
-                if kind == "box":
+                if op == BOX:
                     a = self._value(values, self.operands[i][0])
                     if a is False:
                         if c is True:
@@ -160,7 +138,7 @@ class LabelSpace:
                     continue
                 rx, ry = self.operands[i]
                 x, y = self._value(values, rx), self._value(values, ry)
-                if kind == "and":
+                if op == AND:
                     if x is False or y is False:
                         if c is True:
                             return False
@@ -179,7 +157,7 @@ class LabelSpace:
                             return False
                         if y is True and not put(rx, False):
                             return False
-                elif kind == "or":
+                elif op == OR:
                     if x is True or y is True:
                         if c is False:
                             return False
@@ -198,7 +176,7 @@ class LabelSpace:
                             return False
                         if y is False and not put(rx, True):
                             return False
-                elif kind == "imp":
+                elif op == IMP:
                     if x is False or y is True:
                         if c is False:
                             return False
@@ -217,7 +195,7 @@ class LabelSpace:
                             return False
                         if y is False and not put(rx, False):
                             return False
-                elif kind == "iff":
+                elif op == IFF:
                     if x is not None and y is not None:
                         want = x == y
                         if c is None:
@@ -246,8 +224,8 @@ class LabelSpace:
         if not self._propagate(values):
             return []
         out: list[int] = []
-        decisions = [i for i, k in enumerate(self.kinds)
-                     if k in ("var", "dia", "box")]
+        decisions = [i for i, op in enumerate(self.ops)
+                     if op in (VAR, DIA, BOX)]
 
         def dfs(vals):
             for i in decisions:
@@ -763,11 +741,13 @@ def extract_model(pool: Iterable[Mosaic], space: LabelSpace,
                                     if space.member(lab, f))
     model = Model(crown(n), val)
 
-    memo: dict = {}
-    for f in space.members:
-        mask = truth_mask(model, f, memo)
+    # a negated member fails exactly where its positive does, so checking
+    # the positives in member order finds the first failing member
+    masks = program_masks(model, space.program)
+    for i, f in enumerate(space.positives):
+        mask = masks[space.nodes[i]]
         for w, lab in enumerate(world_labels):
-            if bool(mask >> w & 1) != space.member(lab, f):
+            if bool(mask >> w & 1) != bool(lab >> i & 1):
                 raise MosaicError(
                     f"truth lemma fails at world {w} for {pretty(f)}")
 

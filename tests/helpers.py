@@ -71,6 +71,46 @@ def formula_pool() -> list[Formula]:
 
 
 # ---------------------------------------------------------------------------
+# Reference semantics
+
+def reference_truth(frame: Frame, val: dict, phi: Formula) -> frozenset[int]:
+    """Worlds where phi holds, decided world by world straight from the S4
+    clauses; shares no evaluation code with polyplane.kripke, so tests can
+    hold the bit-sliced evaluator against it."""
+    succ = {w: [v for v in range(frame.n) if frame.sees(w, v)]
+            for w in range(frame.n)}
+    memo: dict = {}
+
+    def holds(w: int, f: Formula) -> bool:
+        key = (w, f)
+        if key not in memo:
+            if isinstance(f, Var):
+                out = w in val.get(f.name, ())
+            elif isinstance(f, Bottom):
+                out = False
+            elif isinstance(f, Not):
+                out = not holds(w, f.sub)
+            elif isinstance(f, And):
+                out = holds(w, f.left) and holds(w, f.right)
+            elif isinstance(f, Or):
+                out = holds(w, f.left) or holds(w, f.right)
+            elif isinstance(f, Implies):
+                out = not holds(w, f.left) or holds(w, f.right)
+            elif isinstance(f, Iff):
+                out = holds(w, f.left) == holds(w, f.right)
+            elif isinstance(f, Diamond):
+                out = any(holds(v, f.sub) for v in succ[w])
+            elif isinstance(f, Box):
+                out = all(holds(v, f.sub) for v in succ[w])
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+            memo[key] = out
+        return memo[key]
+
+    return frozenset(w for w in range(frame.n) if holds(w, phi))
+
+
+# ---------------------------------------------------------------------------
 # Frame enumeration up to isomorphism
 
 def canonical_rows(frame: Frame) -> tuple[int, ...]:

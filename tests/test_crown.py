@@ -1,13 +1,14 @@
 import random
+from importlib import import_module
 
 import pytest
 
 from polyplane.axioms import forbidden_frames
 from polyplane.crown import (crown, crown_sat_bruteforce, crown_sat_oracle,
                              reduce_to_crown)
-from polyplane.errors import BudgetExceededError
+from polyplane.errors import BudgetExceededError, VerificationError
 from polyplane.formula import Var, parse, variables
-from polyplane.kripke import (Frame, eval_formula, find_subreduction,
+from polyplane.kripke import (Frame, Model, eval_formula, find_subreduction,
                               is_p_morphism, jankov_fine)
 
 from helpers import all_formulas, random_formula, shallow_rooted_family
@@ -222,6 +223,17 @@ def test_oracle_witness_world_is_least():
     for w in range(got.world):
         assert not eval_formula(got.model, w, f)
     assert eval_formula(got.model, got.world, f)
+
+
+def test_oracle_rechecks_its_answer(monkeypatch):
+    cr = import_module("polyplane.crown")  # the package re-exports crown()
+    monkeypatch.setattr(cr, "_model_from_patterns",
+                        lambda tables, n, pins: Model(crown(n), {}))
+    with pytest.raises(VerificationError, match="non-model"):
+        crown_sat_oracle(Var("p"), 3)
+    monkeypatch.setattr(cr, "_crown_lex_search", lambda *args: None)
+    with pytest.raises(VerificationError, match="reconstruction"):
+        crown_sat_oracle(Var("p"), 3)
 
 
 def test_oracle_budgets():

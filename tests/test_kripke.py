@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polyplane.crown import crown
 from polyplane.errors import BudgetExceededError
-from polyplane.formula import Box, Diamond, Not, Var, parse
+from polyplane.formula import (And, Bottom, Box, Diamond, Iff, Implies, Not,
+                               Or, Var, conj, parse, variables)
 from polyplane.kripke import (Frame, Model, WorldMap, closure_set, delta,
                               eval_formula, find_subreduction, frame_from_dict,
                               frame_to_dict, interior_set, is_p_morphism,
@@ -12,7 +14,8 @@ from polyplane.kripke import (Frame, Model, WorldMap, closure_set, delta,
                               sat_on_frame, sigma_bisimilar, truth_mask,
                               valid_on_frame)
 
-from helpers import enumerate_rooted_s4, enumerate_s4, formula_pool, random_formula
+from helpers import (enumerate_rooted_s4, enumerate_s4, formula_pool,
+                     random_formula, reference_truth)
 
 p = Var("p")
 
@@ -250,8 +253,8 @@ def test_json_round_trips():
 
 
 def test_vectorized_validity_matches_plain_loop():
-    # 3 variables on 4 worlds crosses into the vectorized path (12 bits);
-    # reference: direct per-valuation model checking
+    # 3 variables on 4 worlds give 12 valuation bits, all in one multi-lane
+    # chunk; reference: per-valuation model checking, one lane at a time
     rng = random.Random(61)
     for _ in range(12):
         n = 4
@@ -309,3 +312,126 @@ def test_subreduction_against_bruteforce_all_upsets():
         for tgt in targets:
             got = find_subreduction(fr, tgt) is not None
             assert got == brute(fr, tgt), (fr, tgt)
+
+
+# ---------------------------------------------------------------------------
+# Evaluator against the definitional reference
+
+NAMES = ("p", "q", "r")
+
+
+@st.composite
+def frames(draw):
+    n = draw(st.integers(1, 5))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    return Frame(n, pairs)
+
+
+formulas = st.recursive(
+    st.sampled_from([Var(name) for name in NAMES] + [Bottom()]),
+    lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(Box, sub), st.builds(Diamond, sub),
+        st.builds(And, sub, sub), st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub), st.builds(Iff, sub, sub)),
+    max_leaves=5)
+
+
+def reference_exhaustive(frame, phi):
+    """(valid, checked, counterexample, world) of the first failing
+    valuation, enumerating valuations in valid_on_frame's documented order."""
+    names = sorted(variables(phi))
+    n = frame.n
+    total = 1 << (n * len(names))
+    for value in range(total):
+        val = {name: frozenset(w for w in range(n) if value >> (j * n + w) & 1)
+               for j, name in enumerate(names)}
+        bad = set(range(n)) - reference_truth(frame, val, phi)
+        if bad:
+            return False, value + 1, val, min(bad)
+    return True, total, None, None
+
+
+def reference_sampled(frame, phi, samples, seed):
+    """Same report, drawing one getrandbits(n) per sorted variable per
+    sample from random.Random(seed)."""
+    names = sorted(variables(phi))
+    n = frame.n
+    rng = random.Random(seed)
+    for i in range(samples):
+        val = {}
+        for name in names:
+            bits = rng.getrandbits(n)
+            val[name] = frozenset(w for w in range(n) if bits >> w & 1)
+        bad = set(range(n)) - reference_truth(frame, val, phi)
+        if bad:
+            return False, i + 1, val, min(bad)
+    return True, samples, None, None
+
+
+@settings(max_examples=120, deadline=None)
+@given(frames(), formulas, st.integers(0, (1 << 15) - 1), st.integers(0, 400),
+       st.integers(0, 1 << 32))
+# 5 worlds x 3 variables = 15 valuation bits, past the 10 bits a
+# per-valuation loop used to cover; the first fails late, the second is valid
+@example(Frame(5, [(0, 1), (1, 2), (0, 3), (3, 4)]),
+         parse("<>(p & q & r) | [](p | ~q) | ~r"), 12345, 300, 7)
+@example(Frame(5, [(0, 1), (1, 2), (0, 3), (3, 4)]),
+         parse("([]p & <>q) -> <>(p & q) | r | ~r"), 54321, 50, 8)
+def test_evaluator_matches_reference(frame, phi, bits, samples, seed):
+    n = frame.n
+    val = {name: frozenset(w for w in range(n) if bits >> (j * n + w) & 1)
+           for j, name in enumerate(NAMES)}
+    want = sum(1 << w for w in reference_truth(frame, val, phi))
+    assert truth_mask(Model(frame, val), phi) == want
+    rep = valid_on_frame(frame, phi)
+    assert rep.exhaustive
+    assert (rep.valid, rep.checked, rep.counterexample, rep.world) == \
+        reference_exhaustive(frame, phi)
+    rep = valid_on_frame(frame, phi, mode="sampled", samples=samples, seed=seed)
+    assert not rep.exhaustive
+    assert (rep.valid, rep.checked, rep.counterexample, rep.world) == \
+        reference_sampled(frame, phi, samples, seed)
+
+
+def test_validity_reports_first_failure_past_first_chunk():
+    # exhaustive: 18 valuation bits span four chunks of 2^16.  [](p0&..&p8)
+    # first holds at world 1 of the 2-chain under the least valuation that
+    # makes every p_j true there (bits 2j+1), in the third chunk
+    ps = [Var(f"p{j}") for j in range(9)]
+    rep = valid_on_frame(chain(2), Not(Box(conj(ps))))
+    value = sum(1 << (2 * j + 1) for j in range(9))
+    assert value >= 2 << 16
+    assert (rep.valid, rep.checked, rep.world) == (False, value + 1, 1)
+    assert rep.counterexample == {f"p{j}": frozenset({1}) for j in range(9)}
+
+    # sampled: 17 variables on one point make the conjunction true in one
+    # draw out of 2^17; this seed first draws it past the first chunk
+    qs = [Var(f"q{j:02d}") for j in range(17)]
+    rng = random.Random(21)
+    first = 0
+    while sum(rng.getrandbits(1) for _ in qs) < len(qs):
+        first += 1
+    assert first >= 1 << 16
+    point = Frame(1, [])
+    rep = valid_on_frame(point, Not(conj(qs)), mode="sampled",
+                         samples=first + 5, seed=21)
+    assert (rep.valid, rep.checked, rep.world) == (False, first + 1, 0)
+    assert rep.counterexample == {q.name: frozenset({0}) for q in qs}
+
+
+def test_deep_formula_evaluates_without_recursion():
+    f = p
+    for _ in range(1500):
+        f = Diamond(Not(f))  # 3000 nodes deep
+    assert variables(f) == {"p"}
+    # on one reflexive point <>~ is negation, and an even count cancels
+    point = Frame(1, [])
+    assert truth_mask(Model(point, {"p": {0}}), f) == 1
+    assert not eval_formula(Model(point, {}), 0, f)
+    rep = valid_on_frame(point, f)
+    assert (rep.valid, rep.checked, rep.counterexample, rep.world) == \
+        (False, 1, {"p": frozenset()}, 0)
+    rep = valid_on_frame(point, f, mode="sampled", samples=20, seed=0)
+    assert (rep.valid, rep.checked, rep.counterexample, rep.world) == \
+        reference_sampled(point, Var("p"), 20, 0)

@@ -4,7 +4,8 @@ from math import ceil, log2
 import pytest
 
 from polyplane.crown import crown_sat_oracle
-from polyplane.formula import Not, Var, closure, parse, pretty
+from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, OR, Not, Var,
+                               closure, parse, pretty)
 from polyplane.kripke import eval_formula
 from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, check_path,
                               decide_sat, extract_model, glue_reachable,
@@ -238,24 +239,24 @@ def brute_hintikka(space):
             idx, pol = ref
             return bool(mask >> idx & 1) == pol
         ok = True
-        for i, kind in enumerate(space.kinds):
+        for i, op in enumerate(space.ops):
             c = bool(mask >> i & 1)
             ops = space.operands[i]
-            if kind == "bot":
+            if op == BOT:
                 want = False
-            elif kind == "and":
+            elif op == AND:
                 want = mem(ops[0]) and mem(ops[1])
-            elif kind == "or":
+            elif op == OR:
                 want = mem(ops[0]) or mem(ops[1])
-            elif kind == "imp":
+            elif op == IMP:
                 want = (not mem(ops[0])) or mem(ops[1])
-            elif kind == "iff":
+            elif op == IFF:
                 want = mem(ops[0]) == mem(ops[1])
-            elif kind == "dia":
+            elif op == DIA:
                 if mem(ops[0]) and not c:
                     ok = False
                 continue
-            elif kind == "box":
+            elif op == BOX:
                 if c and not mem(ops[0]):
                     ok = False
                 continue
