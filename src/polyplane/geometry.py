@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .crown import crown
+from .errors import VerificationError
 from .formula import Formula
 from .kripke import (Frame, Model, WorldMap, closure_set, delta as frame_delta,
                      eval_formula, interior_set, is_p_morphism)
@@ -57,48 +58,63 @@ class Line:
         return self.a * p[0] + self.b * p[1] + self.c
 
     def sign_at(self, p: Point) -> int:
-        v = self.at(p)
-        return 0 if v == 0 else (1 if v > 0 else -1)
+        return _sign(_integral((self.a, self.b, self.c)), p)
 
 
 # ---------------------------------------------------------------------------
 # Feasibility of sign systems (two variables, equalities + strict inequalities)
 
-def _solve_1d(eqs: list[tuple[Fraction, Fraction]],
-              ins: list[tuple[Fraction, Fraction]]) -> Optional[Fraction]:
-    # eqs: p*t + q = 0; ins: p*t + q > 0
+def _integral(row: tuple) -> tuple[int, ...]:
+    """The constraint times the least positive integer that clears its
+    denominators; a positive factor keeps an inequality's direction."""
+    m = lcm(*(v.denominator for v in row))
+    return tuple(v.numerator * (m // v.denominator) for v in row)
+
+
+def _sign(row: tuple[int, int, int], p: Point) -> int:
+    """Sign of a*x + b*y + c at p, for integers (a, b, c): the value times
+    the positive denominators of x and y, in integers."""
+    a, b, c = row
+    (xn, xd), (yn, yd) = ((v.numerator, v.denominator) for v in p)
+    v = a * xn * yd + b * yn * xd + c * xd * yd
+    return (v > 0) - (v < 0)
+
+
+def _solve_1d(eqs: list[tuple[int, int]],
+              ins: list[tuple[int, int]]) -> Optional[Fraction]:
+    # eqs: p*t + q = 0; ins: p*t + q > 0; bounds are kept as integer pairs
+    # (numerator, positive denominator) and compared by cross-multiplying
     t = None
     for p, q in eqs:
         if p == 0:
             if q != 0:
                 return None
         else:
-            v = -q / p
+            v = (-q, p) if p > 0 else (q, -p)
             if t is None:
                 t = v
-            elif t != v:
+            elif v[0] * t[1] != t[0] * v[1]:
                 return None
     if t is not None:
-        return t if all(p * t + q > 0 for p, q in ins) else None
+        return Fraction(*t) if all(p * t[0] + q * t[1] > 0 for p, q in ins) else None
     lo = hi = None
     for p, q in ins:
         if p == 0:
             if q <= 0:
                 return None
         elif p > 0:
-            v = -q / p
-            lo = v if lo is None else max(lo, v)
-        else:
-            v = -q / p
-            hi = v if hi is None else min(hi, v)
+            if lo is None or -q * lo[1] > lo[0] * p:
+                lo = (-q, p)
+        elif hi is None or q * hi[1] < hi[0] * -p:
+            hi = (q, -p)
     if lo is not None and hi is not None:
-        if lo >= hi:
+        if lo[0] * hi[1] >= hi[0] * lo[1]:
             return None
-        return (lo + hi) / 2
+        return (Fraction(*lo) + Fraction(*hi)) / 2
     if lo is not None:
-        return lo + 1
+        return Fraction(*lo) + 1
     if hi is not None:
-        return hi - 1
+        return Fraction(*hi) - 1
     return Fraction(0)
 
 
@@ -108,20 +124,26 @@ def feasible_point(eqs: list[tuple[Fraction, Fraction, Fraction]],
     """Rational point satisfying a*x+b*y+c = 0 for all eqs and > 0 for all
     ins, or None.  Equalities are substituted away; the remaining strict
     system loses y by pairing lower and upper bounds (the standard
-    elimination, exact at this dimension)."""
+    elimination, exact at this dimension).  Each constraint is first scaled
+    to integers, which moves no bound, so the arithmetic stays on ints."""
+    eqs = [_integral(e) for e in eqs]
+    ins = [_integral(i) for i in ins]
     if eqs:
         a, b, c = eqs[0]
         if b != 0:
-            # y = -(a x + c)/b
+            # y = -(a x + c)/b; the substituted rows are scaled by |b|
+            sb = 1 if b > 0 else -1
+
             def sub(aa, bb, cc):
-                return (aa - bb * a / b, cc - bb * c / b)
+                return (sb * (aa * b - bb * a), sb * (cc * b - bb * c))
             x = _solve_1d([sub(*e) for e in eqs[1:]], [sub(*i) for i in ins])
             if x is None:
                 return None
             return (x, -(a * x + c) / b)
-        x = -c / a
-        y = _solve_1d([(bb, aa * x + cc) for aa, bb, cc in eqs[1:]],
-                      [(bb, aa * x + cc) for aa, bb, cc in ins])
+        x = Fraction(-c, a)
+        xn, xd = x.numerator, x.denominator
+        y = _solve_1d([(bb * xd, aa * xn + cc * xd) for aa, bb, cc in eqs[1:]],
+                      [(bb * xd, aa * xn + cc * xd) for aa, bb, cc in ins])
         if y is None:
             return None
         return (x, y)
@@ -139,19 +161,23 @@ def feasible_point(eqs: list[tuple[Fraction, Fraction, Fraction]],
     x = _solve_1d([], pure)
     if x is None:
         return None
+    # bounds -(a x + c)/b on y as (numerator, positive denominator)
+    xn, xd = x.numerator, x.denominator
     ylo = yhi = None
     for a, b, c in lows:
-        v = -(a * x + c) / b
-        ylo = v if ylo is None else max(ylo, v)
+        v = (-(a * xn + c * xd), b * xd)
+        if ylo is None or v[0] * ylo[1] > ylo[0] * v[1]:
+            ylo = v
     for a, b, c in highs:
-        v = -(a * x + c) / b
-        yhi = v if yhi is None else min(yhi, v)
+        v = (a * xn + c * xd, -b * xd)
+        if yhi is None or v[0] * yhi[1] < yhi[0] * v[1]:
+            yhi = v
     if ylo is not None and yhi is not None:
-        y = (ylo + yhi) / 2
+        y = (Fraction(*ylo) + Fraction(*yhi)) / 2
     elif ylo is not None:
-        y = ylo + 1
+        y = Fraction(*ylo) + 1
     elif yhi is not None:
-        y = yhi - 1
+        y = Fraction(*yhi) - 1
     else:
         y = Fraction(0)
     return (x, y)
@@ -180,56 +206,102 @@ MAX_LINES = 12
 
 
 def build_arrangement(lines: Sequence, max_lines: int = MAX_LINES) -> Scene:
-    """Scene of the given lines: enumerate realizable sign vectors by
-    depth-first search with feasibility pruning; store witnesses."""
+    """Scene of the given lines.  The cells are read off the crossings (see
+    `_cell_signs`); each witness is `feasible_point` of the cell's own sign
+    system, taken in line order, and is re-checked against the cell."""
     norm = tuple(l if isinstance(l, Line) else Line.make(*l) for l in lines)
     if len(set(norm)) != len(norm):
         raise ValueError("duplicate line in arrangement")
     if len(norm) > max_lines:
         raise ValueError(f"more than {max_lines} lines")
-    found: dict[SignVector, Point] = {}
+    cells = tuple(sorted(_cell_signs(norm)))
+    rows = [_integral((l.a, l.b, l.c)) for l in norm]
+    negs = [(-a, -b, -c) for a, b, c in rows]
+    witness: dict[SignVector, Point] = {}
+    for cell in cells:
+        eqs = [r for r, s in zip(rows, cell) if s == 0]
+        ins = [r if s > 0 else n for r, n, s in zip(rows, negs, cell) if s != 0]
+        p = feasible_point(eqs, ins)
+        if p is None:
+            raise VerificationError(f"cell {cell} has no feasible point")
+        if tuple(_sign(r, p) for r in rows) != cell:
+            raise VerificationError(f"witness {p} does not attain cell {cell}")
+        witness[cell] = p
+    return Scene(norm, cells, witness)
 
-    def dfs(prefix: list[int], eqs, ins):
-        i = len(prefix)
-        if i == len(norm):
-            p = feasible_point(eqs, ins)
-            assert p is not None
-            found[tuple(prefix)] = p
-            return
-        ln = norm[i]
-        for s in (-1, 0, 1):
-            if s == 0:
-                nxt_eqs, nxt_ins = eqs + [(ln.a, ln.b, ln.c)], ins
-            elif s == 1:
-                nxt_eqs, nxt_ins = eqs, ins + [(ln.a, ln.b, ln.c)]
+
+def _cell_signs(lines: tuple[Line, ...]) -> set[SignVector]:
+    """Sign vectors of all cells.  Every vertex is a crossing, every edge
+    holds a point between consecutive crossings of its line (or beyond the
+    last one), and every face has an edge on its boundary.  A point just off
+    an edge, nearer than any other line, keeps the edge's signs except on the
+    edge's own line, so each edge gives its two faces by flipping that sign.
+    Walking a line past its crossings in order, each crossing zeroes the
+    lines through it, and the sign of each beyond it is fixed."""
+    if not lines:
+        return {()}
+    out: set[SignVector] = set()
+    for i, li in enumerate(lines):
+        # points p0 + t*(-b, a) of line i; line j is k*(t - t_j) along it
+        p0 = (Fraction(0), -li.c / li.b) if li.b != 0 else (-li.c / li.a, Fraction(0))
+        signs = [0] * len(lines)
+        crossings: dict[Fraction, list[tuple[int, int]]] = {}
+        for j, lj in enumerate(lines):
+            if j == i:
+                continue
+            k = li.a * lj.b - lj.a * li.b
+            if k == 0:
+                signs[j] = lj.sign_at(p0)
             else:
-                nxt_eqs, nxt_ins = eqs, ins + [(-ln.a, -ln.b, -ln.c)]
-            if feasible_point(nxt_eqs, nxt_ins) is not None:
-                dfs(prefix + [s], nxt_eqs, nxt_ins)
+                sk = 1 if k > 0 else -1
+                signs[j] = -sk
+                crossings.setdefault(-lj.at(p0) / k, []).append((j, sk))
+        for t in sorted(crossings):
+            _add_edge(out, signs, i)
+            for j, _ in crossings[t]:
+                signs[j] = 0
+            out.add(tuple(signs))
+            for j, sk in crossings[t]:
+                signs[j] = sk
+        _add_edge(out, signs, i)
+    return out
 
-    dfs([], [], [])
-    cells = tuple(sorted(found))
-    scene = Scene(norm, cells, {c: found[c] for c in cells})
-    for c in cells:
-        assert scene.signs_of(scene.witness[c]) == c
-    return scene
+
+def _add_edge(out: set[SignVector], signs: list[int], i: int) -> None:
+    """Add the edge of line i with these signs elsewhere, and its two faces."""
+    for s in (-1, 0, 1):
+        signs[i] = s
+        out.add(tuple(signs))
+    signs[i] = 0
 
 
 def scene_frame(scene: Scene) -> Frame:
     """Specialization order of the cells: a cell sees the cells whose
     closure it lies in, i.e. it agrees with them wherever it is off the
-    lines."""
+    lines.  One bitmask per (line, sign) holds the cells with that sign on
+    that line, so a cell's row is the AND of its masks over the lines it is
+    off.  The relation is already reflexive and transitive, and a root is a
+    cell that sees every cell."""
     n = len(scene.cells)
+    full = (1 << n) - 1
+    masks = [[0, 0, 0] for _ in scene.lines]
+    for k, cell in enumerate(scene.cells):
+        for i, s in enumerate(cell):
+            masks[i][s + 1] |= 1 << k
     pairs = []
-    for i, s in enumerate(scene.cells):
-        for j, t in enumerate(scene.cells):
-            if i != j and all(a == 0 or a == b for a, b in zip(s, t)):
-                pairs.append((i, j))
-    fr = Frame(n, pairs)
-    root = fr.find_root()
-    if root is not None:
-        fr = Frame(n, pairs, root=root)
-    return fr
+    root = None
+    for k, cell in enumerate(scene.cells):
+        row = full
+        for i, s in enumerate(cell):
+            if s:
+                row &= masks[i][s + 1]
+        if row == full and root is None:
+            root = k
+        while row:
+            low = row & -row
+            pairs.append((k, low.bit_length() - 1))
+            row ^= low
+    return Frame(n, pairs, root=root)
 
 
 _REL_SIGNS = {"<": {-1}, "<=": {-1, 0}, "=": {0}, ">=": {0, 1}, ">": {1}}
@@ -267,44 +339,42 @@ def cells_to_dnf(scene: Scene, cells: Iterable[SignVector]) -> list[list[tuple[i
             for cell in sorted(cells)]
 
 
+def _cell_ids(scene: Scene, cells: Iterable[SignVector]) -> list[int]:
+    """Indices of the cells in the scene; a cell of another scene is a
+    ValueError."""
+    index = {c: i for i, c in enumerate(scene.cells)}
+    ids = []
+    for c in cells:
+        if c not in index:
+            raise ValueError(f"cell {c} does not belong to the scene")
+        ids.append(index[c])
+    return ids
+
+
 def eval_scene(scene: Scene, val: dict[str, CellSet], cell: SignVector,
                phi: Formula) -> bool:
     """Topological truth at any point of the cell, for the cell-constant
     valuation; computed on the specialization frame."""
-    fr = scene_frame(scene)
-    index = {c: i for i, c in enumerate(scene.cells)}
-    if cell not in index:
-        raise ValueError(f"cell {cell} does not belong to the scene")
-    kv = {}
-    for name, cs in val.items():
-        ids = set()
-        for c in cs:
-            if c not in index:
-                raise ValueError(f"valuation cell {c} not in scene")
-            ids.add(index[c])
-        kv[name] = frozenset(ids)
-    return eval_formula(Model(fr, kv), index[cell], phi)
+    [world] = _cell_ids(scene, [cell])
+    kv = {name: frozenset(_cell_ids(scene, cs)) for name, cs in val.items()}
+    return eval_formula(Model(scene_frame(scene), kv), world, phi)
+
+
+def _scene_cells(scene: Scene, op, cells: Iterable[SignVector]) -> CellSet:
+    got = op(scene_frame(scene), _cell_ids(scene, cells))
+    return frozenset(scene.cells[i] for i in got)
 
 
 def scene_closure(scene: Scene, cells: Iterable[SignVector]) -> CellSet:
-    fr = scene_frame(scene)
-    idx = {c: i for i, c in enumerate(scene.cells)}
-    got = closure_set(fr, [idx[c] for c in cells])
-    return frozenset(scene.cells[i] for i in got)
+    return _scene_cells(scene, closure_set, cells)
 
 
 def scene_interior(scene: Scene, cells: Iterable[SignVector]) -> CellSet:
-    fr = scene_frame(scene)
-    idx = {c: i for i, c in enumerate(scene.cells)}
-    got = interior_set(fr, [idx[c] for c in cells])
-    return frozenset(scene.cells[i] for i in got)
+    return _scene_cells(scene, interior_set, cells)
 
 
 def scene_delta(scene: Scene, cells: Iterable[SignVector]) -> CellSet:
-    fr = scene_frame(scene)
-    idx = {c: i for i, c in enumerate(scene.cells)}
-    got = frame_delta(fr, [idx[c] for c in cells])
-    return frozenset(scene.cells[i] for i in got)
+    return _scene_cells(scene, frame_delta, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +409,8 @@ def concurrent_crown_map(scene: Scene) -> dict[int, int]:
                         _direction(scene, vertex[0], a),
                         _direction(scene, vertex[0], b))))
     kinds = [sum(1 for s in c if s == 0) == 1 for c in around]
-    assert all(kinds[i] != kinds[(i + 1) % len(kinds)] for i in range(len(kinds)))
+    if any(kinds[i] == kinds[(i + 1) % len(kinds)] for i in range(len(kinds))):
+        raise VerificationError("rays and sectors do not alternate around the vertex")
     p = kinds.index(True)  # first ray in angular order
     index = {c: i for i, c in enumerate(scene.cells)}
     out = {index[vertex[0]]: 0}
@@ -350,8 +421,8 @@ def concurrent_crown_map(scene: Scene) -> dict[int, int]:
         out[index[cell]] = world
     fr = scene_frame(scene)
     target = crown(2 * L)
-    assert all(fr.sees(i, j) == target.sees(out[i], out[j])
-               for i in out for j in out)
+    if any(fr.sees(i, j) != target.sees(out[i], out[j]) for i in out for j in out):
+        raise VerificationError(f"cell map is not an isomorphism onto crown({2 * L})")
     return out
 
 
@@ -370,8 +441,10 @@ def wrap_map(big: int, small: int) -> WorldMap:
     for i in range(1, 2 * big + 1):
         mapping[i] = (i - 1) % (2 * small) + 1
     wm = WorldMap(mapping)
-    assert is_p_morphism(wm, crown(big), crown(small))
-    assert wm.is_onto(crown(small))
+    if not is_p_morphism(wm, crown(big), crown(small)):
+        raise VerificationError(f"wrap crown({big}) -> crown({small}) is not a p-morphism")
+    if not wm.is_onto(crown(small)):
+        raise VerificationError(f"wrap crown({big}) -> crown({small}) is not onto")
     return wm
 
 
@@ -415,9 +488,9 @@ def realize_crown_model(model: Model, witness: int,
     else:
         cell_idx = min(ci for ci, w in composite.items() if w == witness)
     cell = scene.cells[cell_idx]
-    if formula is not None:
-        assert eval_scene(scene, val, cell, formula) == \
-            eval_formula(model, witness, formula)
+    if formula is not None and (eval_scene(scene, val, cell, formula)
+                                != eval_formula(model, witness, formula)):
+        raise VerificationError("realized cell and witness world disagree on the formula")
     return Realization(scene, val, cell, composite)
 
 

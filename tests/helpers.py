@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 from polyplane.formula import (And, Bottom, Box, Diamond, Formula, Iff,
                                Implies, Not, Or, Var, modal_depth, pretty)
+from polyplane.geometry import Line, Scene
 from polyplane.kripke import Frame
 
 UNARY = (Not, Box, Diamond)
@@ -264,3 +266,121 @@ def shallow_rooted_family(max_worlds: int) -> list[Frame]:
                 frame = Frame(1 + a + b, pairs, root=0)
                 out.setdefault(canonical_rows(frame), frame)
     return [out[k] for k in sorted(out)]
+
+
+def _reference_solve_1d(eqs, ins):
+    # eqs: p*t + q = 0; ins: p*t + q > 0, over Fractions
+    t = None
+    for p, q in eqs:
+        if p == 0:
+            if q != 0:
+                return None
+        else:
+            v = -q / p
+            if t is None:
+                t = v
+            elif t != v:
+                return None
+    if t is not None:
+        return t if all(p * t + q > 0 for p, q in ins) else None
+    lo = hi = None
+    for p, q in ins:
+        if p == 0:
+            if q <= 0:
+                return None
+        elif p > 0:
+            v = -q / p
+            lo = v if lo is None else max(lo, v)
+        else:
+            v = -q / p
+            hi = v if hi is None else min(hi, v)
+    if lo is not None and hi is not None:
+        if lo >= hi:
+            return None
+        return (lo + hi) / 2
+    if lo is not None:
+        return lo + 1
+    if hi is not None:
+        return hi - 1
+    return Fraction(0)
+
+
+def reference_feasible_point(eqs, ins):
+    """`feasible_point` computed in Fractions throughout: substitute the
+    first equality, else pair every lower bound on y with every upper one."""
+    if eqs:
+        a, b, c = eqs[0]
+        if b != 0:
+            def sub(aa, bb, cc):
+                return (aa - bb * a / b, cc - bb * c / b)
+            x = _reference_solve_1d([sub(*e) for e in eqs[1:]], [sub(*i) for i in ins])
+            if x is None:
+                return None
+            return (x, -(a * x + c) / b)
+        x = -c / a
+        y = _reference_solve_1d([(bb, aa * x + cc) for aa, bb, cc in eqs[1:]],
+                                [(bb, aa * x + cc) for aa, bb, cc in ins])
+        if y is None:
+            return None
+        return (x, y)
+    lows = [i for i in ins if i[1] > 0]
+    highs = [i for i in ins if i[1] < 0]
+    pure = [(a, c) for a, b, c in ins if b == 0]
+    pure += [(-bh * al + bl * ah, -bh * cl + bl * ch)
+             for al, bl, cl in lows for ah, bh, ch in highs]
+    x = _reference_solve_1d([], pure)
+    if x is None:
+        return None
+    ylo = max((-(a * x + c) / b for a, b, c in lows), default=None)
+    yhi = min((-(a * x + c) / b for a, b, c in highs), default=None)
+    if ylo is not None and yhi is not None:
+        y = (ylo + yhi) / 2
+    elif ylo is not None:
+        y = ylo + 1
+    elif yhi is not None:
+        y = yhi - 1
+    else:
+        y = Fraction(0)
+    return (x, y)
+
+
+def reference_arrangement(lines) -> Scene:
+    """Scene by depth-first search over sign prefixes, pruned by
+    `reference_feasible_point` at every node; the witness of a cell is the
+    point found for its full sign system.  The reference for
+    `build_arrangement`."""
+    norm = tuple(l if isinstance(l, Line) else Line.make(*l) for l in lines)
+    found: dict[tuple[int, ...], tuple] = {}
+
+    def dfs(prefix: list[int], eqs: list, ins: list) -> None:
+        i = len(prefix)
+        if i == len(norm):
+            p = reference_feasible_point(eqs, ins)
+            if p is None:
+                raise AssertionError(f"leaf {prefix} has no feasible point")
+            found[tuple(prefix)] = p
+            return
+        ln = norm[i]
+        for s in (-1, 0, 1):
+            if s == 0:
+                nxt_eqs, nxt_ins = eqs + [(ln.a, ln.b, ln.c)], ins
+            elif s == 1:
+                nxt_eqs, nxt_ins = eqs, ins + [(ln.a, ln.b, ln.c)]
+            else:
+                nxt_eqs, nxt_ins = eqs, ins + [(-ln.a, -ln.b, -ln.c)]
+            if reference_feasible_point(nxt_eqs, nxt_ins) is not None:
+                dfs(prefix + [s], nxt_eqs, nxt_ins)
+
+    dfs([], [], [])
+    cells = tuple(sorted(found))
+    return Scene(norm, cells, {c: found[c] for c in cells})
+
+
+def reference_scene_frame(scene: Scene) -> Frame:
+    """Specialization frame by the pairwise test: a cell sees every cell it
+    agrees with wherever it is off the lines."""
+    n = len(scene.cells)
+    pairs = [(i, j) for i, s in enumerate(scene.cells)
+             for j, t in enumerate(scene.cells)
+             if i != j and all(a == 0 or a == b for a, b in zip(s, t))]
+    return Frame(n, pairs, root=Frame(n, pairs).find_root())

@@ -1,10 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polyplane import geometry
 from polyplane.axioms import classify_frame
 from polyplane.crown import crown
+from polyplane.errors import VerificationError
 from polyplane.formula import parse
 from polyplane.geometry import (Line, Scene, build_arrangement, cells_to_dnf,
                                 compile_polygon, concurrent_crown_map,
@@ -16,7 +23,8 @@ from polyplane.geometry import (Line, Scene, build_arrangement, cells_to_dnf,
 from polyplane.kripke import Frame, Model, WorldMap, eval_formula, is_p_morphism
 from polyplane.mosaic import decide_sat
 
-from helpers import frames_isomorphic, random_formula
+from helpers import (frames_isomorphic, random_formula, reference_arrangement,
+                     reference_feasible_point, reference_scene_frame)
 
 
 def concurrent(L):
@@ -56,6 +64,102 @@ def test_two_parallel_lines_five_cells():
     assert s.cells == ((-1, -1), (0, -1), (1, -1), (1, 0), (1, 1))
     xs = [s.witness[c][0] for c in s.cells]
     assert xs == [-1, 0, Fraction(1, 2), 1, 2]
+
+
+def test_zero_line_scene():
+    s = build_arrangement([])
+    assert s.cells == ((),)
+    assert s.witness == {(): (0, 0)}
+    fr = scene_frame(s)
+    assert fr.n == 1 and fr.root == 0
+
+
+def test_all_parallel_lines():
+    # no line crosses another, so each line is a single edge
+    s = build_arrangement([(1, 0, 0), (1, 0, -1), (1, 0, -3)])
+    assert s.cells == ((-1, -1, -1), (0, -1, -1), (1, -1, -1), (1, 0, -1),
+                       (1, 1, -1), (1, 1, 0), (1, 1, 1))
+    assert [s.witness[c] for c in s.cells] == \
+        [(-1, 0), (0, 0), (Fraction(1, 2), 0), (1, 0), (2, 0), (3, 0), (4, 0)]
+    fr = scene_frame(s)
+    assert fr.root is None
+    assert sorted(fr.strict_pairs()) == [(1, 0), (1, 2), (3, 2), (3, 4), (5, 4), (5, 6)]
+
+
+small_lines = st.lists(
+    st.tuples(*[st.integers(-2, 2)] * 3).filter(lambda t: t[:2] != (0, 0)).map(
+        lambda t: Line.make(*t)),
+    max_size=7, unique=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_lines)
+def test_build_matches_reference(lines):
+    # coefficients in -2..2 make parallel and concurrent lines common
+    assert build_arrangement(lines) == reference_arrangement(lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_lines)
+def test_scene_frame_matches_pairwise(lines):
+    s = build_arrangement(lines)
+    assert scene_frame(s) == reference_scene_frame(s)
+
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+constraints = st.tuples(small_fractions, small_fractions, small_fractions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(constraints.filter(lambda r: r[:2] != (0, 0)), max_size=3),
+       st.lists(constraints, max_size=6))
+def test_feasible_point_matches_reference(eqs, ins):
+    assert feasible_point(eqs, ins) == reference_feasible_point(eqs, ins)
+
+
+def test_build_rechecks_witnesses(monkeypatch):
+    monkeypatch.setattr(geometry, "feasible_point",
+                        lambda eqs, ins: (Fraction(5), Fraction(5)))
+    with pytest.raises(VerificationError, match="does not attain"):
+        build_arrangement([(1, 0, 0), (0, 1, 0)])
+    monkeypatch.setattr(geometry, "feasible_point", lambda eqs, ins: None)
+    with pytest.raises(VerificationError, match="no feasible point"):
+        build_arrangement([(1, 0, 0)])
+
+
+def test_build_recheck_survives_optimize():
+    code = "\n".join([
+        "import sys",
+        "from fractions import Fraction",
+        "from polyplane import geometry",
+        "from polyplane.errors import VerificationError",
+        "if __debug__:",
+        "    sys.exit('assertions are enabled')",
+        "geometry.feasible_point = lambda eqs, ins: (Fraction(5), Fraction(5))",
+        "try:",
+        "    geometry.build_arrangement([(1, 0, 0)])",
+        "except VerificationError:",
+        "    sys.exit(0)",
+        "sys.exit('wrong witness accepted')",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_foreign_cells_rejected():
+    s = build_arrangement([(1, 0, 0)])
+    foreign = (0, 0)
+    for op in (scene_closure, scene_interior, scene_delta):
+        with pytest.raises(ValueError, match="does not belong to the scene"):
+            op(s, {(1,), foreign})
+    with pytest.raises(ValueError, match="does not belong to the scene"):
+        eval_scene(s, {}, foreign, parse("p"))
+    with pytest.raises(ValueError, match="does not belong to the scene"):
+        eval_scene(s, {"p": frozenset({foreign})}, (0,), parse("p"))
 
 
 def test_witnesses_attain_signs():
