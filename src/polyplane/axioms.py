@@ -2,7 +2,21 @@
 and the finite-frame classifier.
 
 A finite rooted S4 frame validates the logic iff no generated subframe of it
-maps p-morphically onto any of the five forbidden frames B1..B5.
+maps p-morphically onto any of the five forbidden frames B1..B5.  The
+classifier decides this from the frame's structure, in B1..B5 order:
+
+B1  some maximal cluster has two or more worlds;
+B2  some other cluster has two or more worlds (from here on the frame is a
+    poset);
+B3  for some world u, the worlds strictly above u fall into three or more
+    components of the comparability graph;
+B4  some world has depth 4 or more (a strict chain of four worlds);
+B5  for some world u, the worlds strictly above u fall into two or more
+    components and one of them has more than one world.
+
+Each test builds its own witness map; `classify_frame` gives the argument
+that the tests are exact.  `kripke.find_subreduction` remains the generic
+search and the tests' independent reference.
 """
 
 from __future__ import annotations
@@ -10,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import BudgetExceededError, VerificationError
 from .formula import And, Box, Diamond, Formula, Implies, Not, Var, conj
-from .kripke import Frame, WorldMap, find_subreduction, is_p_morphism, jankov_fine
+from .kripke import Frame, WorldMap, _mask_worlds, is_p_morphism, jankov_fine
 
 
 @dataclass(frozen=True)
@@ -83,12 +98,111 @@ class Verdict:
 
 
 def classify_frame(frame: Frame, budget: int = 2_000_000) -> Verdict:
-    """Validates iff no subreduction onto any forbidden frame exists; else
-    refutes with the first witness in B1..B5 order."""
+    """Validates iff no generated subframe maps p-morphically onto any of
+    B1..B5; else refutes with the first forbidden frame in that order and a
+    witness map onto it.
+
+    The tests, in order: B1 a maximal cluster of two or more worlds; B2 any
+    other such cluster; B3 three or more comparability components among the
+    worlds strictly above some world; B4 depth 4 or more; B5 two or more
+    components above some world, one with more than one world.
+
+    The tests are exact.  For B1, a world in a maximal cluster of the
+    subreduction's domain sees only its cluster, yet must see preimages of
+    both worlds of B1.  For B2 on a poset, a world maximal among those
+    mapped into B2's cluster would need a preimage of the other cluster
+    world strictly above it.  For B3..B5, pick a world y maximal among those
+    the subreduction sends to the target's root.  Restricted to the up-set
+    of y it is again a subreduction, and every world strictly above y maps
+    to a non-root world.  Comparable worlds map to comparable worlds, so no
+    comparability component above y straddles two of the target's
+    incomparable branches, and the up-set of y has the shape the test looks
+    for (for B4, a chain of four worlds from y).
+
+    The witness is re-checked as an onto p-morphism and a bad one raises
+    `VerificationError`.  `budget` bounds the flood fills over up-sets, one
+    step per world visited; running out raises `BudgetExceededError`.
+    """
     frame = frame.rooted()
-    for ff in forbidden_frames():
-        wm = find_subreduction(frame, ff.frame, budget=budget)
-        if wm is not None:
-            assert is_p_morphism(wm, frame, ff.frame) and wm.is_onto(ff.frame)
-            return Verdict(False, ff.id, wm)
-    return Verdict(True)
+    found = _find_forbidden(frame, budget)
+    if found is None:
+        return Verdict(True)
+    refuted_id, mapping = found
+    target = next(ff.frame for ff in forbidden_frames() if ff.id == refuted_id)
+    wm = WorldMap(mapping)
+    if not (is_p_morphism(wm, frame, target) and wm.is_onto(target)):
+        raise VerificationError(
+            f"{refuted_id} witness is not an onto p-morphism")
+    return Verdict(False, refuted_id, wm)
+
+
+def _find_forbidden(frame: Frame, budget: int
+                    ) -> Optional[tuple[str, dict[int, int]]]:
+    """First of B1..B5 that a rooted frame subreduces to, with the witness
+    mapping; None when the frame validates."""
+    n, rows, preds = frame.n, frame.rows, frame._preds
+    # x ascending meets every cluster first at its least world
+    for x in range(n):
+        cluster = rows[x] & preds[x]
+        if cluster != 1 << x and rows[x] == cluster:
+            return "B1", {w: int(w != x) for w in _mask_worlds(cluster)}
+    for x in range(n):
+        cluster = rows[x] & preds[x]
+        if cluster != 1 << x:
+            return "B2", {w: 0 if w == x else 1 if cluster >> w & 1 else 2
+                          for w in _mask_worlds(rows[x])}
+
+    # a poset from here on
+    steps = 0
+    for u in range(n):
+        rest = rows[u] & ~(1 << u)
+        comps = []
+        while rest:
+            comp, front = 0, rest & -rest
+            while front:
+                steps += front.bit_count()
+                if steps > budget:
+                    raise BudgetExceededError("classifier budget exhausted")
+                comp |= front
+                reach = 0
+                for y in _mask_worlds(front):
+                    reach |= rows[y] | preds[y]
+                front = reach & rest & ~comp
+            rest &= ~comp
+            comps.append(comp)
+        if len(comps) >= 3:
+            mapping = {u: 0}
+            for i, comp in enumerate(comps):
+                for w in _mask_worlds(comp):
+                    mapping[w] = min(i + 1, 3)
+            return "B3", mapping
+        if u == frame.root:
+            root_comps = comps
+
+    # peel the maximal worlds three times; what is left has depth >= 4
+    mapping = {}
+    left = (1 << n) - 1
+    for image in (3, 2, 1):
+        top = 0
+        for x in _mask_worlds(left):
+            if rows[x] & left == 1 << x:
+                top |= 1 << x
+                mapping[x] = image
+        left &= ~top
+    if left:
+        mapping.update((x, 0) for x in _mask_worlds(left))
+        return "B4", mapping
+
+    # a world below a two-world component has depth 3, so with depth <= 3
+    # only the root can have the B5 shape
+    big = next((c for c in root_comps if c & (c - 1)), None)
+    if len(root_comps) >= 2 and big is not None:
+        mapping = {frame.root: 0}
+        for comp in root_comps:
+            for w in _mask_worlds(comp):
+                if comp != big:
+                    mapping[w] = 3
+                else:
+                    mapping[w] = 2 if rows[w] == 1 << w else 1
+        return "B5", mapping
+    return None

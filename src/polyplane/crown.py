@@ -86,7 +86,9 @@ def reduce_to_crown(g: Frame, budget: int = 2_000_000) -> CrownReduction:
         return _reduce_shallow(g, root, g1)
 
     succs = {u: sorted(y for y in g.successors(u) if y != u) for u in g1}
-    assert all(1 <= len(s) <= 2 for s in succs.values())
+    if not all(1 <= len(s) <= 2 for s in succs.values()):
+        raise VerificationError(
+            "a middle world without one or two successors survived classification")
     edges = sorted((u, w) for u in g1 for w in succs[u])
     adj: dict[int, list[int]] = {x: [] for x in g1 + g2}
     for u, w in edges:
@@ -113,7 +115,7 @@ def reduce_to_crown(g: Frame, budget: int = 2_000_000) -> CrownReduction:
                             return path[::-1]
                         nxt.append(y)
             queue = nxt
-        raise AssertionError("upper part disconnected despite classification")
+        raise VerificationError("upper part disconnected despite classification")
 
     u1, w1 = edges[0]
     walk = [w1, u1]
@@ -148,14 +150,16 @@ def reduce_to_crown(g: Frame, budget: int = 2_000_000) -> CrownReduction:
                 changed = True
                 break
 
-    assert len(walk) % 2 == 0
+    if len(walk) % 2:
+        raise VerificationError("closed walk has odd length")
     n = len(walk) // 2
     cr = crown(n)
     mapping = {0: root}
     for j in range(1, 2 * n + 1):
         mapping[j] = walk[j - 1]
     wm = WorldMap(mapping)
-    assert is_p_morphism(wm, cr, g) and wm.is_onto(g)
+    if not (is_p_morphism(wm, cr, g) and wm.is_onto(g)):
+        raise VerificationError("crown walk map is not an onto p-morphism")
     if n <= 2 and len(set(mapping.values())) == len(mapping) == g.n:
         # the map is an isomorphism, so g embeds as the whole crown
         return CrownReduction(n, wm, embedded=True,
@@ -178,11 +182,14 @@ def _reduce_shallow(g: Frame, root: int, g1: list[int]) -> CrownReduction:
         wm = WorldMap({0: root, 1: a, 2: root, 3: b, 4: root})
         red = CrownReduction(2, wm, embedded=True, embedding={root: 2, a: 1, b: 3})
     else:
-        raise AssertionError("three incomparable successors survived classification")
+        raise VerificationError(
+            "three incomparable successors survived classification")
     cr = crown(red.n)
-    assert is_p_morphism(red.world_map, cr, g) and red.world_map.is_onto(g)
+    if not (is_p_morphism(red.world_map, cr, g) and red.world_map.is_onto(g)):
+        raise VerificationError("shallow crown map is not an onto p-morphism")
     emb = red.embedding
-    assert all(g.sees(x, y) == cr.sees(emb[x], emb[y]) for x in emb for y in emb)
+    if not all(g.sees(x, y) == cr.sees(emb[x], emb[y]) for x in emb for y in emb):
+        raise VerificationError("shallow frame does not embed in its crown")
     return red
 
 
@@ -428,7 +435,9 @@ def _crown_lex_search(tables: _CrownTables, n: int, steps: list[int],
 
 def _model_from_patterns(tables: _CrownTables, n: int, pins: list[int]) -> Model:
     # pins[w] is the atom pattern of world w
-    assert len(pins) == 2 * n + 1
+    if len(pins) != 2 * n + 1:
+        raise VerificationError(
+            f"{len(pins)} world patterns for the {2 * n + 1} worlds of crown({n})")
     val = {}
     for j, name in enumerate(tables.names):
         val[name] = frozenset(w for w in range(2 * n + 1) if pins[w] >> j & 1)

@@ -6,10 +6,11 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+from polyplane.axioms import Verdict, forbidden_frames
 from polyplane.formula import (And, Bottom, Box, Diamond, Formula, Iff,
                                Implies, Not, Or, Var, modal_depth, pretty)
 from polyplane.geometry import Line, Scene
-from polyplane.kripke import Frame
+from polyplane.kripke import Frame, find_subreduction
 
 UNARY = (Not, Box, Diamond)
 BINARY = (And, Or, Implies, Iff)
@@ -239,6 +240,17 @@ def enumerate_s4(n: int) -> list[Frame]:
                           if rows[x] >> y & 1 and x != y])
         out.setdefault(canonical_rows(frame), frame)
     return [out[k] for k in sorted(out)]
+
+
+def reference_classify(frame: Frame, budget: int = 2_000_000) -> Verdict:
+    """Classification by search: `find_subreduction` once per forbidden
+    frame in B1..B5 order, the first hit wins."""
+    frame = frame.rooted()
+    for ff in forbidden_frames():
+        wm = find_subreduction(frame, ff.frame, budget=budget)
+        if wm is not None:
+            return Verdict(False, ff.id, wm)
+    return Verdict(True)
 
 
 def shallow_rooted_family(max_worlds: int) -> list[Frame]:

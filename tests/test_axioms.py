@@ -1,14 +1,23 @@
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polyplane import axioms
 from polyplane.axioms import (axiom_I, axiom_II, classify_frame,
                               forbidden_frames, xi)
 from polyplane.crown import crown, crown_sat_oracle
+from polyplane.errors import BudgetExceededError, VerificationError
 from polyplane.formula import Not, Var, parse, variables
 from polyplane.kripke import (Frame, Model, eval_formula, is_p_morphism,
                               jankov_fine, valid_on_frame)
 from polyplane.mosaic import decide_sat
 
-from helpers import enumerate_rooted_s4
+from helpers import enumerate_rooted_s4, reference_classify
 
 
 def test_forbidden_frame_shapes():
@@ -145,3 +154,110 @@ def test_validating_frames_are_shallow_posets():
                         if len({a, b, c, d}) == 4:
                             assert not (fr.sees(a, b) and fr.sees(b, c)
                                         and fr.sees(c, d))
+
+
+def assert_agrees_with_reference(fr):
+    got, want = classify_frame(fr), reference_classify(fr)
+    assert (got.validates, got.refuted_id) == (want.validates, want.refuted_id), fr
+    if not got.validates:
+        target = {ff.id: ff.frame for ff in forbidden_frames()}[got.refuted_id]
+        assert is_p_morphism(got.witness, fr.rooted(), target), fr
+        assert got.witness.is_onto(target), fr
+
+
+@st.composite
+def rooted_frames(draw):
+    # a root below a random strict order, plus a few backward pairs that
+    # close cycles into clusters, with the worlds renumbered
+    n = draw(st.integers(1, 7))
+    forward = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(forward),
+                         max_size=len(forward)))
+    back = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=2))
+    perm = draw(st.permutations(range(n)))
+    pairs = [(0, y) for y in range(1, n)]
+    pairs += [p for p, k in zip(forward, keep) if k] + back
+    return Frame(n, [(perm[x], perm[y]) for x, y in pairs if x != y])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rooted_frames())
+def test_classify_matches_search_on_random_frames(fr):
+    assert_agrees_with_reference(fr)
+
+
+def test_classify_matches_search_on_all_small_frames():
+    for n in range(1, 6):
+        for fr in enumerate_rooted_s4(n):
+            assert_agrees_with_reference(fr)
+
+
+@pytest.mark.parametrize("refuted_id, n, pairs, witness", [
+    # a point below the two-world maximal cluster {1, 2}
+    ("B1", 3, [(0, 1), (1, 2), (2, 1)], {1: 0, 2: 1}),
+    # the root cluster {0, 1} below the chain 2 -> 3
+    ("B2", 4, [(0, 1), (1, 0), (0, 2), (2, 3)], {0: 0, 1: 1, 2: 2, 3: 2}),
+    # four components above the root, {1}, {2, 3}, {4}, {5}: the last two
+    # both map to 3
+    ("B3", 6, [(0, 1), (0, 2), (0, 4), (0, 5), (2, 3)],
+     {0: 0, 1: 1, 2: 2, 3: 2, 4: 3, 5: 3}),
+    # a 5-chain with a side branch 1 -> 5; depth 4 and 5 both map to 0, and
+    # B4 wins over the B5 shape above world 1
+    ("B4", 6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)],
+     {0: 0, 1: 0, 2: 1, 3: 2, 4: 3, 5: 3}),
+    # two disjoint teeth 1 -> {2, 3} and 4 -> 5: the first tooth's middle
+    # maps to 1, its endpoints to 2, the other tooth to 3
+    ("B5", 6, [(0, 1), (0, 4), (1, 2), (1, 3), (4, 5)],
+     {0: 0, 1: 1, 2: 2, 3: 2, 4: 3, 5: 3}),
+])
+def test_classify_witness_by_hand(refuted_id, n, pairs, witness):
+    verdict = classify_frame(Frame(n, pairs, root=0))
+    assert not verdict.validates
+    assert verdict.refuted_id == refuted_id
+    assert verdict.witness.mapping == witness
+
+
+def test_classify_large_crowns():
+    for n in range(1, 41):
+        assert classify_frame(crown(n)).validates, n
+
+
+def test_classify_budget():
+    with pytest.raises(BudgetExceededError):
+        classify_frame(crown(5), budget=5)
+    assert classify_frame(crown(5), budget=20).validates
+
+
+def test_classify_rechecks_its_witness(monkeypatch):
+    monkeypatch.setattr(axioms, "_find_forbidden",
+                        lambda frame, budget: ("B1", {0: 0, 1: 0, 2: 0}))
+    with pytest.raises(VerificationError, match="B1 witness"):
+        classify_frame(crown(1))
+    monkeypatch.setattr(axioms, "_find_forbidden",
+                        lambda frame, budget: ("B4", {w: min(w, 3) for w in range(frame.n)}))
+    with pytest.raises(VerificationError, match="B4 witness"):
+        classify_frame(crown(2))
+
+
+def test_classify_recheck_survives_optimize():
+    code = "\n".join([
+        "import sys",
+        "from polyplane import axioms",
+        "from polyplane.crown import crown",
+        "from polyplane.errors import VerificationError",
+        "if __debug__:",
+        "    sys.exit('assertions are enabled')",
+        "axioms._find_forbidden = lambda frame, budget: ('B1', {0: 0, 1: 0, 2: 0})",
+        "try:",
+        "    axioms.classify_frame(crown(1))",
+        "except VerificationError:",
+        "    sys.exit(0)",
+        "sys.exit('wrong witness accepted')",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

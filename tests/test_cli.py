@@ -45,12 +45,12 @@ def test_classify_exit_codes(tmp_path, capsys):
     f = tmp_path / "frame.json"
     f.write_text(json.dumps({"worlds": 4, "rel": [[0, 1], [1, 2], [2, 3]], "root": 0}))
     assert run(["classify-frame", str(f)]) == 3
+    assert capsys.readouterr().out == 'refutes B4; witness {"0":0,"1":1,"2":2,"3":3}\n'
     f.write_text(json.dumps(
         {"worlds": 5, "rel": [[0, 1], [0, 2], [0, 3], [0, 4],
                               [2, 1], [2, 3], [4, 3], [4, 1]]}))
     assert run(["classify-frame", str(f)]) == 0
-    out = capsys.readouterr().out
-    assert "refutes B4" in out and "validates" in out
+    assert capsys.readouterr().out == "validates\n"
 
 
 def test_reduce_and_jankov(tmp_path, capsys):
@@ -91,10 +91,22 @@ def test_outputs_byte_stable(tmp_path, capsys):
     m.write_text(json.dumps(
         {"worlds": 3, "root": 0, "val": {"p": [1]},
          "rel": [[0, 1], [0, 2], [2, 1]]}))
-    run(["realize", "--model", str(m)])
-    first = capsys.readouterr().out
-    run(["realize", "--model", str(m)])
-    assert capsys.readouterr().out == first
+    refuted = tmp_path / "refuted.json"
+    refuted.write_text(json.dumps(
+        {"worlds": 6, "rel": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [0, 5]],
+         "root": 0}))
+    validating = tmp_path / "validating.json"
+    validating.write_text(json.dumps(
+        {"worlds": 5, "rel": [[0, 1], [0, 2], [0, 3], [0, 4],
+                              [2, 1], [2, 3], [4, 3], [4, 1]]}))
+    for argv in (["realize", "--model", str(m)],
+                 ["classify-frame", str(refuted)],
+                 ["classify-frame", str(validating)],
+                 ["reduce", str(validating)]):
+        run(argv)
+        first = capsys.readouterr().out
+        run(argv)
+        assert capsys.readouterr().out == first, argv
 
 
 def test_axioms_command(capsys):

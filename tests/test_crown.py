@@ -180,6 +180,30 @@ def test_reduce_whole_shallow_family():
         assert red.world_map.is_onto(fr)
 
 
+def test_reduce_crowns():
+    for n in range(1, 13):
+        cr = crown(n)
+        red = reduce_to_crown(cr)
+        assert red.world_map.domain == frozenset(range(2 * red.n + 1))
+        assert is_p_morphism(red.world_map, crown(red.n), cr), n
+        assert red.world_map.is_onto(cr), n
+
+
+@pytest.mark.parametrize("n, pairs, message", [
+    (4, [(0, 1), (0, 2), (0, 3)], "three incomparable successors"),
+    (4, [(0, 1), (1, 2), (2, 3)], "not an onto p-morphism"),
+    (5, [(0, 1), (1, 2), (2, 3), (3, 4)], "one or two successors"),
+    (6, [(0, 1), (0, 4), (1, 2), (1, 3), (4, 5)], "upper part disconnected"),
+])
+def test_reduce_rechecks_its_map(monkeypatch, n, pairs, message):
+    # a classifier that wrongly accepts a refuted frame must not yield a map
+    axioms = import_module("polyplane.axioms")
+    monkeypatch.setattr(axioms, "classify_frame",
+                        lambda g, budget: axioms.Verdict(True))
+    with pytest.raises(VerificationError, match=message):
+        reduce_to_crown(Frame(n, pairs, root=0))
+
+
 def test_oracle_atom():
     got = crown_sat_oracle(Var("p"), 3)
     assert got.n == 1 and got.model.val["p"] == {0} and got.world == 0
@@ -227,6 +251,9 @@ def test_oracle_witness_world_is_least():
 
 def test_oracle_rechecks_its_answer(monkeypatch):
     cr = import_module("polyplane.crown")  # the package re-exports crown()
+    monkeypatch.setattr(cr, "_crown_lex_search", lambda *args: [0])
+    with pytest.raises(VerificationError, match="world patterns"):
+        crown_sat_oracle(Var("p"), 3)
     monkeypatch.setattr(cr, "_model_from_patterns",
                         lambda tables, n, pins: Model(crown(n), {}))
     with pytest.raises(VerificationError, match="non-model"):
