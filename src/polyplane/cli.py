@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success / SAT / validates; 1 UNSAT / invalid / disagreement;
-2 usage or syntax errors; 3 a frame is refuted; 4 a search budget ran out.
+2 usage or syntax errors, a formula nested too deeply to process
+("error: formula nested too deeply"), or an answer that failed its own
+re-check ("internal error: ..."); 3 a frame is refuted; 4 a search budget
+ran out.  Every error is one line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from . import geometry as geo
 from . import kripke as kr
 from . import mosaic as mo
 from .crown import crown_sat_oracle, reduce_to_crown
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, VerificationError
 from .formula import (And, Bottom, Box, Diamond, Formula, Iff, Implies, Not,
                       Or, ParseError, Var, parse, pretty)
 
@@ -246,6 +249,12 @@ def run(argv: list[str]) -> int:
     except BudgetExceededError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return 4
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
+        return 2
+    except (mo.MosaicError, VerificationError) as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 2
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

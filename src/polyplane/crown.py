@@ -85,6 +85,9 @@ def reduce_to_crown(g: Frame, budget: int = 2_000_000) -> CrownReduction:
     if not g2:
         return _reduce_shallow(g, root, g1)
 
+    if not g1:
+        raise VerificationError(
+            "worlds above the root without a middle world survived classification")
     succs = {u: sorted(y for y in g.successors(u) if y != u) for u in g1}
     if not all(1 <= len(s) <= 2 for s in succs.values()):
         raise VerificationError(

@@ -157,8 +157,13 @@ def children(f: Formula) -> tuple[Formula, ...]:
 
 
 def ast_size(f: Formula) -> int:
-    """Number of AST nodes."""
-    return 1 + sum(ast_size(c) for c in children(f))
+    """Number of AST nodes; iterative, so depth is unbounded."""
+    n = 0
+    stack = [f]
+    while stack:
+        n += 1
+        stack.extend(children(stack.pop()))
+    return n
 
 
 def modal_depth(f: Formula) -> int:
@@ -309,23 +314,36 @@ _PREFIX = {Not: "~", Box: "[]", Diamond: "<>"}
 
 
 def pretty(f: Formula) -> str:
-    """Parenthesis-minimal rendering; parse(pretty(f)) == f."""
-    return _render(f, 0)
-
-
-def _render(f: Formula, min_prec: int) -> str:
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Bottom):
-        return "F"
-    if isinstance(f, _UNARY):
-        return _PREFIX[type(f)] + _render(f.sub, 4)
-    prec = _PREC[type(f)]
-    if prec >= 2:  # & and | are left associative
-        s = _render(f.left, prec) + " " + _INFIX[type(f)] + " " + _render(f.right, prec + 1)
-    else:  # -> and <-> are right associative
-        s = _render(f.left, prec + 1) + " " + _INFIX[type(f)] + " " + _render(f.right, prec)
-    return "(" + s + ")" if prec < min_prec else s
+    """Parenthesis-minimal rendering; parse(pretty(f)) == f.  Iterative, so
+    depth is unbounded."""
+    parts: list[str] = []
+    # (formula, binding strength its context demands) or literal text,
+    # popped in output order
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        g, min_prec = item
+        if isinstance(g, Var):
+            parts.append(g.name)
+        elif isinstance(g, Bottom):
+            parts.append("F")
+        elif isinstance(g, _UNARY):
+            parts.append(_PREFIX[type(g)])
+            stack.append((g.sub, 4))
+        else:
+            prec = _PREC[type(g)]
+            # & and | are left associative, -> and <-> right associative
+            lp, rp = (prec, prec + 1) if prec >= 2 else (prec + 1, prec)
+            wrap = prec < min_prec
+            if wrap:
+                stack.append(")")
+            stack += ((g.right, rp), " " + _INFIX[type(g)] + " ", (g.left, lp))
+            if wrap:
+                parts.append("(")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -211,10 +211,11 @@ class LabelSpace:
                             return False
         return True
 
-    def enumerate_labels(self, must: Iterable[tuple[int, bool, bool]] = ()
-                         ) -> list[int]:
+    def enumerate_labels(self, must: Iterable[tuple[int, bool, bool]] = (),
+                         budget: Optional[StepBudget] = None) -> list[int]:
         """All Hintikka labels satisfying the given (index, polarity, value)
-        constraints, as ascending bitmasks."""
+        constraints, as ascending bitmasks.  With a budget, every search
+        node spends one step per closure member it propagates over."""
         values: list = [None] * self.size
         for idx, pol, v in must:
             want = v == pol
@@ -226,20 +227,25 @@ class LabelSpace:
         out: list[int] = []
         decisions = [i for i, op in enumerate(self.ops)
                      if op in (VAR, DIA, BOX)]
-
-        def dfs(vals):
-            for i in decisions:
-                if vals[i] is None:
-                    for v in (False, True):
-                        nxt = list(vals)
-                        nxt[i] = v
-                        if self._propagate(nxt):
-                            dfs(nxt)
-                    return
-            assert all(v is not None for v in vals)
-            out.append(sum(1 << i for i, v in enumerate(vals) if v))
-
-        dfs(values)
+        # (values, position in decisions before which all are set)
+        stack = [(values, 0)]
+        while stack:
+            vals, k = stack.pop()
+            if budget is not None:
+                budget.spend(self.size, "label enumeration")
+            while k < len(decisions) and vals[decisions[k]] is not None:
+                k += 1
+            if k == len(decisions):
+                if None in vals:
+                    raise MosaicError("propagation left a closure member "
+                                      "undecided in a complete label")
+                out.append(sum(1 << i for i, v in enumerate(vals) if v))
+                continue
+            for v in (True, False):  # False is popped, and searched, first
+                nxt = vals.copy()
+                nxt[decisions[k]] = v
+                if self._propagate(nxt):
+                    stack.append((nxt, k + 1))
         out.sort()
         return out
 
@@ -374,12 +380,35 @@ def glue_reachable(m: Mosaic, pool: Iterable[Mosaic]) -> set[Mosaic]:
 
 @dataclass
 class SolverStats:
+    """Counters of one decide_sat call.  Per root: roots_tried.  Per glue
+    graph built (one per root key): glue_graphs, labels_built (labels kept
+    by the key's filter), label_classes (middle- and edge-class
+    representatives), arcs (between edge classes) and components.  Of the
+    answer: pool_size and crown_n."""
+
     roots_tried: int = 0
     labels_built: int = 0
     arcs: int = 0
     pool_size: int = 0
     components: int = 0
     crown_n: int = 0
+    glue_graphs: int = 0
+    label_classes: int = 0
+
+
+class StepBudget:
+    """Step counter shared by every phase of one search."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 0
+
+    def spend(self, steps: int, phase: str) -> None:
+        self.used += steps
+        if self.used > self.limit:
+            raise BudgetExceededError(
+                f"mosaic search budget exhausted in {phase} "
+                f"({self.used} of {self.limit} steps)")
 
 
 @dataclass(frozen=True)
@@ -401,31 +430,34 @@ def decide_sat(theta: Formula, strict_middle: bool = False,
                budget: int = 20_000_000) -> SatResult:
     """Satisfiability of theta over the finite crown frames.
 
-    Tries root labels containing theta in ascending order; for each, builds
-    the glue graph of coherent tiles compatible with that root and looks for
-    a connected family supplying every diamond and every refuted box of the
-    root.  Satisfiability somewhere coincides with satisfiability at a root:
-    the submodel generated by any crown world pulls back to the root of a
-    small crown along a total p-morphism (a constant map for an endpoint,
-    the two-teeth cover for a middle), so the root pass is complete.  The
+    Tries root labels containing theta in ascending order and looks, in the
+    glue graph of coherent tiles below each, for a connected family
+    supplying every diamond and every refuted box of the root.  Which labels
+    sit below a root depends only on its key (true diamonds, true boxes), so
+    labels are enumerated once under the constraints all roots share and
+    filtered per key, and each key's glue graph is built once.  A tile sees
+    its labels only through their modal vectors, so the graph runs over
+    classes of equal vectors, each represented by its least label: the
+    tiles found are those a search over every label finds first.
+
+    Satisfiability somewhere coincides with satisfiability at a root: the
+    submodel generated by any crown world pulls back to the root of a small
+    crown along a total p-morphism (a constant map for an endpoint, the
+    two-teeth cover for a middle), so the root pass is complete.  The
     literal second pass over theta-free root labels is kept behind
-    `exhaustive_anywhere` for cross-checking.
+    `exhaustive_anywhere` for cross-checking.  Enumeration and arc building
+    spend from one step budget.
     """
     space = LabelSpace.for_formula(theta)
     stats = SolverStats()
-    steps = [0]
+    steps = StepBudget(budget)
     idx, pol = space.ref(theta)
-    for rho in space.enumerate_labels(must=[(idx, pol, True)]):
-        stats.roots_tried += 1
-        got = _try_root(space, rho, None, strict_middle, stats, steps, budget)
+    passes = [(True, None)] + ([(False, theta)] if exhaustive_anywhere else [])
+    for holds, need in passes:
+        roots = space.enumerate_labels(must=[(idx, pol, holds)], budget=steps)
+        got = _search(space, roots, need, strict_middle, stats, steps)
         if got is not None:
             return got
-    if exhaustive_anywhere:
-        for rho in space.enumerate_labels(must=[(idx, pol, False)]):
-            stats.roots_tried += 1
-            got = _try_root(space, rho, theta, strict_middle, stats, steps, budget)
-            if got is not None:
-                return got
     return SatResult(False, stats=stats)
 
 
@@ -446,63 +478,122 @@ def _mid_fits(space: LabelSpace, m: int, e0: int, e1: int, strict: bool) -> bool
             and space.middle_ok(m, e0, e1, strict=strict))
 
 
-def _try_root(space: LabelSpace, rho: int, need: Optional[Formula],
-              strict_middle: bool, stats: SolverStats, steps: list[int],
-              budget: int) -> Optional[SatResult]:
-    """Search for a satisfying tile family with root label rho.  When `need`
-    is set (second pass), some placed label must also contain it."""
-    # labels compatible below rho: boxes of rho force their bodies and
-    # persist (every world's successors sit below the root too), missing
-    # diamonds of rho forbid theirs and stay missing; labels violating
-    # persistence could never appear in a coherent tile anyway
+def _below_must(space: LabelSpace, dia_true: int, box_true: int
+                ) -> list[tuple[int, bool, bool]]:
+    """Constraints on every label below a root with these diamonds and
+    boxes: true boxes force their bodies and persist (every world's
+    successors sit below the root too), missing diamonds forbid their
+    bodies and stay missing.  Labels violating them could never appear in a
+    coherent tile anyway."""
     must = []
-    for i in space.box_list:
-        if rho >> i & 1:
+    for pos, i in enumerate(space.box_list):
+        if box_true >> pos & 1:
             must.append((*space.operands[i][0], True))
             must.append((i, True, True))
-    for i in space.dia_list:
-        if not rho >> i & 1:
+    for pos, i in enumerate(space.dia_list):
+        if not dia_true >> pos & 1:
             must.append((*space.operands[i][0], False))
             must.append((i, True, False))
-    labels = space.enumerate_labels(must=must)
+    return must
+
+
+def _search(space: LabelSpace, roots: list[int], need: Optional[Formula],
+            strict: bool, stats: SolverStats, steps: StepBudget
+            ) -> Optional[SatResult]:
+    """Try the roots in ascending order.  When `need` is set (second pass),
+    some placed label must also contain it."""
+    if not roots:
+        return None
+    dia_any, box_all = 0, -1
+    for rho in roots:
+        dt, _, bt, _ = space.vectors(rho)
+        dia_any |= dt
+        box_all &= bt
+    below = space.enumerate_labels(must=_below_must(space, dia_any, box_all),
+                                   budget=steps)
+    graphs: dict[tuple[int, int], _GlueGraph] = {}
+    for rho in roots:
+        stats.roots_tried += 1
+        dt, _, bt, _ = space.vectors(rho)
+        key = (dt, bt)
+        graph = graphs.get(key)
+        if graph is None:
+            graph = graphs[key] = _glue_graph(space, below, key, need, strict,
+                                              stats, steps)
+        for members in graph.comps:
+            got = _try_component(space, rho, graph, members, need, strict,
+                                 stats)
+            if got is not None:
+                return got
+    return None
+
+
+class _GlueGraph(NamedTuple):
+    middles: list[int]                # class representatives, ascending
+    edges: list[int]                  # edge-class representatives, ascending
+    arc_mid: dict[tuple[int, int], int]
+    adj: dict[int, set[int]]
+    comps: list[list[int]]
+
+
+def _glue_graph(space: LabelSpace, below: list[int], key: tuple[int, int],
+                need: Optional[Formula], strict: bool, stats: SolverStats,
+                steps: StepBudget) -> _GlueGraph:
+    """Glue graph of the roots with this key: edge classes as nodes, an arc
+    where some middle class makes a coherent tile."""
+    ones = zeros = 0
+    for idx, pol, v in _below_must(space, *key):
+        if v == pol:
+            ones |= 1 << idx
+        else:
+            zeros |= 1 << idx
+    labels = [lab for lab in below if lab & ones == ones and not lab & zeros]
+    stats.glue_graphs += 1
     stats.labels_built += len(labels)
 
-    edges = [lab for lab in labels if space.edge_ok(lab)]
-    if not edges:
-        return None
+    # middles are classed by their whole modal vector, edges by the bodies
+    # they supply; the second pass also tells apart labels holding `need`
+    def sig(lab: int) -> tuple:
+        vec = space.vectors(lab)
+        return vec if need is None else (*vec, space.member(lab, need))
 
-    vecs = {lab: space.vectors(lab) for lab in labels}
-    nbox = len(space.box_list)
-    full_box = (1 << nbox) - 1
+    middle_of: dict = {}
+    for lab in labels:
+        middle_of.setdefault(sig(lab), lab)
+    middles = list(middle_of.values())
+    edge_of: dict = {}
+    for sg, m in middle_of.items():
+        if space.edge_ok(m):
+            _, dc, _, bc, *holds = sg
+            edge_of.setdefault((dc, bc, *holds), m)
+    edges = list(edge_of.values())
+    stats.label_classes += len(middles) + len(edges)
+
+    full_box = (1 << len(space.box_list)) - 1
+    vecs = [space.vectors(x) for x in edges]
 
     # arc (xi, yi) exists when some middle makes (rho, m, X, Y) coherent;
     # keep the least such middle per arc
     arc_mid: dict[tuple[int, int], int] = {}
     adj: dict[int, set[int]] = {i: set() for i in range(len(edges))}
-    for m in labels:
-        dt_m, dc_m, bt_m, bc_m = vecs[m]
-        own_wit = 0 if strict_middle else dc_m
-        own_box = full_box if strict_middle else bc_m
+    for m in middles:
+        dt_m, dc_m, bt_m, bc_m = space.vectors(m)
+        own_wit = 0 if strict else dc_m
+        own_box = full_box if strict else bc_m
         pc = [i for i, x in enumerate(edges) if space.pair_ok(m, x)]
-        steps[0] += len(pc) * len(pc) + len(edges)
-        if steps[0] > budget:
-            raise BudgetExceededError("mosaic search budget exhausted")
+        steps.spend(len(pc) * len(pc) + len(edges), "glue-graph arcs")
         for xi in pc:
-            dcx = vecs[edges[xi]][1]
-            bcx = vecs[edges[xi]][3]
-            rd = dt_m & ~(own_wit | dcx)
-            rb = own_box & bcx & ~bt_m
+            rd = dt_m & ~(own_wit | vecs[xi][1])
+            rb = own_box & vecs[xi][3] & ~bt_m
             for yi in pc:
                 if (xi, yi) in arc_mid:
                     continue
-                if rd & ~vecs[edges[yi]][1] or rb & vecs[edges[yi]][3]:
+                if rd & ~vecs[yi][1] or rb & vecs[yi][3]:
                     continue
                 arc_mid[(xi, yi)] = m
                 adj[xi].add(yi)
                 adj[yi].add(xi)
     stats.arcs += len(arc_mid)
-    if not arc_mid:
-        return None
 
     comp_of: dict[int, int] = {}
     comps: list[list[int]] = []
@@ -521,21 +612,15 @@ def _try_root(space: LabelSpace, rho: int, need: Optional[Formula],
                     stack.append(w)
         comps.append(sorted(members))
     stats.components += len(comps)
-
-    for members in comps:
-        got = _try_component(space, rho, edges, members, arc_mid, adj, labels,
-                             need, strict_middle, stats)
-        if got is not None:
-            return got
-    return None
+    return _GlueGraph(middles, edges, arc_mid, adj, comps)
 
 
-def _try_component(space: LabelSpace, rho: int, edges: list[int],
-                   members: list[int], arc_mid: dict, adj: dict,
-                   labels: list[int], need: Optional[Formula],
+def _try_component(space: LabelSpace, rho: int, graph: _GlueGraph,
+                   members: list[int], need: Optional[Formula],
                    strict: bool, stats: SolverStats) -> Optional[SatResult]:
     dt_r, dc_r, bt_r, bc_r = space.vectors(rho)
     full_box = (1 << len(space.box_list)) - 1
+    edges, arc_mid, adj = graph.edges, graph.arc_mid, graph.adj
     member_set = set(members)
 
     chosen: set[tuple[int, int, int]] = set()
@@ -553,7 +638,7 @@ def _try_component(space: LabelSpace, rho: int, edges: list[int],
 
     def find_middle(pred) -> bool:
         # least (m, xi, yi) with pred(m) and a coherent tile inside the component
-        for m in labels:
+        for m in graph.middles:
             if not pred(m):
                 continue
             for xi in members:

@@ -5,12 +5,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
+from typing import Optional
 
 from polyplane.axioms import Verdict, forbidden_frames
+from polyplane.errors import BudgetExceededError
 from polyplane.formula import (And, Bottom, Box, Diamond, Formula, Iff,
                                Implies, Not, Or, Var, modal_depth, pretty)
 from polyplane.geometry import Line, Scene
 from polyplane.kripke import Frame, find_subreduction
+from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, SatResult,
+                              SolverStats, extract_model)
 
 UNARY = (Not, Box, Diamond)
 BINARY = (And, Or, Implies, Iff)
@@ -396,3 +400,261 @@ def reference_scene_frame(scene: Scene) -> Frame:
              for j, t in enumerate(scene.cells)
              if i != j and all(a == 0 or a == b for a, b in zip(s, t))]
     return Frame(n, pairs, root=Frame(n, pairs).find_root())
+
+
+def reference_decide_sat(theta: Formula, strict_middle: bool = False,
+               exhaustive_anywhere: bool = False,
+               budget: int = 20_000_000) -> SatResult:
+    """The per-root mosaic search decide_sat replaced, kept as its
+    reference: it enumerates the labels below every root label afresh and
+    runs the arc loop over every label.
+
+    Satisfiability of theta over the finite crown frames.
+
+    Tries root labels containing theta in ascending order; for each, builds
+    the glue graph of coherent tiles compatible with that root and looks for
+    a connected family supplying every diamond and every refuted box of the
+    root.  Satisfiability somewhere coincides with satisfiability at a root:
+    the submodel generated by any crown world pulls back to the root of a
+    small crown along a total p-morphism (a constant map for an endpoint,
+    the two-teeth cover for a middle), so the root pass is complete.  The
+    literal second pass over theta-free root labels is kept behind
+    `exhaustive_anywhere` for cross-checking.
+    """
+    space = LabelSpace.for_formula(theta)
+    stats = SolverStats()
+    steps = [0]
+    idx, pol = space.ref(theta)
+    for rho in space.enumerate_labels(must=[(idx, pol, True)]):
+        stats.roots_tried += 1
+        got = _reference_try_root(space, rho, None, strict_middle, stats, steps, budget)
+        if got is not None:
+            return got
+    if exhaustive_anywhere:
+        for rho in space.enumerate_labels(must=[(idx, pol, False)]):
+            stats.roots_tried += 1
+            got = _reference_try_root(space, rho, theta, strict_middle, stats, steps, budget)
+            if got is not None:
+                return got
+    return SatResult(False, stats=stats)
+
+
+def _reference_mid_fits(space: LabelSpace, m: int, e0: int, e1: int, strict: bool) -> bool:
+    return (space.pair_ok(m, e0) and space.pair_ok(m, e1)
+            and space.middle_ok(m, e0, e1, strict=strict))
+
+
+def _reference_try_root(space: LabelSpace, rho: int, need: Optional[Formula],
+              strict_middle: bool, stats: SolverStats, steps: list[int],
+              budget: int) -> Optional[SatResult]:
+    """Search for a satisfying tile family with root label rho.  When `need`
+    is set (second pass), some placed label must also contain it."""
+    # labels compatible below rho: boxes of rho force their bodies and
+    # persist (every world's successors sit below the root too), missing
+    # diamonds of rho forbid theirs and stay missing; labels violating
+    # persistence could never appear in a coherent tile anyway
+    must = []
+    for i in space.box_list:
+        if rho >> i & 1:
+            must.append((*space.operands[i][0], True))
+            must.append((i, True, True))
+    for i in space.dia_list:
+        if not rho >> i & 1:
+            must.append((*space.operands[i][0], False))
+            must.append((i, True, False))
+    labels = space.enumerate_labels(must=must)
+    stats.labels_built += len(labels)
+
+    edges = [lab for lab in labels if space.edge_ok(lab)]
+    if not edges:
+        return None
+
+    vecs = {lab: space.vectors(lab) for lab in labels}
+    nbox = len(space.box_list)
+    full_box = (1 << nbox) - 1
+
+    # arc (xi, yi) exists when some middle makes (rho, m, X, Y) coherent;
+    # keep the least such middle per arc
+    arc_mid: dict[tuple[int, int], int] = {}
+    adj: dict[int, set[int]] = {i: set() for i in range(len(edges))}
+    for m in labels:
+        dt_m, dc_m, bt_m, bc_m = vecs[m]
+        own_wit = 0 if strict_middle else dc_m
+        own_box = full_box if strict_middle else bc_m
+        pc = [i for i, x in enumerate(edges) if space.pair_ok(m, x)]
+        steps[0] += len(pc) * len(pc) + len(edges)
+        if steps[0] > budget:
+            raise BudgetExceededError("mosaic search budget exhausted")
+        for xi in pc:
+            dcx = vecs[edges[xi]][1]
+            bcx = vecs[edges[xi]][3]
+            rd = dt_m & ~(own_wit | dcx)
+            rb = own_box & bcx & ~bt_m
+            for yi in pc:
+                if (xi, yi) in arc_mid:
+                    continue
+                if rd & ~vecs[edges[yi]][1] or rb & vecs[edges[yi]][3]:
+                    continue
+                arc_mid[(xi, yi)] = m
+                adj[xi].add(yi)
+                adj[yi].add(xi)
+    stats.arcs += len(arc_mid)
+    if not arc_mid:
+        return None
+
+    comp_of: dict[int, int] = {}
+    comps: list[list[int]] = []
+    for start in sorted(adj):
+        if start in comp_of or not adj[start]:
+            continue
+        cid = len(comps)
+        stack, members = [start], []
+        comp_of[start] = cid
+        while stack:
+            v = stack.pop()
+            members.append(v)
+            for w in adj[v]:
+                if w not in comp_of:
+                    comp_of[w] = cid
+                    stack.append(w)
+        comps.append(sorted(members))
+    stats.components += len(comps)
+
+    for members in comps:
+        got = _reference_try_component(space, rho, edges, members, arc_mid, adj, labels,
+                             need, strict_middle, stats)
+        if got is not None:
+            return got
+    return None
+
+
+def _reference_try_component(space: LabelSpace, rho: int, edges: list[int],
+                   members: list[int], arc_mid: dict, adj: dict,
+                   labels: list[int], need: Optional[Formula],
+                   strict: bool, stats: SolverStats) -> Optional[SatResult]:
+    dt_r, dc_r, bt_r, bc_r = space.vectors(rho)
+    full_box = (1 << len(space.box_list)) - 1
+    member_set = set(members)
+
+    chosen: set[tuple[int, int, int]] = set()
+
+    def add_arc(xi: int, yi: int, m: int):
+        chosen.add((xi, yi, m))
+        chosen.add((yi, xi, m))  # mirrored tile keeps the walk balanced
+
+    def place_edge(xi: int):
+        yi = min(adj[xi])
+        m = arc_mid.get((xi, yi))
+        if m is None:
+            m = arc_mid[(yi, xi)]
+        add_arc(xi, yi, m)
+
+    def find_middle(pred) -> bool:
+        # least (m, xi, yi) with pred(m) and a coherent tile inside the component
+        for m in labels:
+            if not pred(m):
+                continue
+            for xi in members:
+                if not space.pair_ok(m, edges[xi]):
+                    continue
+                for yi in members:
+                    if _reference_mid_fits(space, m, edges[xi], edges[yi], strict):
+                        add_arc(xi, yi, m)
+                        return True
+        return False
+
+    # every diamond and every refuted box of the root needs a placed witness;
+    # the root label itself counts, then component edge labels, then middles
+    reqs: list[tuple[str, int]] = []
+    base = dt_r & ~dc_r
+    while base:
+        d = (base & -base).bit_length() - 1
+        base &= base - 1
+        reqs.append(("dia", d))
+    base = ~bt_r & full_box & bc_r
+    while base:
+        b = (base & -base).bit_length() - 1
+        base &= base - 1
+        reqs.append(("box", b))
+    for kind, bit in reqs:
+        done = False
+        for xi in members:
+            vec = space.vectors(edges[xi])
+            hit = vec[1] >> bit & 1 if kind == "dia" else not vec[3] >> bit & 1
+            if hit:
+                place_edge(xi)
+                done = True
+                break
+        if not done:
+            if kind == "dia":
+                done = find_middle(lambda m: bool(space.vectors(m)[1] >> bit & 1))
+            else:
+                done = find_middle(lambda m: not space.vectors(m)[3] >> bit & 1)
+        if not done:
+            return None
+
+    if need is not None and not space.member(rho, need):
+        ok = False
+        for xi in members:
+            if space.member(edges[xi], need):
+                place_edge(xi)
+                ok = True
+                break
+        if not ok:
+            ok = find_middle(lambda m: space.member(m, need))
+        if not ok:
+            return None
+
+    if not chosen:
+        loops = [xi for xi in members if (xi, xi) in arc_mid]
+        if loops:
+            add_arc(loops[0], loops[0], arc_mid[(loops[0], loops[0])])
+        else:
+            xi, yi = min(k for k in arc_mid if k[0] in member_set)
+            add_arc(xi, yi, arc_mid[(xi, yi)])
+
+    # connect the chosen arcs through the component so one closed walk
+    # covers them all
+    nodes = sorted({t[0] for t in chosen} | {t[1] for t in chosen})
+    connected = {nodes[0]}
+    missing = set(nodes) - connected
+    while missing:
+        prev: dict[int, int] = {}
+        seen = set(connected)
+        frontier = sorted(connected)
+        target = None
+        while frontier and target is None:
+            nxt = []
+            for v in frontier:
+                for w in sorted(adj[v]):
+                    if w in seen:
+                        continue
+                    seen.add(w)
+                    prev[w] = v
+                    if w in missing:
+                        target = w
+                        break
+                    nxt.append(w)
+                if target is not None:
+                    break
+            frontier = nxt
+        if target is None:
+            raise MosaicError("component lost connectivity")
+        path = [target]
+        while path[-1] not in connected:
+            path.append(prev[path[-1]])
+        path.reverse()
+        for u, v in zip(path, path[1:]):
+            m = arc_mid.get((u, v))
+            if m is None:
+                m = arc_mid[(v, u)]
+            add_arc(u, v, m)
+        connected |= set(path)
+        missing = set(nodes) - connected
+
+    pool = tuple(Mosaic(rho, m, edges[xi], edges[yi])
+                 for (xi, yi, m) in sorted(chosen))
+    n, model, witness = extract_model(pool, space, rho)
+    stats.pool_size = len(pool)
+    stats.crown_n = n
+    return SatResult(True, n, model, witness, rho, pool, stats)

@@ -137,3 +137,29 @@ def test_sat_oracle_flag(capsys):
     assert run(["sat", "p & ~p", "--oracle", "3"]) == 1
     out = capsys.readouterr().out
     assert "oracle" in out
+
+
+def test_deep_input_is_one_line_error(capsys):
+    assert run(["sat", "~" * 5000 + "p"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: formula nested too deeply\n"
+
+
+def test_internal_errors_exit_two(monkeypatch, capsys):
+    from polyplane import mosaic
+    from polyplane.errors import VerificationError
+
+    def broken(*args, **kw):
+        raise mosaic.MosaicError("truth lemma fails at world 1 for p")
+
+    monkeypatch.setattr(mosaic, "decide_sat", broken)
+    assert run(["sat", "p"]) == 2
+    assert capsys.readouterr().err == "internal error: truth lemma fails at world 1 for p\n"
+
+    def refuted(*args, **kw):
+        raise VerificationError("crown walk map is not an onto p-morphism")
+
+    monkeypatch.setattr(mosaic, "decide_sat", refuted)
+    assert run(["valid", "p"]) == 2
+    assert capsys.readouterr().err.startswith("internal error: crown walk map")

@@ -194,6 +194,7 @@ def test_reduce_crowns():
     (4, [(0, 1), (1, 2), (2, 3)], "not an onto p-morphism"),
     (5, [(0, 1), (1, 2), (2, 3), (3, 4)], "one or two successors"),
     (6, [(0, 1), (0, 4), (1, 2), (1, 3), (4, 5)], "upper part disconnected"),
+    (3, [(0, 1), (1, 2), (2, 1)], "without a middle world"),
 ])
 def test_reduce_rechecks_its_map(monkeypatch, n, pairs, message):
     # a classifier that wrongly accepts a refuted frame must not yield a map

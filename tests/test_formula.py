@@ -114,3 +114,20 @@ def test_ast_size_and_variables():
     assert ast_size(parse("p & q -> <>r")) == 6
     assert variables(parse("p & q -> <>r")) == {"p", "q", "r"}
     assert variables(Bottom()) == frozenset()
+
+
+def test_printing_and_size_without_recursion():
+    # 5,000 nested operators of each shape, built in loops; both functions
+    # once recursed per level
+    n = 5000
+    chain, left, right, nested = p, p, p, q
+    for i in range(n):
+        chain = Diamond(chain) if i % 2 else Not(chain)
+        left = And(left, q)
+        right = Implies(q, right)
+        nested = And(p, nested)
+    assert pretty(chain) == "<>~" * (n // 2) + "p"
+    assert pretty(left) == "p" + " & q" * n
+    assert pretty(right) == "q -> " * n + "p"
+    assert pretty(nested) == "p & (" * (n - 1) + "p & q" + ")" * (n - 1)
+    assert ast_size(chain) == n + 1 and ast_size(left) == 2 * n + 1

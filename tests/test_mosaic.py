@@ -2,17 +2,22 @@ import random
 from math import ceil, log2
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyplane.axioms import xi
 from polyplane.crown import crown_sat_oracle
-from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, OR, Not, Var,
-                               closure, parse, pretty)
+from polyplane.errors import BudgetExceededError
+from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, OR, And, Bottom,
+                               Box, Diamond, Iff, Implies, Not, Or, Var,
+                               closure, conj, parse, pretty)
 from polyplane.kripke import eval_formula
-from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, check_path,
-                              decide_sat, extract_model, glue_reachable,
-                              hintikka_sets, is_coherent, mirror, sat_at_root,
-                              valid)
+from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, StepBudget,
+                              check_path, decide_sat, extract_model,
+                              glue_reachable, hintikka_sets, is_coherent,
+                              mirror, sat_at_root, valid)
 
-from helpers import all_formulas, random_formula
+from helpers import all_formulas, random_formula, reference_decide_sat
 
 
 def label_of(space, formulas):
@@ -331,3 +336,103 @@ def test_three_way_agreement_with_frame_search():
         assert by_frames == by_oracle, pretty(f)
         if by_oracle:
             assert decide_sat(f).sat, pretty(f)
+
+
+# -- the search over root keys and label classes against the per-root search
+
+def answer(res):
+    """Everything of a SatResult but its counters, whose meaning differs."""
+    return (res.sat, res.n, res.model, res.world, res.root_label, res.mosaics)
+
+
+@st.composite
+def formulas(draw, size=None):
+    """A formula of exactly `size` AST nodes (1..12 drawn) over {p, q, r}."""
+    if size is None:
+        size = draw(st.integers(1, 12))
+    if size == 1:
+        return draw(st.sampled_from([Var("p"), Var("q"), Var("r"), Bottom()]))
+    if size == 2 or draw(st.booleans()):
+        op = draw(st.sampled_from([Not, Box, Diamond]))
+        return op(draw(formulas(size - 1)))
+    split = draw(st.integers(1, size - 2))
+    op = draw(st.sampled_from([And, Or, Implies, Iff]))
+    return op(draw(formulas(split)), draw(formulas(size - 1 - split)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(), st.booleans(), st.booleans())
+def test_search_matches_per_root_reference(f, strict, anywhere):
+    kw = dict(strict_middle=strict, exhaustive_anywhere=anywhere)
+    assert answer(decide_sat(f, **kw)) == answer(reference_decide_sat(f, **kw))
+
+
+def test_search_matches_per_root_reference_on_all_small_formulas():
+    for f in all_formulas(5):
+        assert answer(decide_sat(f)) == answer(reference_decide_sat(f)), pretty(f)
+
+
+def test_search_matches_reference_on_a_former_budget_out():
+    # one of the random formulas the per-root search could not answer
+    # within 500k steps
+    f = parse("[](~((r <-> p) <-> s <-> s) -> q -> []~~(r -> []F -> ~F)) "
+              "<-> ~(<>p | <>F)")
+    with pytest.raises(BudgetExceededError):
+        reference_decide_sat(f, budget=500_000)
+    got = decide_sat(f, budget=500_000)
+    assert got.sat
+    assert answer(got) == answer(reference_decide_sat(f, budget=10**9))
+
+
+def test_long_conjunction_pinned():
+    # the per-root search needs seconds here (one root, 512 labels below
+    # it, all in one class); its answer is the single all-true tile
+    f = conj([Var(f"p{i}") for i in range(9)])
+    res = decide_sat(f)
+    top = (1 << 17) - 1
+    assert (res.sat, res.n, res.world, res.root_label) == (True, 1, 0, top)
+    assert res.mosaics == (Mosaic(top, 0, 0, 0),)
+    assert res.model.val == {f"p{i}": frozenset({0}) for i in range(9)}
+    assert (res.stats.roots_tried, res.stats.glue_graphs,
+            res.stats.labels_built, res.stats.label_classes) == (1, 1, 512, 2)
+
+
+def test_long_conjunction_within_budget():
+    f = conj([Var(f"p{i}") for i in range(11)])
+    res = decide_sat(f, budget=500_000)
+    assert res.sat and eval_formula(res.model, res.world, f)
+
+
+def test_enumeration_spends_from_the_budget():
+    space = LabelSpace.for_formula(parse("<>p & []q & (r | s)"))
+    labels = space.enumerate_labels()
+    budget = StepBudget(10**6)
+    assert space.enumerate_labels(budget=budget) == labels
+    assert budget.used >= len(labels)
+    with pytest.raises(BudgetExceededError, match="label enumeration"):
+        space.enumerate_labels(budget=StepBudget(budget.used - 1))
+
+
+def test_enumeration_rechecks_complete_labels(monkeypatch):
+    # a propagation that derives nothing leaves `p & q` undecided once p and
+    # q are; the check must hold under python -O as well
+    space = LabelSpace.for_formula(parse("p & q"))
+    monkeypatch.setattr(space, "_propagate", lambda values: True)
+    with pytest.raises(MosaicError, match="undecided"):
+        space.enumerate_labels()
+
+
+def test_xi_runs_out_of_budget():
+    # unbudgeted, the root enumeration alone runs for minutes
+    with pytest.raises(BudgetExceededError, match="label enumeration"):
+        decide_sat(xi(), budget=100_000)
+
+
+def test_label_space_of_a_deep_formula():
+    # ordering the closure by (size, text) once recursed down each member
+    f = Var("p")
+    for _ in range(600):
+        f = Diamond(f)
+    space = LabelSpace.for_formula(f)
+    assert space.size == 601 and space.positives[-1] == f
+    assert space.positives[1] == Diamond(Var("p"))
