@@ -2,9 +2,9 @@
 
 Exit codes: 0 success / SAT / validates; 1 UNSAT / invalid / disagreement;
 2 usage or syntax errors, a formula nested too deeply to process
-("error: formula nested too deeply"), or an answer that failed its own
-re-check ("internal error: ..."); 3 a frame is refuted; 4 a search budget
-ran out.  Every error is one line on stderr, never a traceback.
+("error: formula nested too deeply"), an input too large for the available
+memory ("error: out of memory"), or an answer that failed its own re-check
+("internal error: ..."); 3 a frame is refuted; 4 a search budget ran out.  Every error is one line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -251,6 +251,9 @@ def run(argv: list[str]) -> int:
         return 4
     except RecursionError:
         print("error: formula nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except (mo.MosaicError, VerificationError) as e:
         print(f"internal error: {e}", file=sys.stderr)

@@ -18,6 +18,7 @@ Binding strength: ``~ [] <>``  >  ``&``  >  ``|``  >  ``->``  >  ``<->``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 
 class Formula:
@@ -167,11 +168,22 @@ def ast_size(f: Formula) -> int:
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, (Box, Diamond)):
-        return 1 + modal_depth(f.sub)
-    if children(f):
-        return max(modal_depth(c) for c in children(f))
-    return 0
+    """Most modalities on one path from f down; iterative, so depth is
+    unbounded."""
+    deepest = 0
+    # (subformula, modalities on the path from f down to it, exclusive)
+    stack = [(f, 0)]
+    while stack:
+        g, d = stack.pop()
+        if isinstance(g, _BINARY):
+            stack += ((g.left, d), (g.right, d))
+        elif isinstance(g, Not):
+            stack.append((g.sub, d))
+        elif isinstance(g, _UNARY):
+            stack.append((g.sub, d + 1))
+        elif d > deepest:
+            deepest = d  # the deepest paths end at atoms
+    return deepest
 
 
 def variables(f: Formula) -> frozenset[str]:
@@ -209,18 +221,28 @@ def closure(phi: Formula) -> frozenset[Formula]:
 
 
 def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
-    """Simultaneous substitution of variables; no re-substitution into images."""
-    if isinstance(f, Var):
-        return mapping.get(f.name, f)
-    if isinstance(f, Bottom):
-        return f
-    if isinstance(f, Not):
-        return Not(substitute(f.sub, mapping))
-    if isinstance(f, Box):
-        return Box(substitute(f.sub, mapping))
-    if isinstance(f, Diamond):
-        return Diamond(substitute(f.sub, mapping))
-    return type(f)(substitute(f.left, mapping), substitute(f.right, mapping))
+    """Simultaneous substitution of variables; no re-substitution into images.
+    Iterative, so depth is unbounded."""
+    done: list[Formula] = []  # substituted operands, left before right
+    # (formula, operands done): the True entry of g is popped right after
+    # its operands' results are pushed
+    stack = [(f, False)]
+    while stack:
+        g, ready = stack.pop()
+        if ready:
+            if isinstance(g, _UNARY):
+                done.append(type(g)(done.pop()))
+            else:
+                right = done.pop()
+                done.append(type(g)(done.pop(), right))
+        elif isinstance(g, Var):
+            done.append(mapping.get(g.name, g))
+        elif isinstance(g, Bottom):
+            done.append(g)
+        else:
+            stack.append((g, True))
+            stack.extend((c, False) for c in reversed(children(g)))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +330,17 @@ def disj(parts: list[Formula]) -> Formula:
 # ---------------------------------------------------------------------------
 # Printing
 
-_PREC = {Iff: 0, Implies: 1, Or: 2, And: 3}
-_INFIX = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
-_PREFIX = {Not: "~", Box: "[]", Diamond: "<>"}
+_PREC = {IFF: 0, IMP: 1, OR: 2, AND: 3}
+_INFIX = {IFF: " <-> ", IMP: " -> ", OR: " | ", AND: " & "}
+_PREFIX = {NOT: "~", BOX: "[]", DIA: "<>"}
+
+
+def _operand_prec(prec: int) -> tuple[int, int]:
+    """Binding strengths a binary operator demands of its left and right
+    operands: & and | are left associative, -> and <-> right associative.
+    An operand binding more weakly than demanded is parenthesised; prefix
+    operators demand 4, so only binary operands ever are."""
+    return (prec, prec + 1) if prec >= 2 else (prec + 1, prec)
 
 
 def pretty(f: Formula) -> str:
@@ -331,19 +361,65 @@ def pretty(f: Formula) -> str:
         elif isinstance(g, Bottom):
             parts.append("F")
         elif isinstance(g, _UNARY):
-            parts.append(_PREFIX[type(g)])
+            parts.append(_PREFIX[_OPCODE[type(g)]])
             stack.append((g.sub, 4))
         else:
-            prec = _PREC[type(g)]
-            # & and | are left associative, -> and <-> right associative
-            lp, rp = (prec, prec + 1) if prec >= 2 else (prec + 1, prec)
-            wrap = prec < min_prec
+            op = _OPCODE[type(g)]
+            lp, rp = _operand_prec(_PREC[op])
+            wrap = _PREC[op] < min_prec
             if wrap:
                 stack.append(")")
-            stack += ((g.right, rp), " " + _INFIX[type(g)] + " ", (g.left, lp))
+            stack += ((g.right, rp), _INFIX[op], (g.left, lp))
             if wrap:
                 parts.append("(")
     return "".join(parts)
+
+
+def _bracketed(op: int, text: str, min_prec: int) -> str:
+    """An operand's text in a context demanding binding strength min_prec."""
+    if op in _PREC and _PREC[op] < min_prec:
+        return "(" + text + ")"
+    return text
+
+
+def negation_text(op: int, text: str) -> str:
+    """pretty(Not(g)) from g's opcode and pretty(g)."""
+    return _PREFIX[NOT] + _bracketed(op, text, 4)
+
+
+def render_nodes(program: Program, wanted: Optional[list[bool]] = None
+                 ) -> tuple[list[int], list[Optional[str]]]:
+    """`ast_size` and `pretty` of every program node, each built from its
+    operands' in one pass, children first.  With `wanted`, only the wanted
+    nodes and their subformulas are rendered; the rest get size 0 and text
+    None."""
+    code, n = program.code, len(program.code)
+    if wanted is not None:
+        wanted = list(wanted)
+        for i in range(n - 1, -1, -1):
+            op, a, b = code[i]
+            if wanted[i] and op not in (VAR, BOT):
+                wanted[a] = True
+                if op in _PREC:
+                    wanted[b] = True
+    sizes = [0] * n
+    texts: list[Optional[str]] = [None] * n
+    for i, (op, a, b) in enumerate(code):
+        if wanted is not None and not wanted[i]:
+            continue
+        if op == VAR:
+            sizes[i], texts[i] = 1, program.names[a]
+        elif op == BOT:
+            sizes[i], texts[i] = 1, "F"
+        elif op in _PREFIX:
+            sizes[i] = sizes[a] + 1
+            texts[i] = _PREFIX[op] + _bracketed(code[a][0], texts[a], 4)
+        else:
+            lp, rp = _operand_prec(_PREC[op])
+            sizes[i] = sizes[a] + sizes[b] + 1
+            texts[i] = (_bracketed(code[a][0], texts[a], lp) + _INFIX[op]
+                        + _bracketed(code[b][0], texts[b], rp))
+    return sizes, texts
 
 
 # ---------------------------------------------------------------------------

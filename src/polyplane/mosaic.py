@@ -12,12 +12,15 @@ iff some root label admits a glueable, witness-complete family of tiles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, compress
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .crown import crown
 from .errors import BudgetExceededError
-from .formula import (AND, BOT, BOX, DIA, IFF, IMP, OR, VAR, Formula, Not,
-                      Var, ast_size, children, closure, compile, conj, pretty)
+from .formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, Formula,
+                      Not, Var, compile, conj, negation_text, pretty,
+                      render_nodes)
 from .kripke import Model, program_masks
 
 
@@ -26,40 +29,141 @@ class MosaicError(RuntimeError):
     coherence rule rather than bad input."""
 
 
+# unit-propagation clauses of each member's rule, over the member c and its
+# operands x, y; a box only pushes its body down (c -> x) and a diamond only
+# pulls its body up (x -> c), by reflexivity
+_RULES = {
+    BOT: ("-c",),
+    DIA: ("-x c",),
+    BOX: ("-c x",),
+    AND: ("-c x", "-c y", "c -x -y"),
+    OR: ("-c x y", "c -x", "c -y"),
+    IMP: ("-c -x y", "c x", "c -y"),
+    IFF: ("-c -x y", "-c x -y", "c x y", "c -x -y"),
+}
+_ARITY = {VAR: 0, BOT: 0, NOT: 1, DIA: 1, BOX: 1, AND: 2, OR: 2, IMP: 2,
+          IFF: 2}
+# each clause as positions in a member's literal list c, x, y, ..., ~y, ~x,
+# ~c: k for the k-th of c, x, y and ~k for its negation
+_SLOTS = {op: tuple(tuple(~"cxy".index(t[1]) if t[0] == "-" else "cxy".index(t)
+                          for t in clause.split()) for clause in rule)
+          for op, rule in _RULES.items()}
+
+
 class LabelSpace:
     """Indexed closure set with the machinery for Hintikka-set enumeration.
 
     Positive members (those not of the form ~psi) get one bit each; the
     truth of any closure member under a label follows by stripping
-    negations.  Enumeration branches only on atoms and modal members,
-    deriving boolean compounds by unit propagation.
+    negations.  Everything is read off one compiled program: its nodes are
+    the subformulas, each positive member's operands are node references
+    resolved to (positive index, polarity), and the members are ordered by
+    (ast_size, pretty) with sizes and texts built bottom-up from the
+    operands'.  The program is kept as `self.program`.
+
+    Enumeration branches only on atoms and modal members and derives
+    boolean compounds by unit propagation over the clauses of each member's
+    rule (`_RULES`).  Each member has a watch list: the clauses of the
+    member itself and of every member that has it as an operand, which are
+    the only ones an assignment to it can make unit or falsify.  The search
+    keeps one value list and undoes a branch by popping its trail, so no
+    node copies the values.  Step accounting is that of a full sweep per
+    node: every node entered spends one step per positive member.
     """
 
-    def __init__(self, members: Iterable[Formula], theta: Optional[Formula] = None):
-        members = set(members)
+    def __init__(self, members: Optional[Iterable[Formula]] = None,
+                 theta: Optional[Formula] = None):
+        """The space of `members`, a set closed under subformulas and single
+        negation, or, when members is None, of closure(theta)."""
         self.theta = theta
-        self.members = sorted(members, key=lambda f: (ast_size(f), pretty(f)))
-        self.positives = [f for f in self.members if not isinstance(f, Not)]
-        self.pos_index = {f: i for i, f in enumerate(self.positives)}
-        for f in self.members:
-            self.ref(f)  # validates closure under single negation
-        self.size = len(self.positives)
+        if members is None:
+            program = compile(theta)
+            wanted = None
+        else:
+            members = list(set(members))
+            program = compile(conj(members))
+            wanted = [False] * len(program.nodes)
+            for f in members:
+                wanted[program.index[f]] = True
+        self.program = program
+        code, nodes = program.code, program.nodes
+        sizes, texts = render_nodes(program, wanted)
 
-        # one program covering every positive member; theta's suffices
-        # when the members are its closure
-        self.program = compile(conj(self.positives) if theta is None else theta)
-        self.nodes = [self.program.index[f] for f in self.positives]
-        self.ops = [self.program.code[i][0] for i in self.nodes]
-        self.operands = [tuple(self.ref(c) for c in children(f))
-                         for f in self.positives]
+        # sort keys of the members: the wanted program nodes or, for the
+        # closure of theta, every node and the negation of each non-NOT node
+        # no NOT node covers (~i stands for that negation)
+        if wanted is None:
+            keys = list(zip(sizes, texts, range(len(code))))
+            covered = {a for op, a, _ in code if op == NOT}
+            keys += [(sizes[i] + 1, negation_text(op, texts[i]), ~i)
+                     for i, (op, _, _) in enumerate(code)
+                     if op != NOT and i not in covered]
+        else:
+            keys = [(sizes[i], texts[i], i) for i, w in enumerate(wanted) if w]
+        keys.sort()
+        self._order = order = [i for _, _, i in keys]
+        self.nodes = [i for i in order if i >= 0 and code[i][0] != NOT]
+        self.positives = [nodes[i] for i in self.nodes]
+        self.pos_index = {f: j for j, f in enumerate(self.positives)}
+        self.size = size = len(self.nodes)
 
-        self.dia_list = [i for i, op in enumerate(self.ops) if op == DIA]
-        self.box_list = [i for i, op in enumerate(self.ops) if op == BOX]
+        # (positive index, polarity) of every program node, NOTs stripped;
+        # None where the stripped node is no positive member
+        refs: list = [None] * len(code)
+        for j, i in enumerate(self.nodes):
+            refs[i] = (j, True)
+        for i, (op, a, _) in enumerate(code):
+            if op == NOT and refs[a] is not None:
+                refs[i] = (refs[a][0], not refs[a][1])
+        ops = [code[i][0] for i in self.nodes]
+        args = [code[i][1:1 + _ARITY[op]] for i, op in zip(self.nodes, ops)]
+        if wanted is not None:
+            # validates closure under single negation: the members, then the
+            # positives' operands, resolve to positive members
+            for i in chain(order, *args):
+                if refs[i] is None:
+                    while code[i][0] == NOT:
+                        i = code[i][1]
+                    raise KeyError(f"{texts[i]} is not in the closure set")
+
+        # operands, and the clauses of each positive's rule as tuples of
+        # (positive index, value making the literal true), each on the watch
+        # lists of the positives it mentions and kept as (ones, zeros)
+        # bitmasks for checking complete labels
+        self.ops, self.operands = ops, []
+        self._watch: list[list[tuple]] = [[] for _ in range(size)]
+        self._clause_masks: list[tuple[int, int]] = []
+        for j, op in enumerate(ops):
+            lits = [(j, True), *[refs[i] for i in args[j]]]
+            self.operands.append(tuple(lits[1:]))
+            lits += [(idx, not pol) for idx, pol in reversed(lits)]
+            for slots in _SLOTS.get(op, ()):
+                clause = tuple([lits[k] for k in slots])
+                ones = zeros = 0
+                for idx, want in clause:
+                    self._watch[idx].append(clause)
+                    if want:
+                        ones |= 1 << idx
+                    else:
+                        zeros |= 1 << idx
+                self._clause_masks.append((ones, zeros))
+        self.dia_list = [j for j, op in enumerate(ops) if op == DIA]
+        self.box_list = [j for j, op in enumerate(ops) if op == BOX]
+        self._bottoms = [j for j, op in enumerate(ops) if op == BOT]
+        self._decisions = [j for j, op in enumerate(ops)
+                           if op in (VAR, DIA, BOX)]
+        self._bits = [1 << i for i in range(size)]
         self._vec_cache: dict[int, tuple[int, int, int, int]] = {}
 
     @classmethod
     def for_formula(cls, theta: Formula) -> "LabelSpace":
-        return cls(closure(theta), theta=theta)
+        return cls(theta=theta)
+
+    @cached_property
+    def members(self) -> list[Formula]:
+        """The closure set in (ast_size, pretty) order."""
+        nodes = self.program.nodes
+        return [nodes[i] if i >= 0 else Not(nodes[~i]) for i in self._order]
 
     def ref(self, f: Formula) -> tuple[int, bool]:
         """(positive index, polarity); polarity False means negated."""
@@ -85,175 +189,100 @@ class LabelSpace:
 
     # -- Hintikka enumeration -------------------------------------------
 
-    def _value(self, values: list, ref: tuple[int, bool]):
-        v = values[ref[0]]
-        return None if v is None else (v == ref[1])
-
-    def _propagate(self, values: list) -> bool:
-        """Unit propagation to fixpoint; False on conflict."""
-
-        def put(ref, v) -> bool:
-            idx, pol = ref
-            want = v == pol
-            if values[idx] is None:
-                values[idx] = want
-                changed[0] = True
-                return True
-            return values[idx] == want
-
-        changed = [True]
-        while changed[0]:
-            changed[0] = False
-            for i, op in enumerate(self.ops):
-                c = values[i]
-                if op == VAR:
-                    continue
-                if op == BOT:
-                    if c is True:
+    def _propagate(self, values: list, trail: list, head: int) -> bool:
+        """Unit propagation after the assignments trail[head:]; False on
+        conflict.  Examines the clauses on the watch lists of those
+        positives, appending each value it derives to `values` and `trail`
+        and examining its watch list in turn.  Clause literals count by
+        position, so `p & p` derives nothing from being false, just as the
+        member's rule reads its two operands apart; the fixpoint, and any
+        conflict, is then the one a sweep over every member until nothing
+        changes reaches, and a search node spends the same steps either
+        way.  Spends nothing itself; enumerate_labels charges the node."""
+        watch = self._watch
+        while head < len(trail):
+            for clause in watch[trail[head]]:
+                free = None
+                for idx, want in clause:
+                    v = values[idx]
+                    if v is None:
+                        if free is not None:
+                            break  # two open literals: nothing follows
+                        free = idx, want
+                    elif v == want:
+                        break  # satisfied
+                else:
+                    if free is None:
                         return False
-                    if c is None and not put((i, True), False):
-                        return False
-                    continue
-                if op == DIA:
-                    a = self._value(values, self.operands[i][0])
-                    if a is True:
-                        if c is False:
-                            return False
-                        if c is None and not put((i, True), True):
-                            return False
-                    elif c is False and a is None:
-                        if not put(self.operands[i][0], False):
-                            return False
-                    continue
-                if op == BOX:
-                    a = self._value(values, self.operands[i][0])
-                    if a is False:
-                        if c is True:
-                            return False
-                        if c is None and not put((i, True), False):
-                            return False
-                    elif c is True and a is None:
-                        if not put(self.operands[i][0], True):
-                            return False
-                    continue
-                rx, ry = self.operands[i]
-                x, y = self._value(values, rx), self._value(values, ry)
-                if op == AND:
-                    if x is False or y is False:
-                        if c is True:
-                            return False
-                        if c is None and not put((i, True), False):
-                            return False
-                    elif x is True and y is True:
-                        if c is False:
-                            return False
-                        if c is None and not put((i, True), True):
-                            return False
-                    elif c is True:
-                        if not (put(rx, True) and put(ry, True)):
-                            return False
-                    elif c is False:
-                        if x is True and not put(ry, False):
-                            return False
-                        if y is True and not put(rx, False):
-                            return False
-                elif op == OR:
-                    if x is True or y is True:
-                        if c is False:
-                            return False
-                        if c is None and not put((i, True), True):
-                            return False
-                    elif x is False and y is False:
-                        if c is True:
-                            return False
-                        if c is None and not put((i, True), False):
-                            return False
-                    elif c is False:
-                        if not (put(rx, False) and put(ry, False)):
-                            return False
-                    elif c is True:
-                        if x is False and not put(ry, True):
-                            return False
-                        if y is False and not put(rx, True):
-                            return False
-                elif op == IMP:
-                    if x is False or y is True:
-                        if c is False:
-                            return False
-                        if c is None and not put((i, True), True):
-                            return False
-                    elif x is True and y is False:
-                        if c is True:
-                            return False
-                        if c is None and not put((i, True), False):
-                            return False
-                    elif c is False:
-                        if not (put(rx, True) and put(ry, False)):
-                            return False
-                    elif c is True:
-                        if x is True and not put(ry, True):
-                            return False
-                        if y is False and not put(rx, False):
-                            return False
-                elif op == IFF:
-                    if x is not None and y is not None:
-                        want = x == y
-                        if c is None:
-                            if not put((i, True), want):
-                                return False
-                        elif c != want:
-                            return False
-                    elif c is not None and x is not None:
-                        if not put(ry, x == c):
-                            return False
-                    elif c is not None and y is not None:
-                        if not put(rx, y == c):
-                            return False
+                    values[free[0]] = free[1]
+                    trail.append(free[0])
+            head += 1
         return True
 
     def enumerate_labels(self, must: Iterable[tuple[int, bool, bool]] = (),
                          budget: Optional[StepBudget] = None) -> list[int]:
         """All Hintikka labels satisfying the given (index, polarity, value)
-        constraints, as ascending bitmasks.  With a budget, every search
-        node spends one step per closure member it propagates over."""
+        constraints, as ascending bitmasks.
+
+        Depth first over the decisions (atoms and modal members, in positive
+        order, False first), on one value list with an undo trail: a child
+        sets its decision, propagates through the watch lists of what
+        changed, and is undone by resetting the trail back to its parent's
+        mark.  A leaf's label is read off the values, and a leaf with a
+        member still undecided raises MosaicError.  With a budget, every
+        search node entered spends one step per positive member, as when
+        each node swept every member, so budget errors read the same."""
         values: list = [None] * self.size
+        # from nothing, only the clauses of false constants and of the
+        # constrained members can fire
+        seeds = list(self._bottoms)
         for idx, pol, v in must:
             want = v == pol
             if values[idx] is not None and values[idx] != want:
                 return []
             values[idx] = want
-        if not self._propagate(values):
+            seeds.append(idx)
+        propagate = self._propagate
+        if not propagate(values, seeds, 0):
             return []
         out: list[int] = []
-        decisions = [i for i, op in enumerate(self.ops)
-                     if op in (VAR, DIA, BOX)]
-        # (values, position in decisions before which all are set)
-        stack = [(values, 0)]
+        decisions, bits = self._decisions, self._bits
+        n = len(decisions)
+        trail: list[int] = []
+        # (position in decisions, trail mark, value to decide; None enters
+        # the root)
+        stack: list = [(0, 0, None)]
         while stack:
-            vals, k = stack.pop()
+            k, mark, v = stack.pop()
+            if v is not None:
+                for i in trail[mark:]:
+                    values[i] = None
+                del trail[mark:]
+                values[decisions[k]] = v
+                trail.append(decisions[k])
+                if not propagate(values, trail, mark):
+                    continue
+                k += 1
             if budget is not None:
                 budget.spend(self.size, "label enumeration")
-            while k < len(decisions) and vals[decisions[k]] is not None:
+            while k < n and values[decisions[k]] is not None:
                 k += 1
-            if k == len(decisions):
-                if None in vals:
+            if k == n:
+                if None in values:
                     raise MosaicError("propagation left a closure member "
                                       "undecided in a complete label")
-                out.append(sum(1 << i for i, v in enumerate(vals) if v))
+                out.append(sum(compress(bits, values)))
                 continue
-            for v in (True, False):  # False is popped, and searched, first
-                nxt = vals.copy()
-                nxt[decisions[k]] = v
-                if self._propagate(nxt):
-                    stack.append((nxt, k + 1))
+            mark = len(trail)
+            stack += ((k, mark, True), (k, mark, False))  # False popped first
         out.sort()
         return out
 
     def is_hintikka(self, label: int) -> bool:
         if label >> self.size:
             return False
-        values = [bool(label >> i & 1) for i in range(self.size)]
-        return self._propagate(values)
+        return all(label & ones or ~label & zeros
+                   for ones, zeros in self._clause_masks)
 
     # -- per-label modal vectors ------------------------------------------
 

@@ -5,16 +5,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
-from typing import Optional
+from typing import Iterable, Optional
 
 from polyplane.axioms import Verdict, forbidden_frames
 from polyplane.errors import BudgetExceededError
-from polyplane.formula import (And, Bottom, Box, Diamond, Formula, Iff,
-                               Implies, Not, Or, Var, modal_depth, pretty)
+from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, OR, VAR, And,
+                               Bottom, Box, Diamond, Formula, Iff, Implies,
+                               Not, Or, Var, children, modal_depth, pretty)
 from polyplane.geometry import Line, Scene
 from polyplane.kripke import Frame, find_subreduction
 from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, SatResult,
-                              SolverStats, extract_model)
+                              SolverStats, StepBudget, extract_model)
 
 UNARY = (Not, Box, Diamond)
 BINARY = (And, Or, Implies, Iff)
@@ -658,3 +659,204 @@ def _reference_try_component(space: LabelSpace, rho: int, edges: list[int],
     stats.pool_size = len(pool)
     stats.crown_n = n
     return SatResult(True, n, model, witness, rho, pool, stats)
+
+
+# ---------------------------------------------------------------------------
+# The sweep propagator and copying search LabelSpace.enumerate_labels
+# replaced, kept as its reference: every search node copies the value list
+# and propagates by sweeping every positive member until nothing changes.
+
+def _reference_value(values: list, ref: tuple[int, bool]):
+    v = values[ref[0]]
+    return None if v is None else (v == ref[1])
+
+
+def reference_propagate(space: LabelSpace, values: list) -> bool:
+    """Unit propagation to fixpoint; False on conflict."""
+
+    def put(ref, v) -> bool:
+        idx, pol = ref
+        want = v == pol
+        if values[idx] is None:
+            values[idx] = want
+            changed[0] = True
+            return True
+        return values[idx] == want
+
+    changed = [True]
+    while changed[0]:
+        changed[0] = False
+        for i, op in enumerate(space.ops):
+            c = values[i]
+            if op == VAR:
+                continue
+            if op == BOT:
+                if c is True:
+                    return False
+                if c is None and not put((i, True), False):
+                    return False
+                continue
+            if op == DIA:
+                a = _reference_value(values, space.operands[i][0])
+                if a is True:
+                    if c is False:
+                        return False
+                    if c is None and not put((i, True), True):
+                        return False
+                elif c is False and a is None:
+                    if not put(space.operands[i][0], False):
+                        return False
+                continue
+            if op == BOX:
+                a = _reference_value(values, space.operands[i][0])
+                if a is False:
+                    if c is True:
+                        return False
+                    if c is None and not put((i, True), False):
+                        return False
+                elif c is True and a is None:
+                    if not put(space.operands[i][0], True):
+                        return False
+                continue
+            rx, ry = space.operands[i]
+            x, y = _reference_value(values, rx), _reference_value(values, ry)
+            if op == AND:
+                if x is False or y is False:
+                    if c is True:
+                        return False
+                    if c is None and not put((i, True), False):
+                        return False
+                elif x is True and y is True:
+                    if c is False:
+                        return False
+                    if c is None and not put((i, True), True):
+                        return False
+                elif c is True:
+                    if not (put(rx, True) and put(ry, True)):
+                        return False
+                elif c is False:
+                    if x is True and not put(ry, False):
+                        return False
+                    if y is True and not put(rx, False):
+                        return False
+            elif op == OR:
+                if x is True or y is True:
+                    if c is False:
+                        return False
+                    if c is None and not put((i, True), True):
+                        return False
+                elif x is False and y is False:
+                    if c is True:
+                        return False
+                    if c is None and not put((i, True), False):
+                        return False
+                elif c is False:
+                    if not (put(rx, False) and put(ry, False)):
+                        return False
+                elif c is True:
+                    if x is False and not put(ry, True):
+                        return False
+                    if y is False and not put(rx, True):
+                        return False
+            elif op == IMP:
+                if x is False or y is True:
+                    if c is False:
+                        return False
+                    if c is None and not put((i, True), True):
+                        return False
+                elif x is True and y is False:
+                    if c is True:
+                        return False
+                    if c is None and not put((i, True), False):
+                        return False
+                elif c is False:
+                    if not (put(rx, True) and put(ry, False)):
+                        return False
+                elif c is True:
+                    if x is True and not put(ry, True):
+                        return False
+                    if y is False and not put(rx, False):
+                        return False
+            elif op == IFF:
+                if x is not None and y is not None:
+                    want = x == y
+                    if c is None:
+                        if not put((i, True), want):
+                            return False
+                    elif c != want:
+                        return False
+                elif c is not None and x is not None:
+                    if not put(ry, x == c):
+                        return False
+                elif c is not None and y is not None:
+                    if not put(rx, y == c):
+                        return False
+    return True
+
+
+def reference_enumerate_labels(space: LabelSpace,
+                               must: Iterable[tuple[int, bool, bool]] = (),
+                               budget: Optional[StepBudget] = None) -> list[int]:
+    """All Hintikka labels satisfying the given (index, polarity, value)
+    constraints, as ascending bitmasks.  With a budget, every search
+    node spends one step per closure member it propagates over."""
+    values: list = [None] * space.size
+    for idx, pol, v in must:
+        want = v == pol
+        if values[idx] is not None and values[idx] != want:
+            return []
+        values[idx] = want
+    if not reference_propagate(space, values):
+        return []
+    out: list[int] = []
+    decisions = [i for i, op in enumerate(space.ops)
+                 if op in (VAR, DIA, BOX)]
+    # (values, position in decisions before which all are set)
+    stack = [(values, 0)]
+    while stack:
+        vals, k = stack.pop()
+        if budget is not None:
+            budget.spend(space.size, "label enumeration")
+        while k < len(decisions) and vals[decisions[k]] is not None:
+            k += 1
+        if k == len(decisions):
+            if None in vals:
+                raise MosaicError("propagation left a closure member "
+                                  "undecided in a complete label")
+            out.append(sum(1 << i for i, v in enumerate(vals) if v))
+            continue
+        for v in (True, False):  # False is popped, and searched, first
+            nxt = vals.copy()
+            nxt[decisions[k]] = v
+            if reference_propagate(space, nxt):
+                stack.append((nxt, k + 1))
+    out.sort()
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The recursive modal_depth and substitute, kept as references for the
+# iterative ones
+
+def reference_modal_depth(f: Formula) -> int:
+    if isinstance(f, (Box, Diamond)):
+        return 1 + reference_modal_depth(f.sub)
+    if children(f):
+        return max(reference_modal_depth(c) for c in children(f))
+    return 0
+
+
+def reference_substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
+    """Simultaneous substitution of variables; no re-substitution into images."""
+    if isinstance(f, Var):
+        return mapping.get(f.name, f)
+    if isinstance(f, Bottom):
+        return f
+    if isinstance(f, Not):
+        return Not(reference_substitute(f.sub, mapping))
+    if isinstance(f, Box):
+        return Box(reference_substitute(f.sub, mapping))
+    if isinstance(f, Diamond):
+        return Diamond(reference_substitute(f.sub, mapping))
+    return type(f)(reference_substitute(f.left, mapping),
+                   reference_substitute(f.right, mapping))

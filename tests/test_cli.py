@@ -163,3 +163,16 @@ def test_internal_errors_exit_two(monkeypatch, capsys):
     monkeypatch.setattr(mosaic, "decide_sat", refuted)
     assert run(["valid", "p"]) == 2
     assert capsys.readouterr().err.startswith("internal error: crown walk map")
+
+
+def test_out_of_memory_is_one_line_error(monkeypatch, capsys):
+    from polyplane import mosaic
+
+    def exhausted(*args, **kw):
+        raise MemoryError()
+
+    monkeypatch.setattr(mosaic, "decide_sat", exhausted)
+    assert run(["sat", "p"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"

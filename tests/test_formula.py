@@ -3,11 +3,12 @@ import random
 import pytest
 
 from polyplane.formula import (And, Bottom, Box, Diamond, Iff, Implies, Not,
-                               Or, ParseError, Var, ast_size, closure, negate,
-                               parse, pretty, subformulas, substitute,
-                               variables)
+                               Or, ParseError, Var, ast_size, closure,
+                               modal_depth, negate, parse, pretty,
+                               subformulas, substitute, variables)
 
-from helpers import all_formulas, random_formula
+from helpers import (all_formulas, random_formula, reference_modal_depth,
+                     reference_substitute)
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -131,3 +132,32 @@ def test_printing_and_size_without_recursion():
     assert pretty(right) == "q -> " * n + "p"
     assert pretty(nested) == "p & (" * (n - 1) + "p & q" + ")" * (n - 1)
     assert ast_size(chain) == n + 1 and ast_size(left) == 2 * n + 1
+
+
+def test_depth_and_substitution_match_the_recursive_versions():
+    images = {"p": Diamond(q), "q": And(p, Not(q))}
+    for f in all_formulas(5):
+        assert modal_depth(f) == reference_modal_depth(f), pretty(f)
+        assert substitute(f, images) == reference_substitute(f, images)
+        assert substitute(f, {}) == f
+
+
+def test_depth_and_substitution_without_recursion():
+    # 5,000 nested operators of each shape, built in loops; both functions
+    # once recursed per level
+    n = 5000
+    chain, left, nested = p, p, q
+    for i in range(n):
+        chain = Diamond(chain) if i % 2 else Box(Not(chain))
+        left = And(left, Box(q))
+        nested = Implies(Diamond(p), nested)
+    assert modal_depth(chain) == n
+    assert modal_depth(left) == 1 and modal_depth(nested) == 1
+    got = substitute(chain, {"p": Box(r)})
+    assert pretty(got) == "<>[]~" * (n // 2) + "[]r"
+    assert modal_depth(got) == n + 1
+    got = substitute(left, {"q": r})
+    assert pretty(got) == "p" + " & []r" * n
+    got = substitute(nested, {"p": r, "q": Diamond(p)})
+    assert pretty(got) == "<>r -> " * n + "<>p"
+    assert modal_depth(got) == 1

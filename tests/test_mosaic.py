@@ -10,14 +10,15 @@ from polyplane.crown import crown_sat_oracle
 from polyplane.errors import BudgetExceededError
 from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, OR, And, Bottom,
                                Box, Diamond, Iff, Implies, Not, Or, Var,
-                               closure, conj, parse, pretty)
+                               ast_size, closure, conj, parse, pretty)
 from polyplane.kripke import eval_formula
 from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, StepBudget,
                               check_path, decide_sat, extract_model,
                               glue_reachable, hintikka_sets, is_coherent,
                               mirror, sat_at_root, valid)
 
-from helpers import all_formulas, random_formula, reference_decide_sat
+from helpers import (all_formulas, random_formula, reference_decide_sat,
+                     reference_enumerate_labels)
 
 
 def label_of(space, formulas):
@@ -346,10 +347,11 @@ def answer(res):
 
 
 @st.composite
-def formulas(draw, size=None):
-    """A formula of exactly `size` AST nodes (1..12 drawn) over {p, q, r}."""
+def formulas(draw, size=None, max_size=12):
+    """A formula of exactly `size` AST nodes (1..max_size drawn) over
+    {p, q, r}."""
     if size is None:
-        size = draw(st.integers(1, 12))
+        size = draw(st.integers(1, max_size))
     if size == 1:
         return draw(st.sampled_from([Var("p"), Var("q"), Var("r"), Bottom()]))
     if size == 2 or draw(st.booleans()):
@@ -417,7 +419,7 @@ def test_enumeration_rechecks_complete_labels(monkeypatch):
     # a propagation that derives nothing leaves `p & q` undecided once p and
     # q are; the check must hold under python -O as well
     space = LabelSpace.for_formula(parse("p & q"))
-    monkeypatch.setattr(space, "_propagate", lambda values: True)
+    monkeypatch.setattr(space, "_propagate", lambda values, trail, head: True)
     with pytest.raises(MosaicError, match="undecided"):
         space.enumerate_labels()
 
@@ -436,3 +438,49 @@ def test_label_space_of_a_deep_formula():
     space = LabelSpace.for_formula(f)
     assert space.size == 601 and space.positives[-1] == f
     assert space.positives[1] == Diamond(Var("p"))
+
+
+# -- the trail search and the one-pass label space against their references
+
+@settings(max_examples=300)
+@given(formulas(max_size=14), st.data())
+def test_enumeration_matches_sweep_reference(f, data):
+    space = LabelSpace.for_formula(f)
+    must = data.draw(st.lists(st.tuples(st.integers(0, space.size - 1),
+                                        st.booleans(), st.booleans()),
+                              max_size=4))
+    got_steps, want_steps = StepBudget(10**9), StepBudget(10**9)
+    got = space.enumerate_labels(must=must, budget=got_steps)
+    assert got == reference_enumerate_labels(space, must=must,
+                                             budget=want_steps)
+    assert got_steps.used == want_steps.used
+
+
+def by_size_and_text(members):
+    return sorted(members, key=lambda g: (ast_size(g), pretty(g)))
+
+
+@settings(max_examples=200)
+@given(formulas(max_size=14))
+def test_member_order_is_size_then_text(f):
+    want = by_size_and_text(closure(f))
+    assert LabelSpace.for_formula(f).members == want
+    assert LabelSpace(closure(f)).members == want
+
+
+@pytest.mark.parametrize("prefix", [Diamond, Not, lambda g: Box(Not(g))])
+def test_member_order_of_deep_towers(prefix):
+    f = Var("p")
+    for _ in range(1000):
+        f = prefix(f)
+    want = by_size_and_text(closure(f))
+    assert LabelSpace.for_formula(f).members == want
+    assert LabelSpace(closure(f)).members == want
+
+
+def test_deep_diamond_budget_out_is_pinned():
+    # every search node spends one step per positive member, so the
+    # message reads the same whatever the propagation does inside a node
+    with pytest.raises(BudgetExceededError,
+                       match=r"\(500499 of 500000 steps\)"):
+        decide_sat(parse("<>" * 500 + "p"), budget=500_000)
