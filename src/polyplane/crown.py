@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceededError, VerificationError
-from .formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, Formula,
-                      compile)
-from .kripke import Frame, Model, WorldMap, is_p_morphism, program_masks
+from .formula import BOX, DIA, Formula, compile
+from .kripke import (Frame, Model, WorldMap, _evaluate, _lane_index_bits,
+                     is_p_morphism, program_masks)
 
 
 def crown(n: int) -> Frame:
@@ -206,89 +206,86 @@ class OracleResult:
     world: int
 
 
-class _CrownTables:
-    """Per-formula truth tables for crown evaluation.
+_POINT = Frame(1)
 
-    Endpoints see only themselves, so truth there depends on the endpoint's
-    atom pattern alone; truth at a middle depends on its pattern plus its two
-    endpoint neighbours.  Truth at the root needs, per subformula, whether it
-    holds at some / at every non-root world.  A signature has one bit per
-    node of the compiled program, so signature computation is pure integer
-    work.
+
+class _CrownTables:
+    """Per-formula signature tables for crown evaluation, one lane per atom
+    pattern.
+
+    A crown world's truths depend on its own atom pattern and on the nodes
+    its strict successors make true somewhere / everywhere: none for an
+    endpoint, its two endpoints for a middle, the accumulated (any, all)
+    masks for the root.  Each such neighbour key is one `kripke._evaluate`
+    call on a one-world frame with P = 2^k lanes (lane a is pattern a), so
+    one call gives every pattern's signature for that key.  A signature
+    keeps only the tracked bits, the nodes whose truth reaches other
+    worlds: phi and the operands of diamonds and boxes.
+
+    The tables also keep the oracle's step count.  Every table fill costs
+    P steps (evaluation, transposition and the distinct signatures), and
+    tables whose pattern count alone exceeds the budget are not built.
     """
 
-    def __init__(self, phi: Formula):
-        self.phi = phi
+    def __init__(self, phi: Formula, step_budget: int):
         self.prog = compile(phi)
         self.names = self.prog.names
-        self.npat = 1 << len(self.names)
+        self.npat = P = 1 << len(self.names)
+        self.steps = 0
+        self.step_budget = step_budget
+        self.spend(P)
         self.phi_bit = 1 << self.prog.root
-        # the root evaluation only consults these bits of the accumulators
         tracked = self.phi_bit
         for op, a, _ in self.prog.code:
             if op in (DIA, BOX):
                 tracked |= 1 << a
         self.tracked = tracked
-        self._end: dict[int, int] = {}
-        self._mid: dict[tuple[int, int, int], int] = {}
-        self._root: dict[tuple[int, int, int], int] = {}
+        self._columns = _lane_index_bits(P)  # lane a holds pattern a
+        self.end = self._sigs(None)  # end[a]: endpoint signature of pattern a
+        self._mids: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        self._roots: dict[tuple[int, int], Optional[int]] = {}
 
-    def _run(self, pattern: int, some: int, every: int) -> int:
-        # some/every: per-subformula bits for truth at a neighbour world
-        # (either endpoint truths for a middle, or the accumulated masks for
-        # the root); for an endpoint pass the vector being built itself
-        out = 0
-        reflexive = some is None
-        for i, (op, a, b) in enumerate(self.prog.code):
-            if op == VAR:
-                v = pattern >> a & 1
-            elif op == BOT:
-                v = 0
-            elif op == NOT:
-                v = 1 ^ (out >> a & 1)
-            elif op == AND:
-                v = (out >> a & 1) & (out >> b & 1)
-            elif op == OR:
-                v = (out >> a & 1) | (out >> b & 1)
-            elif op == IMP:
-                v = (1 ^ (out >> a & 1)) | (out >> b & 1)
-            elif op == IFF:
-                v = 1 ^ ((out >> a & 1) ^ (out >> b & 1))
-            elif op == DIA:
-                v = out >> a & 1
-                if not reflexive:
-                    v |= some >> a & 1
-            else:  # BOX
-                v = out >> a & 1
-                if not reflexive:
-                    v &= every >> a & 1
-            if v:
-                out |= 1 << i
-        return out
+    def spend(self, steps: int) -> None:
+        self.steps += steps
+        if self.steps > self.step_budget:
+            raise BudgetExceededError("crown oracle step budget exhausted")
 
-    def end_sig(self, alpha: int) -> int:
-        got = self._end.get(alpha)
+    def _sigs(self, beyond: Optional[tuple[int, int]]) -> list[int]:
+        # signature of every pattern at a world whose strict successors
+        # make `beyond` true somewhere / everywhere
+        sigs = [0] * self.npat
+        vals = _evaluate(_POINT, self.prog, self._columns, self.npat, beyond)
+        for i, lanes in enumerate(vals):
+            if self.tracked >> i & 1:
+                while lanes:
+                    low = lanes & -lanes
+                    sigs[low.bit_length() - 1] |= 1 << i
+                    lanes ^= low
+        return sigs
+
+    def mid(self, left: int, right: int) -> tuple[list[int], list[int]]:
+        """Signatures of a middle between endpoints with signatures left and
+        right: one per pattern, and the distinct ones in ascending order."""
+        key = (left | right, left & right)
+        got = self._mids.get(key)
         if got is None:
-            got = self._run(alpha, None, None)
-            self._end[alpha] = got
+            self.spend(self.npat)
+            sigs = self._sigs(key)
+            got = self._mids[key] = (sigs, sorted(set(sigs)))
         return got
 
-    def mid_sig(self, beta: int, left: int, right: int) -> int:
-        key = (beta, left, right)
-        got = self._mid.get(key)
-        if got is None:
-            el, er = self.end_sig(left), self.end_sig(right)
-            got = self._run(beta, el | er, el & er)
-            self._mid[key] = got
-        return got
-
-    def root_sig(self, pattern: int, any_mask: int, all_mask: int) -> int:
-        key = (pattern, any_mask, all_mask)
-        got = self._root.get(key)
-        if got is None:
-            got = self._run(pattern, any_mask, all_mask)
-            self._root[key] = got
-        return got
+    def root_pattern(self, any_mask: int, all_mask: int) -> Optional[int]:
+        """Least root pattern under which phi holds at some world, given what
+        the non-root worlds make true somewhere / everywhere, or None."""
+        if any_mask & self.phi_bit:
+            return 0
+        key = (any_mask, all_mask)
+        if key not in self._roots:
+            self.spend(self.npat)
+            lanes = _evaluate(_POINT, self.prog, self._columns, self.npat,
+                              key)[self.prog.root]
+            self._roots[key] = (lanes & -lanes).bit_length() - 1 if lanes else None
+        return self._roots[key]
 
 
 def crown_sat_oracle(phi: Formula, max_n: int,
@@ -298,120 +295,80 @@ def crown_sat_oracle(phi: Formula, max_n: int,
 
     Valuations are ordered as integers with bit w*k+j for variable j at
     world w (worlds 0..2n in crown order), and the least satisfying one is
-    returned.  The search enumerates world patterns in that significance
-    order, collapsing valuation classes that agree on per-world truth
-    tables; a step budget bounds the explored states.
+    returned.  One forward pass over crown sizes finds the least n; the
+    search then enumerates world patterns in that significance order,
+    collapsing valuation classes that agree on per-world signatures.  A
+    step is one explored state, or one pattern lane of a table fill; the
+    budget bounds their number.
     """
-    tables = _CrownTables(phi)
-    steps = [0]
+    if max_n < 1:
+        raise ValueError("crown bound must be >= 1")
+    tables = _CrownTables(phi, step_budget)
+    n = _least_crown(tables, max_n)
+    if n is None:
+        return None
+    pins = _crown_lex_search(tables, n)
+    if pins is None:
+        raise VerificationError(f"feasible crown({n}) lost during reconstruction")
+    model = _model_from_patterns(tables, n, pins)
+    mask = program_masks(model, tables.prog)[tables.prog.root]
+    if not mask:
+        raise VerificationError("oracle search produced a non-model")
+    world = next(w for w in range(2 * n + 1) if mask >> w & 1)
+    return OracleResult(n, model, world)
+
+
+def _least_crown(tables: _CrownTables, max_n: int) -> Optional[int]:
+    """Least n <= max_n with phi satisfiable on crown(n), or None.
+
+    One forward pass over (first endpoint, last endpoint, any, all) states,
+    endpoints taken by signature: step t adds a middle and the next
+    endpoint, and the frontier after n-1 steps decides crown(n) by closing
+    the cycle with a middle back to the first endpoint and testing the root.
+    """
+    ends = sorted(set(tables.end))
+    frontier = {(e, e): {(e, e)} for e in ends}
     for n in range(1, max_n + 1):
-        if not _crown_feasible(tables, n, steps, step_budget):
-            continue
-        pins = _crown_lex_search(tables, n, steps, step_budget)
-        if pins is None:
-            raise VerificationError(
-                f"feasible crown({n}) lost during reconstruction")
-        model = _model_from_patterns(tables, n, pins)
-        mask = program_masks(model, tables.prog)[tables.prog.root]
-        if not mask:
-            raise VerificationError("oracle search produced a non-model")
-        world = next(w for w in range(2 * n + 1) if mask >> w & 1)
-        return OracleResult(n, model, world)
+        if n > 1:
+            nxt: dict[tuple[int, int], set[tuple[int, int]]] = {}
+            for (first, last), accs in frontier.items():
+                for e in ends:
+                    mids = tables.mid(last, e)[1]
+                    tables.spend(len(accs) * len(mids))
+                    bucket = nxt.setdefault((first, e), set())
+                    for m in mids:
+                        c_or, c_and = e | m, e & m
+                        for any_mask, all_mask in accs:
+                            bucket.add((any_mask | c_or, all_mask & c_and))
+            frontier = nxt
+        for (first, last), accs in frontier.items():
+            wraps = tables.mid(last, first)[1]
+            tables.spend(len(accs) * len(wraps))
+            roots = {(any_mask | w, all_mask & w)
+                     for w in wraps for any_mask, all_mask in accs}
+            if any(tables.root_pattern(*key) is not None for key in roots):
+                return n
     return None
 
 
-def _root_ok(tables: _CrownTables, any_mask: int, all_mask: int) -> bool:
-    phi_bit = tables.phi_bit
-    if any_mask & phi_bit:
-        return True
-    return any(tables.root_sig(a_r, any_mask, all_mask) & phi_bit
-               for a_r in range(tables.npat))
-
-
-def _crown_feasible(tables: _CrownTables, n: int, steps: list[int],
-                    step_budget: int) -> bool:
-    """Forward reachability over deduplicated (endpoint pattern, seen-somewhere,
-    seen-everywhere) states; decides satisfiability on crown(n)."""
-    P = tables.npat
-    tr = tables.tracked
-    contrib: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-    def contributions(a: int, a2: int) -> list[tuple[int, int]]:
-        # distinct (or, and) accumulator deltas of a middle between endpoints
-        # with patterns a, a2, joined with the endpoint signature of a2
-        got = contrib.get((a, a2))
-        if got is None:
-            e = tables.end_sig(a2)
-            got = sorted({((e | tables.mid_sig(b, a, a2)) & tr,
-                           e & tables.mid_sig(b, a, a2) & tr)
-                          for b in range(P)})
-            contrib[(a, a2)] = got
-        return got
-
-    wrap_cache: dict[tuple[int, int], list[int]] = {}
-
-    def wraps(a_n: int, a1: int) -> list[int]:
-        got = wrap_cache.get((a_n, a1))
-        if got is None:
-            got = sorted({tables.mid_sig(b, a_n, a1) for b in range(P)})
-            wrap_cache[(a_n, a1)] = got
-        return got
-
-    for alpha1 in range(P):
-        e1 = tables.end_sig(alpha1) & tr
-        frontier: dict[int, set[tuple[int, int]]] = {alpha1: {(e1, e1)}}
-        for _t in range(n - 1):
-            nxt: dict[int, set[tuple[int, int]]] = {a2: set() for a2 in range(P)}
-            for alpha, accs in frontier.items():
-                for alpha2 in range(P):
-                    deltas = contributions(alpha, alpha2)
-                    bucket = nxt[alpha2]
-                    steps[0] += len(accs) * len(deltas)
-                    if steps[0] > step_budget:
-                        raise BudgetExceededError("crown oracle step budget exhausted")
-                    for (any_mask, all_mask) in accs:
-                        for (c_or, c_and) in deltas:
-                            bucket.add((any_mask | c_or, all_mask & c_and))
-            frontier = {a: s for a, s in nxt.items() if s}
-        for alpha_n, accs in frontier.items():
-            for wrap in wraps(alpha_n, alpha1):
-                for (any_mask, all_mask) in accs:
-                    steps[0] += 1
-                    if steps[0] > step_budget:
-                        raise BudgetExceededError("crown oracle step budget exhausted")
-                    if _root_ok(tables, (any_mask | wrap) & tr, all_mask & wrap & tr):
-                        return True
-    return False
-
-
-def _crown_lex_search(tables: _CrownTables, n: int, steps: list[int],
-                      step_budget: int) -> Optional[list[int]]:
+def _crown_lex_search(tables: _CrownTables, n: int) -> Optional[list[int]]:
     """Least world-pattern assignment (index 0 = root) satisfying phi on
     crown(n), or None.  Patterns are chosen from world 2n downward so the
     first complete success is the least valuation integer."""
     P = tables.npat
-    phi_bit = tables.phi_bit
-    tr = tables.tracked
-
-    def root_round(any_mask: int, all_mask: int) -> Optional[int]:
-        for a_r in range(P):
-            if any_mask & phi_bit or tables.root_sig(a_r, any_mask, all_mask) & phi_bit:
-                return a_r
-        return None
+    end = tables.end
 
     for beta_n in range(P):          # world 2n
         for alpha_n in range(P):     # world 2n-1
-            sig = tables.end_sig(alpha_n) & tr
+            sig = end[alpha_n]
             memo: set[tuple[int, int, int, int]] = set()
 
             def dfs(t: int, alpha_next: int, any_mask: int, all_mask: int
                     ) -> Optional[list[int]]:
-                steps[0] += 1
-                if steps[0] > step_budget:
-                    raise BudgetExceededError("crown oracle step budget exhausted")
+                tables.spend(1)
                 if t == 0:
-                    wrap = tables.mid_sig(beta_n, alpha_n, alpha_next)
-                    a_r = root_round((any_mask | wrap) & tr, all_mask & wrap & tr)
+                    wrap = tables.mid(end[alpha_n], end[alpha_next])[0][beta_n]
+                    a_r = tables.root_pattern(any_mask | wrap, all_mask & wrap)
                     if a_r is None:
                         return None
                     return [a_r]
@@ -420,10 +377,10 @@ def _crown_lex_search(tables: _CrownTables, n: int, steps: list[int],
                     return None
                 for beta in range(P):        # world 2t
                     for alpha in range(P):   # world 2t-1
-                        e = tables.end_sig(alpha)
-                        m = tables.mid_sig(beta, alpha, alpha_next)
-                        got = dfs(t - 1, alpha, (any_mask | e | m) & tr,
-                                  all_mask & e & m & tr)
+                        e = end[alpha]
+                        m = tables.mid(e, end[alpha_next])[0][beta]
+                        got = dfs(t - 1, alpha, any_mask | e | m,
+                                  all_mask & e & m)
                         if got is not None:
                             return got + [alpha, beta]
                 memo.add(key)
@@ -452,6 +409,8 @@ def crown_sat_bruteforce(phi: Formula, max_n: int,
     """Plain per-valuation loop with the same contract as crown_sat_oracle;
     only usable when 2^(k*(2n+1)) fits the budget.  Kept as an independent
     cross-check for the table-driven oracle."""
+    if max_n < 1:
+        raise ValueError("crown bound must be >= 1")
     prog = compile(phi)
     names = prog.names
     k = len(names)

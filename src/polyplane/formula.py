@@ -34,9 +34,18 @@ class Formula:
         return self._hash
 
     def __eq__(self, other):
-        return (self is other
-                or (type(self) is type(other) and self._hash == other._hash
-                    and self._tup() == other._tup()))
+        # iterative, so separately built deep trees compare without
+        # recursion; shared subtrees are skipped by identity
+        stack = [(self, other)]
+        while stack:
+            f, g = stack.pop()
+            if f is g:
+                continue
+            if (type(f) is not type(g) or f._hash != g._hash
+                    or type(f) is Var and f.name != g.name):
+                return False
+            stack.extend(zip(children(f), children(g)))
+        return True
 
     def __str__(self) -> str:
         return pretty(self)
@@ -51,9 +60,6 @@ class Var(Formula):
         self.name = name
         self._hash = hash(("Var", name))
 
-    def _tup(self):
-        return (self.name,)
-
     def __repr__(self):
         return f"Var({self.name!r})"
 
@@ -63,9 +69,6 @@ class Bottom(Formula):
 
     def __init__(self):
         self._hash = hash("Bottom")
-
-    def _tup(self):
-        return ()
 
     def __repr__(self):
         return "Bottom()"
@@ -79,9 +82,6 @@ class _Unary(Formula):
             raise TypeError(f"expected a Formula, got {sub!r}")
         self.sub = sub
         self._hash = hash((type(self).__name__, sub._hash))
-
-    def _tup(self):
-        return (self.sub,)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.sub!r})"
@@ -108,9 +108,6 @@ class _Binary(Formula):
         self.left = left
         self.right = right
         self._hash = hash((type(self).__name__, left._hash, right._hash))
-
-    def _tup(self):
-        return (self.left, self.right)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.left!r}, {self.right!r})"

@@ -162,13 +162,20 @@ def _blocks(value: int, n: int, lanes: int) -> list[int]:
 
 
 def _evaluate(frame: Frame, prog: Program, columns: list[int],
-              lanes: int = 1) -> list[int]:
+              lanes: int = 1,
+              beyond: Optional[tuple[int, int]] = None) -> list[int]:
     """Value of every node of prog on the frame under `lanes` valuations at
     once.
 
     Values are world-major: bit w*lanes + k is the truth at world w under
     valuation k, and columns[j] holds variable prog.names[j] in that layout.
     With lanes=1 a value is the bitmask of worlds where the node holds.
+
+    `beyond`, when given, is a pair (some, every) of node bitmasks for
+    further worlds that every world of the frame sees: bit i of `some` says
+    node i holds at one of them, bit i of `every` that it holds at all of
+    them, under every valuation.  The crown oracle evaluates one world this
+    way, one lane per atom pattern, with its strict successors as `beyond`.
     """
     n = frame.n
     full = (1 << (n * lanes)) - 1
@@ -190,11 +197,19 @@ def _evaluate(frame: Frame, prog: Program, columns: list[int],
         elif op == IFF:
             v = full ^ (vals[a] ^ vals[b])
         else:  # DIA, BOX: OR / AND the operand's blocks over successors
-            blocks = _blocks(vals[a], n, lanes)
-            join = or_ if op == DIA else and_
-            v = 0
-            for w in range(n):
-                v |= reduce(join, [blocks[u] for u in succs[w]]) << (w * lanes)
+            v = vals[a]
+            if n > 1:  # a single world sees only itself
+                blocks = _blocks(v, n, lanes)
+                join = or_ if op == DIA else and_
+                v = 0
+                for w in range(n):
+                    v |= reduce(join, [blocks[u] for u in succs[w]]) << (w * lanes)
+            if beyond is not None:
+                some, every = beyond
+                if op == DIA and some >> a & 1:
+                    v = full
+                elif op != DIA and not every >> a & 1:
+                    v = 0
         vals.append(v)
     return vals
 
@@ -268,9 +283,7 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
                 f"2^{n * k} valuations exceed the exhaustive budget {budget}")
         # lane block of each valuation bit: a fixed pattern for the bits
         # that vary inside a chunk, all ones or all zeros for the others
-        width = min(total, _CHUNK)
-        periodic = [int(("1" * (1 << b) + "0" * (1 << b)) * (width >> (b + 1)), 2)
-                    for b in range(width.bit_length() - 1)]
+        periodic = _lane_index_bits(min(total, _CHUNK))
     elif mode == "sampled":
         rng = random.Random(seed)
         total = samples
@@ -297,6 +310,13 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
             val = {name: frozenset(_mask_worlds(m)) for name, m in zip(names, masks)}
             return ValidityReport(False, exhaustive, base + lane + 1, val, world)
     return ValidityReport(True, exhaustive, total)
+
+
+def _lane_index_bits(lanes: int) -> list[int]:
+    """For a power of two `lanes`, one `lanes`-bit value per bit b of a
+    lane index: lane k of entry b is bit b of k."""
+    return [int(("1" * (1 << b) + "0" * (1 << b)) * (lanes >> (b + 1)), 2)
+            for b in range(lanes.bit_length() - 1)]
 
 
 def _transpose(draws: list[int], n: int) -> int:

@@ -7,13 +7,17 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Optional
 
+from hypothesis import strategies as st
+
 from polyplane.axioms import Verdict, forbidden_frames
-from polyplane.errors import BudgetExceededError
-from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, OR, VAR, And,
+from polyplane.crown import OracleResult, _model_from_patterns
+from polyplane.errors import BudgetExceededError, VerificationError
+from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, And,
                                Bottom, Box, Diamond, Formula, Iff, Implies,
-                               Not, Or, Var, children, modal_depth, pretty)
+                               Not, Or, Var, children, compile, modal_depth,
+                               pretty)
 from polyplane.geometry import Line, Scene
-from polyplane.kripke import Frame, find_subreduction
+from polyplane.kripke import Frame, find_subreduction, program_masks
 from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, SatResult,
                               SolverStats, StepBudget, extract_model)
 
@@ -52,6 +56,22 @@ def random_formula(rng: random.Random, size: int,
     split = rng.randint(1, size - 2)
     return rng.choice(list(BINARY))(random_formula(rng, split, names),
                                     random_formula(rng, size - 1 - split, names))
+
+
+@st.composite
+def formulas(draw, size=None, max_size=12):
+    """A formula of exactly `size` AST nodes (1..max_size drawn) over
+    {p, q, r}."""
+    if size is None:
+        size = draw(st.integers(1, max_size))
+    if size == 1:
+        return draw(st.sampled_from([Var("p"), Var("q"), Var("r"), Bottom()]))
+    if size == 2 or draw(st.booleans()):
+        op = draw(st.sampled_from([Not, Box, Diamond]))
+        return op(draw(formulas(size - 1)))
+    split = draw(st.integers(1, size - 2))
+    op = draw(st.sampled_from([And, Or, Implies, Iff]))
+    return op(draw(formulas(split)), draw(formulas(size - 1 - split)))
 
 
 def corpus_200(seed: int = 2024) -> list[Formula]:
@@ -860,3 +880,239 @@ def reference_substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
         return Diamond(reference_substitute(f.sub, mapping))
     return type(f)(reference_substitute(f.left, mapping),
                    reference_substitute(f.right, mapping))
+
+
+# ---------------------------------------------------------------------------
+# The crown oracle with its own opcode interpreter: one bit per _run call,
+# a root test looping over every pattern, and reachability restarted for
+# every crown size and first endpoint pattern.  Kept as the reference for
+# crown_sat_oracle's answers.
+
+class _ReferenceCrownTables:
+    """Per-formula truth tables for crown evaluation.
+
+    Endpoints see only themselves, so truth there depends on the endpoint's
+    atom pattern alone; truth at a middle depends on its pattern plus its two
+    endpoint neighbours.  Truth at the root needs, per subformula, whether it
+    holds at some / at every non-root world.  A signature has one bit per
+    node of the compiled program, so signature computation is pure integer
+    work.
+    """
+
+    def __init__(self, phi: Formula):
+        self.phi = phi
+        self.prog = compile(phi)
+        self.names = self.prog.names
+        self.npat = 1 << len(self.names)
+        self.phi_bit = 1 << self.prog.root
+        # the root evaluation only consults these bits of the accumulators
+        tracked = self.phi_bit
+        for op, a, _ in self.prog.code:
+            if op in (DIA, BOX):
+                tracked |= 1 << a
+        self.tracked = tracked
+        self._end: dict[int, int] = {}
+        self._mid: dict[tuple[int, int, int], int] = {}
+        self._root: dict[tuple[int, int, int], int] = {}
+
+    def _run(self, pattern: int, some: int, every: int) -> int:
+        # some/every: per-subformula bits for truth at a neighbour world
+        # (either endpoint truths for a middle, or the accumulated masks for
+        # the root); for an endpoint pass the vector being built itself
+        out = 0
+        reflexive = some is None
+        for i, (op, a, b) in enumerate(self.prog.code):
+            if op == VAR:
+                v = pattern >> a & 1
+            elif op == BOT:
+                v = 0
+            elif op == NOT:
+                v = 1 ^ (out >> a & 1)
+            elif op == AND:
+                v = (out >> a & 1) & (out >> b & 1)
+            elif op == OR:
+                v = (out >> a & 1) | (out >> b & 1)
+            elif op == IMP:
+                v = (1 ^ (out >> a & 1)) | (out >> b & 1)
+            elif op == IFF:
+                v = 1 ^ ((out >> a & 1) ^ (out >> b & 1))
+            elif op == DIA:
+                v = out >> a & 1
+                if not reflexive:
+                    v |= some >> a & 1
+            else:  # BOX
+                v = out >> a & 1
+                if not reflexive:
+                    v &= every >> a & 1
+            if v:
+                out |= 1 << i
+        return out
+
+    def end_sig(self, alpha: int) -> int:
+        got = self._end.get(alpha)
+        if got is None:
+            got = self._run(alpha, None, None)
+            self._end[alpha] = got
+        return got
+
+    def mid_sig(self, beta: int, left: int, right: int) -> int:
+        key = (beta, left, right)
+        got = self._mid.get(key)
+        if got is None:
+            el, er = self.end_sig(left), self.end_sig(right)
+            got = self._run(beta, el | er, el & er)
+            self._mid[key] = got
+        return got
+
+    def root_sig(self, pattern: int, any_mask: int, all_mask: int) -> int:
+        key = (pattern, any_mask, all_mask)
+        got = self._root.get(key)
+        if got is None:
+            got = self._run(pattern, any_mask, all_mask)
+            self._root[key] = got
+        return got
+
+
+def reference_crown_sat_oracle(phi: Formula, max_n: int,
+                               step_budget: int = 50_000_000) -> Optional[OracleResult]:
+    """Exhaustive search for the smallest crown and the least valuation
+    satisfying phi at some world.
+
+    Valuations are ordered as integers with bit w*k+j for variable j at
+    world w (worlds 0..2n in crown order), and the least satisfying one is
+    returned.  The search enumerates world patterns in that significance
+    order, collapsing valuation classes that agree on per-world truth
+    tables; a step budget bounds the explored states.
+    """
+    tables = _ReferenceCrownTables(phi)
+    steps = [0]
+    for n in range(1, max_n + 1):
+        if not _reference_crown_feasible(tables, n, steps, step_budget):
+            continue
+        pins = _reference_crown_lex_search(tables, n, steps, step_budget)
+        if pins is None:
+            raise VerificationError(
+                f"feasible crown({n}) lost during reconstruction")
+        model = _model_from_patterns(tables, n, pins)
+        mask = program_masks(model, tables.prog)[tables.prog.root]
+        if not mask:
+            raise VerificationError("oracle search produced a non-model")
+        world = next(w for w in range(2 * n + 1) if mask >> w & 1)
+        return OracleResult(n, model, world)
+    return None
+
+
+def _reference_root_ok(tables: _ReferenceCrownTables, any_mask: int, all_mask: int) -> bool:
+    phi_bit = tables.phi_bit
+    if any_mask & phi_bit:
+        return True
+    return any(tables.root_sig(a_r, any_mask, all_mask) & phi_bit
+               for a_r in range(tables.npat))
+
+
+def _reference_crown_feasible(tables: _ReferenceCrownTables, n: int, steps: list[int],
+                    step_budget: int) -> bool:
+    """Forward reachability over deduplicated (endpoint pattern, seen-somewhere,
+    seen-everywhere) states; decides satisfiability on crown(n)."""
+    P = tables.npat
+    tr = tables.tracked
+    contrib: dict[tuple[int, int], list[tuple[int, int]]] = {}
+
+    def contributions(a: int, a2: int) -> list[tuple[int, int]]:
+        # distinct (or, and) accumulator deltas of a middle between endpoints
+        # with patterns a, a2, joined with the endpoint signature of a2
+        got = contrib.get((a, a2))
+        if got is None:
+            e = tables.end_sig(a2)
+            got = sorted({((e | tables.mid_sig(b, a, a2)) & tr,
+                           e & tables.mid_sig(b, a, a2) & tr)
+                          for b in range(P)})
+            contrib[(a, a2)] = got
+        return got
+
+    wrap_cache: dict[tuple[int, int], list[int]] = {}
+
+    def wraps(a_n: int, a1: int) -> list[int]:
+        got = wrap_cache.get((a_n, a1))
+        if got is None:
+            got = sorted({tables.mid_sig(b, a_n, a1) for b in range(P)})
+            wrap_cache[(a_n, a1)] = got
+        return got
+
+    for alpha1 in range(P):
+        e1 = tables.end_sig(alpha1) & tr
+        frontier: dict[int, set[tuple[int, int]]] = {alpha1: {(e1, e1)}}
+        for _t in range(n - 1):
+            nxt: dict[int, set[tuple[int, int]]] = {a2: set() for a2 in range(P)}
+            for alpha, accs in frontier.items():
+                for alpha2 in range(P):
+                    deltas = contributions(alpha, alpha2)
+                    bucket = nxt[alpha2]
+                    steps[0] += len(accs) * len(deltas)
+                    if steps[0] > step_budget:
+                        raise BudgetExceededError("crown oracle step budget exhausted")
+                    for (any_mask, all_mask) in accs:
+                        for (c_or, c_and) in deltas:
+                            bucket.add((any_mask | c_or, all_mask & c_and))
+            frontier = {a: s for a, s in nxt.items() if s}
+        for alpha_n, accs in frontier.items():
+            for wrap in wraps(alpha_n, alpha1):
+                for (any_mask, all_mask) in accs:
+                    steps[0] += 1
+                    if steps[0] > step_budget:
+                        raise BudgetExceededError("crown oracle step budget exhausted")
+                    if _reference_root_ok(tables, (any_mask | wrap) & tr, all_mask & wrap & tr):
+                        return True
+    return False
+
+
+def _reference_crown_lex_search(tables: _ReferenceCrownTables, n: int, steps: list[int],
+                      step_budget: int) -> Optional[list[int]]:
+    """Least world-pattern assignment (index 0 = root) satisfying phi on
+    crown(n), or None.  Patterns are chosen from world 2n downward so the
+    first complete success is the least valuation integer."""
+    P = tables.npat
+    phi_bit = tables.phi_bit
+    tr = tables.tracked
+
+    def root_round(any_mask: int, all_mask: int) -> Optional[int]:
+        for a_r in range(P):
+            if any_mask & phi_bit or tables.root_sig(a_r, any_mask, all_mask) & phi_bit:
+                return a_r
+        return None
+
+    for beta_n in range(P):          # world 2n
+        for alpha_n in range(P):     # world 2n-1
+            sig = tables.end_sig(alpha_n) & tr
+            memo: set[tuple[int, int, int, int]] = set()
+
+            def dfs(t: int, alpha_next: int, any_mask: int, all_mask: int
+                    ) -> Optional[list[int]]:
+                steps[0] += 1
+                if steps[0] > step_budget:
+                    raise BudgetExceededError("crown oracle step budget exhausted")
+                if t == 0:
+                    wrap = tables.mid_sig(beta_n, alpha_n, alpha_next)
+                    a_r = root_round((any_mask | wrap) & tr, all_mask & wrap & tr)
+                    if a_r is None:
+                        return None
+                    return [a_r]
+                key = (t, alpha_next, any_mask, all_mask)
+                if key in memo:
+                    return None
+                for beta in range(P):        # world 2t
+                    for alpha in range(P):   # world 2t-1
+                        e = tables.end_sig(alpha)
+                        m = tables.mid_sig(beta, alpha, alpha_next)
+                        got = dfs(t - 1, alpha, (any_mask | e | m) & tr,
+                                  all_mask & e & m & tr)
+                        if got is not None:
+                            return got + [alpha, beta]
+                memo.add(key)
+                return None
+
+            got = dfs(n - 1, alpha_n, sig, sig)
+            if got is not None:
+                # got = [a_r, alpha_1, beta_1, ..., alpha_{n-1}, beta_{n-1}]
+                return got + [alpha_n, beta_n]
+    return None

@@ -139,6 +139,22 @@ def test_sat_oracle_flag(capsys):
     assert "oracle" in out
 
 
+def test_crown_bounds_below_one_are_usage_errors(capsys):
+    assert run(["sat", "p", "--oracle", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: crown bound must be >= 1\n"
+    assert run(["fuzz", "--max-crown", "0", "--count", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "seed 0\nerror: crown bound must be >= 1\n"
+
+
+def test_equal_deep_operands_answer(capsys):
+    assert run(["sat", "(" + "~" * 400 + "p) & (" + "~" * 400 + "p)"]) == 0
+    assert capsys.readouterr().out == "SAT on crown(1) at world 0\n"
+
+
 def test_deep_input_is_one_line_error(capsys):
     assert run(["sat", "~" * 5000 + "p"]) == 2
     captured = capsys.readouterr()

@@ -2,16 +2,19 @@ import random
 from importlib import import_module
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyplane.axioms import forbidden_frames
 from polyplane.crown import (crown, crown_sat_bruteforce, crown_sat_oracle,
                              reduce_to_crown)
 from polyplane.errors import BudgetExceededError, VerificationError
-from polyplane.formula import Var, parse, variables
+from polyplane.formula import Var, conj, parse, variables
 from polyplane.kripke import (Frame, Model, eval_formula, find_subreduction,
                               is_p_morphism, jankov_fine)
 
-from helpers import all_formulas, random_formula, shallow_rooted_family
+from helpers import (all_formulas, formulas, random_formula,
+                     reference_crown_sat_oracle, shallow_rooted_family)
 
 
 def test_crown_one():
@@ -219,6 +222,7 @@ def test_oracle_unsat_and_depth():
     assert crown_sat_oracle(parse("F"), 4) is None
     b4 = forbidden_frames()[3].frame
     assert crown_sat_oracle(jankov_fine(b4), 2) is None
+    assert crown_sat_oracle(jankov_fine(b4), 3) is None
 
 
 def test_oracle_matches_bruteforce_exhaustive():
@@ -239,6 +243,17 @@ def test_oracle_matches_bruteforce_random():
         assert (a is None) == (b is None), f
         if a is not None:
             assert (a.n, a.model.val, a.world) == (b.n, b.model.val, b.world), f
+
+
+def answer(got):
+    return None if got is None else (got.n, got.model.val, got.world)
+
+
+@settings(max_examples=200)
+@given(formulas(), st.integers(1, 4))
+def test_oracle_matches_reference(f, max_n):
+    assert answer(crown_sat_oracle(f, max_n)) == \
+        answer(reference_crown_sat_oracle(f, max_n))
 
 
 def test_oracle_witness_world_is_least():
@@ -270,3 +285,24 @@ def test_oracle_budgets():
         crown_sat_oracle(jankov_fine(b4), 2, step_budget=50)
     with pytest.raises(BudgetExceededError):
         crown_sat_bruteforce(parse("p & ~p & q"), 6, budget=1 << 10)
+
+
+def test_oracle_budget_bounds_pattern_tables():
+    ps = [Var(f"p{j}") for j in range(40)]
+    # 2^16 patterns against 1,000 steps, 2^40 against the default budget:
+    # both are refused before any table is built
+    with pytest.raises(BudgetExceededError):
+        crown_sat_oracle(conj(ps[:16] + [parse("~p0")]), 1, step_budget=1000)
+    with pytest.raises(BudgetExceededError):
+        crown_sat_oracle(conj(ps), 1)
+    # 2^10 patterns fit, but the endpoint, middle and root tables do not
+    with pytest.raises(BudgetExceededError):
+        crown_sat_oracle(conj(ps[:10] + [parse("~p0")]), 1, step_budget=3000)
+
+
+@pytest.mark.parametrize("max_n", [0, -1])
+def test_oracle_rejects_bounds_below_one(max_n):
+    with pytest.raises(ValueError, match="crown bound"):
+        crown_sat_oracle(Var("p"), max_n)
+    with pytest.raises(ValueError, match="crown bound"):
+        crown_sat_bruteforce(Var("p"), max_n)

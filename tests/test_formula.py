@@ -3,9 +3,10 @@ import random
 import pytest
 
 from polyplane.formula import (And, Bottom, Box, Diamond, Iff, Implies, Not,
-                               Or, ParseError, Var, ast_size, closure,
+                               Or, ParseError, Var, ast_size, closure, compile,
                                modal_depth, negate, parse, pretty,
                                subformulas, substitute, variables)
+from polyplane.mosaic import decide_sat
 
 from helpers import (all_formulas, random_formula, reference_modal_depth,
                      reference_substitute)
@@ -161,3 +162,25 @@ def test_depth_and_substitution_without_recursion():
     got = substitute(nested, {"p": r, "q": Diamond(p)})
     assert pretty(got) == "<>r -> " * n + "<>p"
     assert modal_depth(got) == 1
+
+
+def test_equality_without_recursion():
+    # two 5,000-deep towers built separately; equality once recursed per level
+    def tower(leaf):
+        f = p
+        for i in range(5000):
+            f = Diamond(f) if i % 2 else And(f, leaf)
+        return f
+    a, b = tower(q), tower(q)
+    assert a is not b and a == b
+    assert a != tower(r) and a != Not(a) and a != "p"
+
+
+def test_equal_deep_operands():
+    # the two conjuncts are equal but built separately, so every set or dict
+    # keyed by formulas compares them
+    f = parse("(" + "~" * 400 + "p) & (" + "~" * 400 + "p)")
+    assert f.left == f.right and f.left is not f.right
+    assert len(compile(f).code) == 402
+    assert len(closure(f)) == 403  # ~^k p for k <= 400, f and ~f
+    assert decide_sat(f).sat

@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 from polyplane.axioms import xi
 from polyplane.crown import crown_sat_oracle
 from polyplane.errors import BudgetExceededError
-from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, OR, And, Bottom,
-                               Box, Diamond, Iff, Implies, Not, Or, Var,
-                               ast_size, closure, conj, parse, pretty)
+from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, OR, And, Box,
+                               Diamond, Not, Var, ast_size, closure, conj,
+                               parse, pretty)
 from polyplane.kripke import eval_formula
 from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, StepBudget,
                               check_path, decide_sat, extract_model,
                               glue_reachable, hintikka_sets, is_coherent,
                               mirror, sat_at_root, valid)
 
-from helpers import (all_formulas, random_formula, reference_decide_sat,
-                     reference_enumerate_labels)
+from helpers import (all_formulas, formulas, random_formula,
+                     reference_decide_sat, reference_enumerate_labels)
 
 
 def label_of(space, formulas):
@@ -236,6 +236,12 @@ def test_oracle_agreement_smoke():
         assert decide_sat(f).sat == (crown_sat_oracle(f, 6) is not None), pretty(f)
 
 
+@settings(max_examples=200)
+@given(formulas())
+def test_oracle_agreement_three_variables(f):
+    assert decide_sat(f).sat == (crown_sat_oracle(f, 6) is not None)
+
+
 def brute_hintikka(space):
     """Independent reference: filter all bit vectors by the truth tables
     and the reflexivity rules, without propagation."""
@@ -344,22 +350,6 @@ def test_three_way_agreement_with_frame_search():
 def answer(res):
     """Everything of a SatResult but its counters, whose meaning differs."""
     return (res.sat, res.n, res.model, res.world, res.root_label, res.mosaics)
-
-
-@st.composite
-def formulas(draw, size=None, max_size=12):
-    """A formula of exactly `size` AST nodes (1..max_size drawn) over
-    {p, q, r}."""
-    if size is None:
-        size = draw(st.integers(1, max_size))
-    if size == 1:
-        return draw(st.sampled_from([Var("p"), Var("q"), Var("r"), Bottom()]))
-    if size == 2 or draw(st.booleans()):
-        op = draw(st.sampled_from([Not, Box, Diamond]))
-        return op(draw(formulas(size - 1)))
-    split = draw(st.integers(1, size - 2))
-    op = draw(st.sampled_from([And, Or, Implies, Iff]))
-    return op(draw(formulas(split)), draw(formulas(size - 1 - split)))
 
 
 @settings(max_examples=300, deadline=None)
