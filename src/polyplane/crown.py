@@ -7,13 +7,15 @@ points see their odd neighbours and odd-indexed points are maximal.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceededError, VerificationError
 from .formula import BOX, DIA, Formula, compile
-from .kripke import (Frame, Model, WorldMap, _evaluate, _lane_index_bits,
-                     is_p_morphism, program_masks)
+from .kripke import (Frame, Model, WorldMap, _closed_walk, _evaluate,
+                     _lane_index_bits, _shortest_path, is_p_morphism,
+                     program_masks)
 
 
 def crown(n: int) -> Frame:
@@ -34,10 +36,12 @@ def crown(n: int) -> Frame:
 class CrownReduction:
     """Result of reducing a validated rooted frame to a crown.
 
-    `world_map` is always a total, onto p-morphism crown(n) -> g.  When the
-    frame has no depth-3 part it is additionally isomorphic to a generated
-    subframe of crown(1) or crown(2); `embedding` then maps its worlds onto
-    that subframe.
+    `world_map` is always a total, onto p-morphism crown(n) -> g.  Above
+    the root it follows an Euler circuit of g's middle/endpoint graph, so a
+    crown maps onto itself by the identity.  When the frame has no depth-3
+    part, or the map is one-to-one on at most crown(2), g is additionally
+    isomorphic to a generated subframe of crown(1) or crown(2);
+    `embedding` then maps its worlds onto that subframe.
     """
 
     n: int
@@ -47,20 +51,12 @@ class CrownReduction:
 
 
 def _stratify(g: Frame):
+    # middles are the worlds that only the root and they themselves see
     root = g.root
-    g1, g2 = [], []
-    for x in range(g.n):
-        if x == root:
-            continue
-        mids = [y for y in g.successors(root)
-                if y not in (root, x) and g.sees(y, x)]
-        if not mids:
-            g1.append(x)
+    g1 = [x for x in range(g.n)
+          if x != root and set(g.predecessors(x)) == {root, x}]
     g1set = set(g1)
-    for x in range(g.n):
-        if x == root or x in g1set:
-            continue
-        g2.append(x)
+    g2 = [x for x in range(g.n) if x != root and x not in g1set]
     return root, g1, g2
 
 
@@ -68,10 +64,13 @@ def reduce_to_crown(g: Frame, budget: int = 2_000_000) -> CrownReduction:
     """Build a crown that maps p-morphically onto g.
 
     Requires a frame the classifier accepts; a refuted frame is reported
-    together with the forbidden frame found.  The construction walks the
-    undirected middle/endpoint incidence graph along a closed edge-covering
-    walk, repairing places where a two-successor middle is flanked twice by
-    the same endpoint.
+    together with the forbidden frame found.  Each middle world becomes an
+    edge between its successors (a loop if it has one), the edges on
+    shortest paths between odd-degree endpoints, paired in ascending
+    order, are doubled, and an Euler circuit of the result is read off as
+    the crown cycle.  A circuit passes through a two-successor middle from
+    one of its successors to the other, so every crown middle sees exactly
+    the successors of the middle it maps to.
     """
     from .axioms import classify_frame
 
@@ -88,78 +87,43 @@ def reduce_to_crown(g: Frame, budget: int = 2_000_000) -> CrownReduction:
     if not g1:
         raise VerificationError(
             "worlds above the root without a middle world survived classification")
-    succs = {u: sorted(y for y in g.successors(u) if y != u) for u in g1}
+    succs = {u: [y for y in g.successors(u) if y != u] for u in g1}
     if not all(1 <= len(s) <= 2 for s in succs.values()):
         raise VerificationError(
             "a middle world without one or two successors survived classification")
-    edges = sorted((u, w) for u in g1 for w in succs[u])
-    adj: dict[int, list[int]] = {x: [] for x in g1 + g2}
-    for u, w in edges:
-        adj[u].append(w)
-        adj[w].append(u)
-    for x in adj:
-        adj[x].sort()
+    # each middle is an edge between its least and greatest successor;
+    # doubling the edges on paths between odd-degree endpoints makes every
+    # degree even.  adj[a][b] is the least middle with successors a and b.
+    ends = {u: (succs[u][0], succs[u][-1]) for u in g1}
+    degree = Counter(x for u in g1 for x in ends[u])
+    adj: dict[int, dict[int, int]] = {x: {} for x in degree}
+    for u in g1:
+        a, b = ends[u]
+        adj[a].setdefault(b, u)
+        adj[b].setdefault(a, u)
+    edges = list(g1)
+    odd = sorted(x for x in degree if degree[x] % 2)
+    for a, b in zip(odd[::2], odd[1::2]):
+        # no path means a disconnected graph, which the walk reports
+        path = _shortest_path(adj, [a], {b}) or []
+        edges += [adj[x][y] for x, y in zip(path, path[1:])]
+    out: dict[int, list] = {x: [] for x in degree}
+    for i, u in enumerate(edges):
+        a, b = ends[u]
+        out[a].append((b, (u, i)))
+        out[b].append((a, (u, i)))
+    try:
+        walk = _closed_walk(out, succs[g1[0]][0])
+    except ValueError:
+        raise VerificationError(
+            "upper part disconnected despite classification") from None
 
-    def bfs_path(a: int, b: int) -> list[int]:
-        if a == b:
-            return [a]
-        prev = {a: None}
-        queue = [a]
-        while queue:
-            nxt = []
-            for x in queue:
-                for y in adj[x]:
-                    if y not in prev:
-                        prev[y] = x
-                        if y == b:
-                            path = [b]
-                            while path[-1] != a:
-                                path.append(prev[path[-1]])
-                            return path[::-1]
-                        nxt.append(y)
-            queue = nxt
-        raise VerificationError("upper part disconnected despite classification")
-
-    u1, w1 = edges[0]
-    walk = [w1, u1]
-    for u, w in edges[1:]:
-        # cross the edge starting from whichever endpoint is closer
-        pu, pw = bfs_path(walk[-1], u), bfs_path(walk[-1], w)
-        if len(pu) <= len(pw):
-            walk.extend(pu[1:])
-            walk.append(w)
-        else:
-            walk.extend(pw[1:])
-            walk.append(u)
-    if walk[-1] == walk[0]:
-        walk.pop()  # already closed; the start vertex is implicit
-    else:
-        back = bfs_path(walk[-1], walk[0])
-        walk.extend(back[1:-1])
-
-    g1set = set(g1)
-    # repair: a middle with two successors must be flanked by both
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(walk)):
-            x = walk[i]
-            if x not in g1set or len(succs[x]) < 2:
-                continue
-            prev, nxt = walk[i - 1], walk[(i + 1) % len(walk)]
-            if prev == nxt:
-                z = next(s for s in succs[x] if s != prev)
-                walk[i + 1:i + 1] = [z, x]
-                changed = True
-                break
-
-    if len(walk) % 2:
-        raise VerificationError("closed walk has odd length")
-    n = len(walk) // 2
+    n = len(walk)
     cr = crown(n)
     mapping = {0: root}
-    for j in range(1, 2 * n + 1):
-        mapping[j] = walk[j - 1]
+    for i, (x, (u, _)) in enumerate(walk):
+        mapping[2 * i + 1] = x
+        mapping[2 * i + 2] = u
     wm = WorldMap(mapping)
     if not (is_p_morphism(wm, cr, g) and wm.is_onto(g)):
         raise VerificationError("crown walk map is not an onto p-morphism")

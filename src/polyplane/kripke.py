@@ -543,6 +543,72 @@ def delta(frame: Frame, worlds: Iterable[int]) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
+# Walks and paths on plain graphs
+
+def _closed_walk(out: dict, start) -> list:
+    """Closed walk from `start` that uses every key in `out` exactly once.
+
+    `out[v]` lists the darts `(head, key)` leaving v, and every head is a
+    key of `out`.  Darts that share a key form one undirected edge, walked
+    once in either direction.  Hierholzer's algorithm takes the least
+    unused `(head, key)` first.  The walk comes
+    back as `[(v, key), ...]`: each entry leaves v along key towards the
+    next entry's v, and the last one returns to `start`.  Raises ValueError
+    when some key is left unused or the darts taken do not close up.
+    """
+    darts = {v: sorted(ds, reverse=True) for v, ds in out.items()}
+    used = set()
+    stack = [(start, None)]
+    steps = []
+    while stack:
+        v, via = stack[-1]
+        ds = darts[v]
+        while ds and ds[-1][1] in used:
+            ds.pop()
+        if ds:
+            head, key = ds.pop()
+            used.add(key)
+            stack.append((head, key))
+        else:
+            stack.pop()
+            if stack:
+                steps.append((stack[-1][0], via, v))
+    steps.reverse()
+    if any(key not in used for ds in out.values() for _, key in ds):
+        raise ValueError("closed walk misses a dart")
+    if any(a[2] != b[0] for a, b in zip(steps, steps[1:] + steps[:1])):
+        raise ValueError("walk does not close")
+    return [(v, key) for v, key, _ in steps]
+
+
+def _shortest_path(adj: dict, sources: Iterable, targets) -> Optional[list]:
+    """Shortest path from one of `sources` to any of `targets` (a set
+    disjoint from the sources), or None.
+
+    Breadth-first from the sources in the order given, neighbours in
+    sorted order; the first target reached ends the search, so ties go to
+    the earlier source and the lesser neighbour.
+    """
+    frontier = list(sources)
+    prev = dict.fromkeys(frontier)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in sorted(adj[v]):
+                if w in prev:
+                    continue
+                prev[w] = v
+                if w in targets:
+                    path = [w]
+                    while prev[path[-1]] is not None:
+                        path.append(prev[path[-1]])
+                    return path[::-1]
+                nxt.append(w)
+        frontier = nxt
+    return None
+
+
+# ---------------------------------------------------------------------------
 # JSON interchange
 
 def frame_to_dict(frame: Frame) -> dict:

@@ -21,7 +21,7 @@ from .errors import BudgetExceededError
 from .formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, Formula,
                       Not, Var, compile, conj, negation_text, pretty,
                       render_nodes)
-from .kripke import Model, program_masks
+from .kripke import Model, _closed_walk, _shortest_path, program_masks
 
 
 class MosaicError(RuntimeError):
@@ -735,31 +735,9 @@ def _try_component(space: LabelSpace, rho: int, graph: _GlueGraph,
     connected = {nodes[0]}
     missing = set(nodes) - connected
     while missing:
-        prev: dict[int, int] = {}
-        seen = set(connected)
-        frontier = sorted(connected)
-        target = None
-        while frontier and target is None:
-            nxt = []
-            for v in frontier:
-                for w in sorted(adj[v]):
-                    if w in seen:
-                        continue
-                    seen.add(w)
-                    prev[w] = v
-                    if w in missing:
-                        target = w
-                        break
-                    nxt.append(w)
-                if target is not None:
-                    break
-            frontier = nxt
-        if target is None:
+        path = _shortest_path(adj, sorted(connected), missing)
+        if path is None:
             raise MosaicError("component lost connectivity")
-        path = [target]
-        while path[-1] not in connected:
-            path.append(prev[path[-1]])
-        path.reverse()
         for u, v in zip(path, path[1:]):
             m = arc_mid.get((u, v))
             if m is None:
@@ -783,10 +761,11 @@ def extract_model(pool: Iterable[Mosaic], space: LabelSpace,
                   root_label: Optional[int] = None) -> tuple[int, Model, int]:
     """Assemble a crown model from a saturated family of coherent mosaics.
 
-    The pool is closed under mirroring, its glue graph must be connected,
-    and a closed walk visiting every tile once (edge labels as nodes, tiles
-    as arcs) lays the tiles around the crown cycle.  Every closure member is
-    re-verified at every world against its label before returning.
+    The pool is closed under mirroring, and a closed walk visiting every
+    tile once (edge labels as nodes, tiles as arcs) lays the tiles around
+    the crown cycle; a pool whose glue graph is disconnected has no such
+    walk.  Every closure member is re-verified at every world against its
+    label before returning.
     """
     tiles = sorted(set(pool))
     if not tiles:
@@ -803,44 +782,14 @@ def extract_model(pool: Iterable[Mosaic], space: LabelSpace,
             raise MosaicError(f"incoherent mosaic in pool: {t}")
     tiles = sorted(set(tiles) | {mirror(t) for t in tiles})
 
-    nodes = sorted({t.edge0 for t in tiles} | {t.edge1 for t in tiles})
-    parent = {v: v for v in nodes}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    out: dict[int, list[tuple[int, Mosaic]]] = {}
     for t in tiles:
-        parent[find(t.edge0)] = find(t.edge1)
-    if len({find(v) for v in nodes}) != 1:
-        raise MosaicError("pool does not glue into a single cycle")
-
-    out_adj: dict[int, list[tuple[int, Mosaic]]] = {v: [] for v in nodes}
-    for t in tiles:
-        out_adj[t.edge0].append((t.edge1, t))
-    for v in nodes:
-        out_adj[v].sort(reverse=True)
-
-    start = nodes[0]
-    stack: list[tuple[int, Optional[Mosaic]]] = [(start, None)]
-    order: list[Mosaic] = []
-    while stack:
-        v, via = stack[-1]
-        if out_adj[v]:
-            to, t = out_adj[v].pop()
-            stack.append((to, t))
-        else:
-            stack.pop()
-            if via is not None:
-                order.append(via)
-    order.reverse()
-    if len(order) != len(tiles):
-        raise MosaicError("glue walk failed to cover the pool")
-    for a, b in zip(order, order[1:] + order[:1]):
-        if a.edge1 != b.edge0:
-            raise MosaicError("glue walk is not a cycle")
+        out.setdefault(t.edge0, []).append((t.edge1, t))
+    try:
+        walk = _closed_walk(out, min(out))
+    except ValueError as e:
+        raise MosaicError(f"pool does not glue into a single cycle: {e}") from None
+    order = [t for _, t in walk]
 
     n = len(order)
     world_labels = [root_label]

@@ -107,6 +107,12 @@ def test_outputs_byte_stable(tmp_path, capsys):
         first = capsys.readouterr().out
         run(argv)
         assert capsys.readouterr().out == first, argv
+    # the validating frame is crown(2): it reduces to itself by the
+    # identity and embeds as the whole crown
+    run(["reduce", str(validating)])
+    assert capsys.readouterr().out == (
+        '{"embedding":{"0":0,"1":1,"2":2,"3":3,"4":4},'
+        '"map":{"0":0,"1":1,"2":2,"3":3,"4":4},"n":2}\n')
 
 
 def test_axioms_command(capsys):

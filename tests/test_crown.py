@@ -2,16 +2,16 @@ import random
 from importlib import import_module
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polyplane.axioms import forbidden_frames
+from polyplane.axioms import classify_frame, forbidden_frames
 from polyplane.crown import (crown, crown_sat_bruteforce, crown_sat_oracle,
                              reduce_to_crown)
 from polyplane.errors import BudgetExceededError, VerificationError
 from polyplane.formula import Var, conj, parse, variables
 from polyplane.kripke import (Frame, Model, eval_formula, find_subreduction,
-                              is_p_morphism, jankov_fine)
+                              is_p_morphism, jankov_fine, truth_mask)
 
 from helpers import (all_formulas, formulas, random_formula,
                      reference_crown_sat_oracle, shallow_rooted_family)
@@ -164,7 +164,6 @@ def test_reduce_random_shallow_frames():
                 if rng.random() < 0.55:
                     pairs.append((1 + i, 1 + a + j))
         fr = Frame(1 + a + b, pairs, root=0)
-        from polyplane.axioms import classify_frame
         if not classify_frame(fr).validates:
             continue
         red = reduce_to_crown(fr)
@@ -175,7 +174,6 @@ def test_reduce_random_shallow_frames():
 
 def test_reduce_whole_shallow_family():
     for fr in shallow_rooted_family(5):
-        from polyplane.axioms import classify_frame
         if not classify_frame(fr).validates:
             continue
         red = reduce_to_crown(fr)
@@ -187,7 +185,8 @@ def test_reduce_crowns():
     for n in range(1, 13):
         cr = crown(n)
         red = reduce_to_crown(cr)
-        assert red.world_map.domain == frozenset(range(2 * red.n + 1))
+        assert red.n == n
+        assert red.world_map.mapping == {w: w for w in range(2 * n + 1)}, n
         assert is_p_morphism(red.world_map, crown(red.n), cr), n
         assert red.world_map.is_onto(cr), n
 
@@ -206,6 +205,42 @@ def test_reduce_rechecks_its_map(monkeypatch, n, pairs, message):
                         lambda g, budget: axioms.Verdict(True))
     with pytest.raises(VerificationError, match=message):
         reduce_to_crown(Frame(n, pairs, root=0))
+
+
+@st.composite
+def validating_models(draw):
+    """A root below middles with one or two successors among the endpoints,
+    with the middles chained so the upper part is connected, and a
+    valuation of p, q, r on it."""
+    ends = draw(st.integers(1, 4))
+    links = [(i, i + 1) for i in range(ends - 1)] or [(0, 0)]
+    links += draw(st.lists(st.tuples(st.integers(0, ends - 1),
+                                     st.integers(0, ends - 1)), max_size=3))
+    mids = len(links)
+    n = 1 + mids + ends
+    pairs = [(0, w) for w in range(1, n)]
+    pairs += [(1 + i, 1 + mids + e) for i, link in enumerate(links) for e in link]
+    fr = Frame(n, pairs, root=0)
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=3, max_size=3))
+    val = {name: frozenset(w for w in range(n) if m >> w & 1)
+           for name, m in zip("pqr", masks)}
+    return Model(fr, val)
+
+
+@settings(max_examples=150)
+@given(validating_models(), formulas())
+def test_reduction_preserves_truth(model, f):
+    # truth at a crown world is truth at its image under the p-morphism
+    fr = model.frame
+    assume(classify_frame(fr).validates)
+    red = reduce_to_crown(fr)
+    wm = red.world_map
+    cr = crown(red.n)
+    pulled = {name: frozenset(w for w in range(cr.n) if wm[w] in worlds)
+              for name, worlds in model.val.items()}
+    got = truth_mask(Model(cr, pulled), f)
+    want = truth_mask(model, f)
+    assert got == sum(1 << w for w in range(cr.n) if want >> wm[w] & 1)
 
 
 def test_oracle_atom():

@@ -7,7 +7,8 @@ from polyplane.crown import crown
 from polyplane.errors import BudgetExceededError
 from polyplane.formula import (And, Bottom, Box, Diamond, Iff, Implies, Not,
                                Or, Var, conj, parse, variables)
-from polyplane.kripke import (Frame, Model, WorldMap, closure_set, delta,
+from polyplane.kripke import (Frame, Model, WorldMap, _closed_walk,
+                              _shortest_path, closure_set, delta,
                               eval_formula, find_subreduction, frame_from_dict,
                               frame_to_dict, interior_set, is_p_morphism,
                               jankov_fine, model_from_dict, model_to_dict,
@@ -435,3 +436,41 @@ def test_deep_formula_evaluates_without_recursion():
     rep = valid_on_frame(point, f, mode="sampled", samples=20, seed=0)
     assert (rep.valid, rep.checked, rep.counterexample, rep.world) == \
         reference_sampled(point, Var("p"), 20, 0)
+
+
+def test_closed_walk_directed_keys():
+    # the least dart first: 0 -a-> 1 -b-> 0 closes early, and the walk
+    # splices 1 -c-> 2 -d-> 1 in where it left 1
+    out = {0: [(1, "a")], 1: [(2, "c"), (0, "b")], 2: [(1, "d")]}
+    assert _closed_walk(out, 0) == [(0, "a"), (1, "c"), (2, "d"), (1, "b")]
+    out = {0: [(2, "c"), (1, "a")], 1: [(0, "b")], 2: [(0, "d")]}
+    assert _closed_walk(out, 0) == [(0, "a"), (1, "b"), (0, "c"), (2, "d")]
+
+
+def test_closed_walk_shared_keys_and_loop():
+    # two parallel undirected edges x, y between 0 and 1 and a loop z at 1;
+    # each key is walked once, whichever dart of it is taken
+    out = {0: [(1, "x"), (1, "y")],
+           1: [(0, "x"), (0, "y"), (1, "z"), (1, "z")]}
+    assert _closed_walk(out, 0) == [(0, "x"), (1, "z"), (1, "y")]
+    assert _closed_walk(out, 1) == [(1, "x"), (0, "y"), (1, "z")]
+
+
+def test_closed_walk_raises_when_it_misses_or_stays_open():
+    out = {0: [(1, "a")], 1: [(0, "a")], 2: [(2, "b")]}
+    with pytest.raises(ValueError, match="misses"):
+        _closed_walk(out, 0)
+    with pytest.raises(ValueError, match="does not close"):
+        _closed_walk({0: [(1, "a")], 1: []}, 0)
+    assert _closed_walk({0: []}, 0) == []
+
+
+def test_shortest_path_tie_breaking():
+    # 0 - 1 - 2 and 4 - 3 - 2 reach 2 in two steps; 0 - 5 - 2 ties with 1
+    adj = {0: {5, 1}, 1: {0, 2}, 2: {1, 3, 5}, 3: {2, 4}, 4: {3}, 5: {0, 2},
+           6: set()}
+    assert _shortest_path(adj, [0, 4], {2}) == [0, 1, 2]
+    assert _shortest_path(adj, [4, 0], {2}) == [4, 3, 2]
+    assert _shortest_path(adj, [4, 0], {2, 3}) == [4, 3]
+    assert _shortest_path(adj, [6], {2}) is None
+    assert _shortest_path(adj, [], {2}) is None

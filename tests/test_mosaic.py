@@ -207,6 +207,17 @@ def test_extract_rejects_mixed_roots():
         extract_model([Mosaic(l0, l0, l0, l0), Mosaic(l1, l1, l1, l1)], space)
 
 
+def test_extract_rejects_disconnected_pool():
+    # two coherent self-glued tiles under one root whose edge labels differ
+    # cannot be laid around one crown cycle
+    space = LabelSpace.for_formula(parse("p"))
+    l0, l1 = space.enumerate_labels()
+    pool = [Mosaic(l0, l0, l0, l0), Mosaic(l0, l1, l1, l1)]
+    assert all(is_coherent(t, space) for t in pool)
+    with pytest.raises(MosaicError, match="single cycle"):
+        extract_model(pool, space)
+
+
 def test_extract_verifies_truth_lemma():
     space = LabelSpace.for_formula(parse("<>p"))
     l_dia = label_of(space, {parse("<>p")})
