@@ -22,7 +22,7 @@ from .kripke import (Frame, Model, ValidityReport, WorldMap, closure_set,
                      sigma_bisimilar, truth_mask, valid_on_frame)
 from .mosaic import (LabelSpace, Mosaic, MosaicError, SatResult, SolverStats,
                      check_path, decide_sat, extract_model, glue_reachable,
-                     hintikka_sets, is_coherent, mirror, sat_at_root, valid)
+                     is_coherent, mirror, valid)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Exit codes: 0 success / SAT / validates; 1 UNSAT / invalid / disagreement;
 2 usage or syntax errors, a formula nested too deeply to process
 ("error: formula nested too deeply"), an input too large for the available
 memory ("error: out of memory"), or an answer that failed its own re-check
-("internal error: ..."); 3 a frame is refuted; 4 a search budget ran out.  Every error is one line on stderr, never a traceback.
+("internal error: ..."); 3 a frame is refuted; 4 a search budget ran out.
+Every error is one line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import random
 import sys
 from math import ceil, log2
+from typing import Optional
 
 from . import axioms as ax
 from . import geometry as geo
@@ -34,6 +36,13 @@ def _dump_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _write_model(path: Optional[str], model: kr.Model) -> None:
+    """Write the model as one line of JSON to path, when one is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_dump_json(kr.model_to_dict(model)) + "\n")
+
+
 def _cmd_sat(args) -> int:
     theta = parse(args.formula)
     if args.oracle is not None:
@@ -41,17 +50,13 @@ def _cmd_sat(args) -> int:
         if got is None:
             print(f"UNSAT (oracle, crowns up to {args.oracle})")
             return 1
+        _write_model(args.model_out, got.model)
         print(f"SAT on crown({got.n}) at world {got.world} (oracle)")
-        if args.model_out:
-            with open(args.model_out, "w", encoding="utf-8") as fh:
-                fh.write(_dump_json(kr.model_to_dict(got.model)) + "\n")
         return 0
-    res = mo.decide_sat(theta, strict_middle=args.strict_middle)
+    res = mo.decide_sat(theta)
     if res.sat:
+        _write_model(args.model_out, res.model)
         print(f"SAT on crown({res.n}) at world {res.world}")
-        if args.model_out:
-            with open(args.model_out, "w", encoding="utf-8") as fh:
-                fh.write(_dump_json(kr.model_to_dict(res.model)) + "\n")
         if args.trace:
             space = mo.LabelSpace.for_formula(theta)
             for t in res.mosaics:
@@ -67,10 +72,8 @@ def _cmd_valid(args) -> int:
     theta = parse(args.formula)
     res = mo.decide_sat(Not(theta))
     if res.sat:
+        _write_model(args.model_out, res.model)
         print(f"invalid: countermodel on crown({res.n}) at world {res.world}")
-        if args.model_out:
-            with open(args.model_out, "w", encoding="utf-8") as fh:
-                fh.write(_dump_json(kr.model_to_dict(res.model)) + "\n")
         return 1
     print("valid")
     return 0
@@ -150,6 +153,10 @@ def _random_formula(rng: random.Random, size: int, names: list[str]) -> Formula:
 def _cmd_fuzz(args) -> int:
     rng = random.Random(args.seed)
     print(f"seed {args.seed}", file=sys.stderr)
+    if args.max_size < 1:
+        raise ValueError("formula size bound must be >= 1")
+    if args.count < 0:
+        raise ValueError("formula count must be >= 0")
     names = ["p", "q", "r"]
     bad = 0
     for i in range(args.count):
@@ -188,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--model-out", metavar="FILE")
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--strict-middle", action="store_true")
     p.add_argument("--oracle", type=int, metavar="MAXN",
                    help="use the exhaustive crown search up to MAXN instead")
     p.set_defaults(fn=_cmd_sat)

@@ -18,7 +18,6 @@ Binding strength: ``~ [] <>``  >  ``&``  >  ``|``  >  ``->``  >  ``<->``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 class Formula:
@@ -384,26 +383,13 @@ def negation_text(op: int, text: str) -> str:
     return _PREFIX[NOT] + _bracketed(op, text, 4)
 
 
-def render_nodes(program: Program, wanted: Optional[list[bool]] = None
-                 ) -> tuple[list[int], list[Optional[str]]]:
+def render_nodes(program: Program) -> tuple[list[int], list[str]]:
     """`ast_size` and `pretty` of every program node, each built from its
-    operands' in one pass, children first.  With `wanted`, only the wanted
-    nodes and their subformulas are rendered; the rest get size 0 and text
-    None."""
+    operands' in one pass, children first."""
     code, n = program.code, len(program.code)
-    if wanted is not None:
-        wanted = list(wanted)
-        for i in range(n - 1, -1, -1):
-            op, a, b = code[i]
-            if wanted[i] and op not in (VAR, BOT):
-                wanted[a] = True
-                if op in _PREC:
-                    wanted[b] = True
     sizes = [0] * n
-    texts: list[Optional[str]] = [None] * n
+    texts = [""] * n
     for i, (op, a, b) in enumerate(code):
-        if wanted is not None and not wanted[i]:
-            continue
         if op == VAR:
             sizes[i], texts[i] = 1, program.names[a]
         elif op == BOT:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress
-from typing import Iterable, NamedTuple, Optional, Union
+from itertools import compress
+from typing import Iterable, NamedTuple, Optional
 
 from .crown import crown
 from .errors import BudgetExceededError
 from .formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, Formula,
-                      Not, Var, compile, conj, negation_text, pretty,
-                      render_nodes)
+                      Not, Var, compile, negation_text, pretty, render_nodes)
 from .kripke import Model, _closed_walk, _shortest_path, program_masks
 
 
@@ -51,7 +50,8 @@ _SLOTS = {op: tuple(tuple(~"cxy".index(t[1]) if t[0] == "-" else "cxy".index(t)
 
 
 class LabelSpace:
-    """Indexed closure set with the machinery for Hintikka-set enumeration.
+    """The closure set of a formula theta (kept as `self.theta`), indexed,
+    with the machinery for Hintikka-set enumeration.
 
     Positive members (those not of the form ~psi) get one bit each; the
     truth of any closure member under a label follows by stripping
@@ -71,35 +71,19 @@ class LabelSpace:
     node: every node entered spends one step per positive member.
     """
 
-    def __init__(self, members: Optional[Iterable[Formula]] = None,
-                 theta: Optional[Formula] = None):
-        """The space of `members`, a set closed under subformulas and single
-        negation, or, when members is None, of closure(theta)."""
+    def __init__(self, theta: Formula):
         self.theta = theta
-        if members is None:
-            program = compile(theta)
-            wanted = None
-        else:
-            members = list(set(members))
-            program = compile(conj(members))
-            wanted = [False] * len(program.nodes)
-            for f in members:
-                wanted[program.index[f]] = True
-        self.program = program
+        self.program = program = compile(theta)
         code, nodes = program.code, program.nodes
-        sizes, texts = render_nodes(program, wanted)
+        sizes, texts = render_nodes(program)
 
-        # sort keys of the members: the wanted program nodes or, for the
-        # closure of theta, every node and the negation of each non-NOT node
-        # no NOT node covers (~i stands for that negation)
-        if wanted is None:
-            keys = list(zip(sizes, texts, range(len(code))))
-            covered = {a for op, a, _ in code if op == NOT}
-            keys += [(sizes[i] + 1, negation_text(op, texts[i]), ~i)
-                     for i, (op, _, _) in enumerate(code)
-                     if op != NOT and i not in covered]
-        else:
-            keys = [(sizes[i], texts[i], i) for i, w in enumerate(wanted) if w]
+        # sort keys of the members: every program node and the negation of
+        # each non-NOT node no NOT node covers (~i stands for that negation)
+        keys = list(zip(sizes, texts, range(len(code))))
+        covered = {a for op, a, _ in code if op == NOT}
+        keys += [(sizes[i] + 1, negation_text(op, texts[i]), ~i)
+                 for i, (op, _, _) in enumerate(code)
+                 if op != NOT and i not in covered]
         keys.sort()
         self._order = order = [i for _, _, i in keys]
         self.nodes = [i for i in order if i >= 0 and code[i][0] != NOT]
@@ -117,14 +101,6 @@ class LabelSpace:
                 refs[i] = (refs[a][0], not refs[a][1])
         ops = [code[i][0] for i in self.nodes]
         args = [code[i][1:1 + _ARITY[op]] for i, op in zip(self.nodes, ops)]
-        if wanted is not None:
-            # validates closure under single negation: the members, then the
-            # positives' operands, resolve to positive members
-            for i in chain(order, *args):
-                if refs[i] is None:
-                    while code[i][0] == NOT:
-                        i = code[i][1]
-                    raise KeyError(f"{texts[i]} is not in the closure set")
 
         # operands, and the clauses of each positive's rule as tuples of
         # (positive index, value making the literal true), each on the watch
@@ -157,7 +133,7 @@ class LabelSpace:
 
     @classmethod
     def for_formula(cls, theta: Formula) -> "LabelSpace":
-        return cls(theta=theta)
+        return cls(theta)
 
     @cached_property
     def members(self) -> list[Formula]:
@@ -182,10 +158,6 @@ class LabelSpace:
 
     def label_formulas(self, label: int) -> frozenset[Formula]:
         return frozenset(f for f in self.members if self.member(label, f))
-
-    def atoms(self, label: int) -> frozenset[str]:
-        return frozenset(f.name for f in self.positives
-                         if isinstance(f, Var) and self.member(label, f))
 
     # -- Hintikka enumeration -------------------------------------------
 
@@ -318,30 +290,20 @@ class LabelSpace:
         return dc_b & ~dt_a == 0 and bt_a & ~bc_b == 0
 
     def edge_ok(self, label: int) -> bool:
-        """An edge world sees only itself: diamonds need a reflexive witness
+        """An edge world sees only itself: each diamond has a reflexive witness
         and true bodies force their boxes."""
         dt, dc, bt, bc = self.vectors(label)
         return dt & ~dc == 0 and bc & ~bt == 0
 
-    def middle_ok(self, middle: int, e0: int, e1: int,
-                  strict: bool = False) -> bool:
-        """Diamond and box witnesses for a middle world; the non-strict form
-        lets the middle witness its own modalities."""
+    def middle_ok(self, middle: int, e0: int, e1: int) -> bool:
+        """Diamond and box witnesses for a middle world, which sees itself
+        and its two edges and so witnesses its own modalities."""
         dt_m, dc_m, bt_m, bc_m = self.vectors(middle)
         _, dc_0, _, bc_0 = self.vectors(e0)
         _, dc_1, _, bc_1 = self.vectors(e1)
-        wit = dc_0 | dc_1 if strict else dc_0 | dc_1 | dc_m
-        if dt_m & ~wit:
+        if dt_m & ~(dc_0 | dc_1 | dc_m):
             return False
-        everywhere = bc_0 & bc_1 if strict else bc_0 & bc_1 & bc_m
-        return everywhere & ~bt_m == 0
-
-
-def hintikka_sets(sub: Union[LabelSpace, Iterable[Formula]]) -> list[int]:
-    """All maximal consistent labels over a closure set, in ascending
-    bitmask order."""
-    space = sub if isinstance(sub, LabelSpace) else LabelSpace(sub)
-    return space.enumerate_labels()
+        return bc_0 & bc_1 & bc_m & ~bt_m == 0
 
 
 class Mosaic(NamedTuple):
@@ -355,7 +317,7 @@ def mirror(m: Mosaic) -> Mosaic:
     return Mosaic(m.root, m.middle, m.edge1, m.edge0)
 
 
-def is_coherent(m: Mosaic, space: LabelSpace, strict_middle: bool = False) -> bool:
+def is_coherent(m: Mosaic, space: LabelSpace) -> bool:
     """All coherence conditions: labels are Hintikka sets, diamonds and
     boxes agree along every pair of the reflexive-transitive mosaic order,
     and middle/edge witnesses exist."""
@@ -369,7 +331,7 @@ def is_coherent(m: Mosaic, space: LabelSpace, strict_middle: bool = False) -> bo
         return False
     if not (space.edge_ok(m.edge0) and space.edge_ok(m.edge1)):
         return False
-    return space.middle_ok(m.middle, m.edge0, m.edge1, strict=strict_middle)
+    return space.middle_ok(m.middle, m.edge0, m.edge1)
 
 
 def check_path(m: Mosaic, m2: Mosaic, pool: Iterable[Mosaic], depth: int) -> bool:
@@ -454,9 +416,7 @@ class SatResult:
         return self.sat
 
 
-def decide_sat(theta: Formula, strict_middle: bool = False,
-               exhaustive_anywhere: bool = False,
-               budget: int = 20_000_000) -> SatResult:
+def decide_sat(theta: Formula, budget: int = 20_000_000) -> SatResult:
     """Satisfiability of theta over the finite crown frames.
 
     Tries root labels containing theta in ascending order and looks, in the
@@ -472,39 +432,42 @@ def decide_sat(theta: Formula, strict_middle: bool = False,
     Satisfiability somewhere coincides with satisfiability at a root: the
     submodel generated by any crown world pulls back to the root of a small
     crown along a total p-morphism (a constant map for an endpoint, the
-    two-teeth cover for a middle), so the root pass is complete.  The
-    literal second pass over theta-free root labels is kept behind
-    `exhaustive_anywhere` for cross-checking.  Enumeration and arc building
-    spend from one step budget.
+    two-teeth cover for a middle), so the search over roots holding theta
+    is complete and the witness is always world 0.  Enumeration and arc
+    building spend from one step budget.
     """
     space = LabelSpace.for_formula(theta)
     stats = SolverStats()
     steps = StepBudget(budget)
     idx, pol = space.ref(theta)
-    passes = [(True, None)] + ([(False, theta)] if exhaustive_anywhere else [])
-    for holds, need in passes:
-        roots = space.enumerate_labels(must=[(idx, pol, holds)], budget=steps)
-        got = _search(space, roots, need, strict_middle, stats, steps)
-        if got is not None:
-            return got
+    roots = space.enumerate_labels(must=[(idx, pol, True)], budget=steps)
+    if not roots:
+        return SatResult(False, stats=stats)
+    dia_any, box_all = 0, -1
+    for rho in roots:
+        dt, _, bt, _ = space.vectors(rho)
+        dia_any |= dt
+        box_all &= bt
+    below = space.enumerate_labels(must=_below_must(space, dia_any, box_all),
+                                   budget=steps)
+    graphs: dict[tuple[int, int], _GlueGraph] = {}
+    for rho in roots:
+        stats.roots_tried += 1
+        dt, _, bt, _ = space.vectors(rho)
+        key = (dt, bt)
+        graph = graphs.get(key)
+        if graph is None:
+            graph = graphs[key] = _glue_graph(space, below, key, stats, steps)
+        for members in graph.comps:
+            got = _try_component(space, rho, graph, members, stats)
+            if got is not None:
+                return got
     return SatResult(False, stats=stats)
 
 
-def valid(theta: Formula, **kw) -> bool:
+def valid(theta: Formula, budget: int = 20_000_000) -> bool:
     """Validity over the polygonal-plane logic: the negation is unsatisfiable."""
-    return not decide_sat(Not(theta), **kw).sat
-
-
-def sat_at_root(theta: Formula, **kw) -> SatResult:
-    """Satisfiability with theta in the root label; same verdicts as
-    decide_sat (see there), with the witness pinned to the root."""
-    kw.pop("exhaustive_anywhere", None)
-    return decide_sat(theta, **kw)
-
-
-def _mid_fits(space: LabelSpace, m: int, e0: int, e1: int, strict: bool) -> bool:
-    return (space.pair_ok(m, e0) and space.pair_ok(m, e1)
-            and space.middle_ok(m, e0, e1, strict=strict))
+    return not decide_sat(Not(theta), budget).sat
 
 
 def _below_must(space: LabelSpace, dia_true: int, box_true: int
@@ -526,37 +489,6 @@ def _below_must(space: LabelSpace, dia_true: int, box_true: int
     return must
 
 
-def _search(space: LabelSpace, roots: list[int], need: Optional[Formula],
-            strict: bool, stats: SolverStats, steps: StepBudget
-            ) -> Optional[SatResult]:
-    """Try the roots in ascending order.  When `need` is set (second pass),
-    some placed label must also contain it."""
-    if not roots:
-        return None
-    dia_any, box_all = 0, -1
-    for rho in roots:
-        dt, _, bt, _ = space.vectors(rho)
-        dia_any |= dt
-        box_all &= bt
-    below = space.enumerate_labels(must=_below_must(space, dia_any, box_all),
-                                   budget=steps)
-    graphs: dict[tuple[int, int], _GlueGraph] = {}
-    for rho in roots:
-        stats.roots_tried += 1
-        dt, _, bt, _ = space.vectors(rho)
-        key = (dt, bt)
-        graph = graphs.get(key)
-        if graph is None:
-            graph = graphs[key] = _glue_graph(space, below, key, need, strict,
-                                              stats, steps)
-        for members in graph.comps:
-            got = _try_component(space, rho, graph, members, need, strict,
-                                 stats)
-            if got is not None:
-                return got
-    return None
-
-
 class _GlueGraph(NamedTuple):
     middles: list[int]                # class representatives, ascending
     edges: list[int]                  # edge-class representatives, ascending
@@ -566,8 +498,7 @@ class _GlueGraph(NamedTuple):
 
 
 def _glue_graph(space: LabelSpace, below: list[int], key: tuple[int, int],
-                need: Optional[Formula], strict: bool, stats: SolverStats,
-                steps: StepBudget) -> _GlueGraph:
+                stats: SolverStats, steps: StepBudget) -> _GlueGraph:
     """Glue graph of the roots with this key: edge classes as nodes, an arc
     where some middle class makes a coherent tile."""
     ones = zeros = 0
@@ -581,24 +512,18 @@ def _glue_graph(space: LabelSpace, below: list[int], key: tuple[int, int],
     stats.labels_built += len(labels)
 
     # middles are classed by their whole modal vector, edges by the bodies
-    # they supply; the second pass also tells apart labels holding `need`
-    def sig(lab: int) -> tuple:
-        vec = space.vectors(lab)
-        return vec if need is None else (*vec, space.member(lab, need))
-
+    # they supply
     middle_of: dict = {}
     for lab in labels:
-        middle_of.setdefault(sig(lab), lab)
+        middle_of.setdefault(space.vectors(lab), lab)
     middles = list(middle_of.values())
     edge_of: dict = {}
-    for sg, m in middle_of.items():
+    for (_, dc, _, bc), m in middle_of.items():
         if space.edge_ok(m):
-            _, dc, _, bc, *holds = sg
-            edge_of.setdefault((dc, bc, *holds), m)
+            edge_of.setdefault((dc, bc), m)
     edges = list(edge_of.values())
     stats.label_classes += len(middles) + len(edges)
 
-    full_box = (1 << len(space.box_list)) - 1
     vecs = [space.vectors(x) for x in edges]
 
     # arc (xi, yi) exists when some middle makes (rho, m, X, Y) coherent;
@@ -607,13 +532,13 @@ def _glue_graph(space: LabelSpace, below: list[int], key: tuple[int, int],
     adj: dict[int, set[int]] = {i: set() for i in range(len(edges))}
     for m in middles:
         dt_m, dc_m, bt_m, bc_m = space.vectors(m)
-        own_wit = 0 if strict else dc_m
-        own_box = full_box if strict else bc_m
         pc = [i for i, x in enumerate(edges) if space.pair_ok(m, x)]
         steps.spend(len(pc) * len(pc) + len(edges), "glue-graph arcs")
         for xi in pc:
-            rd = dt_m & ~(own_wit | vecs[xi][1])
-            rb = own_box & vecs[xi][3] & ~bt_m
+            # diamonds of m and refuted boxes of m that neither m nor X
+            # witnesses: Y must
+            rd = dt_m & ~(dc_m | vecs[xi][1])
+            rb = bc_m & vecs[xi][3] & ~bt_m
             for yi in pc:
                 if (xi, yi) in arc_mid:
                     continue
@@ -645,8 +570,8 @@ def _glue_graph(space: LabelSpace, below: list[int], key: tuple[int, int],
 
 
 def _try_component(space: LabelSpace, rho: int, graph: _GlueGraph,
-                   members: list[int], need: Optional[Formula],
-                   strict: bool, stats: SolverStats) -> Optional[SatResult]:
+                   members: list[int], stats: SolverStats
+                   ) -> Optional[SatResult]:
     dt_r, dc_r, bt_r, bc_r = space.vectors(rho)
     full_box = (1 << len(space.box_list)) - 1
     edges, arc_mid, adj = graph.edges, graph.arc_mid, graph.adj
@@ -674,7 +599,8 @@ def _try_component(space: LabelSpace, rho: int, graph: _GlueGraph,
                 if not space.pair_ok(m, edges[xi]):
                     continue
                 for yi in members:
-                    if _mid_fits(space, m, edges[xi], edges[yi], strict):
+                    if (space.pair_ok(m, edges[yi])
+                            and space.middle_ok(m, edges[xi], edges[yi])):
                         add_arc(xi, yi, m)
                         return True
         return False
@@ -707,18 +633,6 @@ def _try_component(space: LabelSpace, rho: int, graph: _GlueGraph,
             else:
                 done = find_middle(lambda m: not space.vectors(m)[3] >> bit & 1)
         if not done:
-            return None
-
-    if need is not None and not space.member(rho, need):
-        ok = False
-        for xi in members:
-            if space.member(edges[xi], need):
-                place_edge(xi)
-                ok = True
-                break
-        if not ok:
-            ok = find_middle(lambda m: space.member(m, need))
-        if not ok:
             return None
 
     if not chosen:
@@ -765,7 +679,8 @@ def extract_model(pool: Iterable[Mosaic], space: LabelSpace,
     tile once (edge labels as nodes, tiles as arcs) lays the tiles around
     the crown cycle; a pool whose glue graph is disconnected has no such
     walk.  Every closure member is re-verified at every world against its
-    label before returning.
+    label before returning.  The witness is the first world holding
+    `space.theta`; a pool where no world holds it raises MosaicError.
     """
     tiles = sorted(set(pool))
     if not tiles:
@@ -814,10 +729,8 @@ def extract_model(pool: Iterable[Mosaic], space: LabelSpace,
                 raise MosaicError(
                     f"truth lemma fails at world {w} for {pretty(f)}")
 
-    theta = space.theta
-    if theta is None or space.member(root_label, theta):
-        witness = 0
-    else:
-        witness = next(w for w, lab in enumerate(world_labels)
-                       if space.member(lab, theta))
+    witness = next((w for w, lab in enumerate(world_labels)
+                    if space.member(lab, space.theta)), None)
+    if witness is None:
+        raise MosaicError(f"no world holds {pretty(space.theta)}")
     return n, model, witness

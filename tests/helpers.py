@@ -423,8 +423,7 @@ def reference_scene_frame(scene: Scene) -> Frame:
     return Frame(n, pairs, root=Frame(n, pairs).find_root())
 
 
-def reference_decide_sat(theta: Formula, strict_middle: bool = False,
-               exhaustive_anywhere: bool = False,
+def reference_decide_sat(theta: Formula, exhaustive_anywhere: bool = False,
                budget: int = 20_000_000) -> SatResult:
     """The per-root mosaic search decide_sat replaced, kept as its
     reference: it enumerates the labels below every root label afresh and
@@ -439,8 +438,8 @@ def reference_decide_sat(theta: Formula, strict_middle: bool = False,
     the submodel generated by any crown world pulls back to the root of a
     small crown along a total p-morphism (a constant map for an endpoint,
     the two-teeth cover for a middle), so the root pass is complete.  The
-    literal second pass over theta-free root labels is kept behind
-    `exhaustive_anywhere` for cross-checking.
+    literal second pass over theta-free root labels, behind
+    `exhaustive_anywhere`, lets the tests check that it finds nothing more.
     """
     space = LabelSpace.for_formula(theta)
     stats = SolverStats()
@@ -448,25 +447,25 @@ def reference_decide_sat(theta: Formula, strict_middle: bool = False,
     idx, pol = space.ref(theta)
     for rho in space.enumerate_labels(must=[(idx, pol, True)]):
         stats.roots_tried += 1
-        got = _reference_try_root(space, rho, None, strict_middle, stats, steps, budget)
+        got = _reference_try_root(space, rho, None, stats, steps, budget)
         if got is not None:
             return got
     if exhaustive_anywhere:
         for rho in space.enumerate_labels(must=[(idx, pol, False)]):
             stats.roots_tried += 1
-            got = _reference_try_root(space, rho, theta, strict_middle, stats, steps, budget)
+            got = _reference_try_root(space, rho, theta, stats, steps, budget)
             if got is not None:
                 return got
     return SatResult(False, stats=stats)
 
 
-def _reference_mid_fits(space: LabelSpace, m: int, e0: int, e1: int, strict: bool) -> bool:
+def _reference_mid_fits(space: LabelSpace, m: int, e0: int, e1: int) -> bool:
     return (space.pair_ok(m, e0) and space.pair_ok(m, e1)
-            and space.middle_ok(m, e0, e1, strict=strict))
+            and space.middle_ok(m, e0, e1))
 
 
 def _reference_try_root(space: LabelSpace, rho: int, need: Optional[Formula],
-              strict_middle: bool, stats: SolverStats, steps: list[int],
+              stats: SolverStats, steps: list[int],
               budget: int) -> Optional[SatResult]:
     """Search for a satisfying tile family with root label rho.  When `need`
     is set (second pass), some placed label must also contain it."""
@@ -491,8 +490,6 @@ def _reference_try_root(space: LabelSpace, rho: int, need: Optional[Formula],
         return None
 
     vecs = {lab: space.vectors(lab) for lab in labels}
-    nbox = len(space.box_list)
-    full_box = (1 << nbox) - 1
 
     # arc (xi, yi) exists when some middle makes (rho, m, X, Y) coherent;
     # keep the least such middle per arc
@@ -500,8 +497,6 @@ def _reference_try_root(space: LabelSpace, rho: int, need: Optional[Formula],
     adj: dict[int, set[int]] = {i: set() for i in range(len(edges))}
     for m in labels:
         dt_m, dc_m, bt_m, bc_m = vecs[m]
-        own_wit = 0 if strict_middle else dc_m
-        own_box = full_box if strict_middle else bc_m
         pc = [i for i, x in enumerate(edges) if space.pair_ok(m, x)]
         steps[0] += len(pc) * len(pc) + len(edges)
         if steps[0] > budget:
@@ -509,8 +504,8 @@ def _reference_try_root(space: LabelSpace, rho: int, need: Optional[Formula],
         for xi in pc:
             dcx = vecs[edges[xi]][1]
             bcx = vecs[edges[xi]][3]
-            rd = dt_m & ~(own_wit | dcx)
-            rb = own_box & bcx & ~bt_m
+            rd = dt_m & ~(dc_m | dcx)
+            rb = bc_m & bcx & ~bt_m
             for yi in pc:
                 if (xi, yi) in arc_mid:
                     continue
@@ -543,7 +538,7 @@ def _reference_try_root(space: LabelSpace, rho: int, need: Optional[Formula],
 
     for members in comps:
         got = _reference_try_component(space, rho, edges, members, arc_mid, adj, labels,
-                             need, strict_middle, stats)
+                             need, stats)
         if got is not None:
             return got
     return None
@@ -552,7 +547,7 @@ def _reference_try_root(space: LabelSpace, rho: int, need: Optional[Formula],
 def _reference_try_component(space: LabelSpace, rho: int, edges: list[int],
                    members: list[int], arc_mid: dict, adj: dict,
                    labels: list[int], need: Optional[Formula],
-                   strict: bool, stats: SolverStats) -> Optional[SatResult]:
+                   stats: SolverStats) -> Optional[SatResult]:
     dt_r, dc_r, bt_r, bc_r = space.vectors(rho)
     full_box = (1 << len(space.box_list)) - 1
     member_set = set(members)
@@ -579,7 +574,7 @@ def _reference_try_component(space: LabelSpace, rho: int, edges: list[int],
                 if not space.pair_ok(m, edges[xi]):
                     continue
                 for yi in members:
-                    if _reference_mid_fits(space, m, edges[xi], edges[yi], strict):
+                    if _reference_mid_fits(space, m, edges[xi], edges[yi]):
                         add_arc(xi, yi, m)
                         return True
         return False

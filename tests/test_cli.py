@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from polyplane.cli import run
@@ -38,6 +39,7 @@ def test_usage_and_parse_errors(capsys):
     assert run(["sat", "p ->"]) == 2
     assert run(["nonsense"]) == 2
     assert run([]) == 2
+    assert run(["sat", "p", "--strict-middle"]) == 2
     capsys.readouterr()
 
 
@@ -114,6 +116,47 @@ def test_outputs_byte_stable(tmp_path, capsys):
         '{"embedding":{"0":0,"1":1,"2":2,"3":3,"4":4},'
         '"map":{"0":0,"1":1,"2":2,"3":3,"4":4},"n":2}\n')
 
+    # a diamond witnessed only at a middle, and one witnessed at the root
+    out = tmp_path / "sat.json"
+    run(["sat", "<>[]q & <>[]~q & <>(p & <>~p & ~<>[]q)", "--model-out",
+         str(out), "--trace"])
+    got = capsys.readouterr()
+    assert got.out == "SAT on crown(7) at world 0\n"
+    assert out.read_text() == (
+        '{"rel":[[0,1],[0,2],[0,3],[0,4],[0,5],[0,6],[0,7],[0,8],[0,9],'
+        '[0,10],[0,11],[0,12],[0,13],[0,14],[2,1],[2,3],[4,3],[4,5],[6,5],'
+        '[6,7],[8,7],[8,9],[10,9],[10,11],[12,11],[12,13],[14,1],[14,13]],'
+        '"root":0,"val":{"p":[1,2,3,4,5,6,7,10,11,12],"q":[1,3,7,10,12]},'
+        '"worlds":15}\n')
+    # seven tiles, 5,266 bytes of trace
+    assert got.err.count("\nmosaic ") == 6
+    assert hashlib.sha256(got.err.encode()).hexdigest() == (
+        "a5939274be46967ebfde154711ecf24c20ac3280bafc40fec03ea61383e770b5")
+    run(["sat", "<>(p & <>~p)", "--model-out", str(out), "--trace"])
+    got = capsys.readouterr()
+    assert got.out == "SAT on crown(4) at world 0\n"
+    assert out.read_text() == (
+        '{"rel":[[0,1],[0,2],[0,3],[0,4],[0,5],[0,6],[0,7],[0,8],[2,1],'
+        '[2,3],[4,3],[4,5],[6,5],[6,7],[8,1],[8,7]],"root":0,'
+        '"val":{"p":[1,5,6,8]},"worlds":9}\n')
+    assert got.err == (
+        'mosaic [["<>(p & <>~p)", "<>~p", "~(p & <>~p)", "~p"], '
+        '["<>~p", "~(p & <>~p)", "~<>(p & <>~p)", "~p"], '
+        '["p", "~(p & <>~p)", "~<>(p & <>~p)", "~<>~p"], '
+        '["<>~p", "~(p & <>~p)", "~<>(p & <>~p)", "~p"]]\n'
+        'mosaic [["<>(p & <>~p)", "<>~p", "~(p & <>~p)", "~p"], '
+        '["<>(p & <>~p)", "<>~p", "p", "p & <>~p"], '
+        '["p", "~(p & <>~p)", "~<>(p & <>~p)", "~<>~p"], '
+        '["<>~p", "~(p & <>~p)", "~<>(p & <>~p)", "~p"]]\n'
+        'mosaic [["<>(p & <>~p)", "<>~p", "~(p & <>~p)", "~p"], '
+        '["<>~p", "~(p & <>~p)", "~<>(p & <>~p)", "~p"], '
+        '["<>~p", "~(p & <>~p)", "~<>(p & <>~p)", "~p"], '
+        '["p", "~(p & <>~p)", "~<>(p & <>~p)", "~<>~p"]]\n'
+        'mosaic [["<>(p & <>~p)", "<>~p", "~(p & <>~p)", "~p"], '
+        '["<>(p & <>~p)", "<>~p", "p", "p & <>~p"], '
+        '["<>~p", "~(p & <>~p)", "~<>(p & <>~p)", "~p"], '
+        '["p", "~(p & <>~p)", "~<>(p & <>~p)", "~<>~p"]]\n')
+
 
 def test_axioms_command(capsys):
     assert run(["axioms"]) == 0
@@ -138,6 +181,17 @@ def test_valid_model_out(tmp_path, capsys):
     assert not eval_formula(model, 0, parse("[]p"))
 
 
+def test_failed_model_write_prints_no_verdict(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "model.json")
+    for argv in (["sat", "p", "--model-out", missing],
+                 ["sat", "p", "--oracle", "2", "--model-out", missing],
+                 ["valid", "p", "--model-out", missing]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: [Errno 2] No such file"), argv
+
+
 def test_sat_oracle_flag(capsys):
     assert run(["sat", "<>[]p & <>[]~p", "--oracle", "4"]) == 0
     assert run(["sat", "p & ~p", "--oracle", "3"]) == 1
@@ -154,6 +208,14 @@ def test_crown_bounds_below_one_are_usage_errors(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "seed 0\nerror: crown bound must be >= 1\n"
+    assert run(["fuzz", "--max-size", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "seed 0\nerror: formula size bound must be >= 1\n"
+    assert run(["fuzz", "--count", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "seed 0\nerror: formula count must be >= 0\n"
 
 
 def test_equal_deep_operands_answer(capsys):

@@ -14,8 +14,7 @@ from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, OR, And, Box,
 from polyplane.kripke import eval_formula
 from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, StepBudget,
                               check_path, decide_sat, extract_model,
-                              glue_reachable, hintikka_sets, is_coherent,
-                              mirror, sat_at_root, valid)
+                              glue_reachable, is_coherent, mirror, valid)
 
 from helpers import (all_formulas, formulas, random_formula,
                      reference_decide_sat, reference_enumerate_labels)
@@ -32,7 +31,7 @@ def label_of(space, formulas):
 
 
 def test_hintikka_atom():
-    assert len(hintikka_sets(closure(parse("p")))) == 2
+    assert len(LabelSpace.for_formula(parse("p")).enumerate_labels()) == 2
 
 
 def test_hintikka_diamond():
@@ -48,11 +47,11 @@ def test_hintikka_diamond():
 
 
 def test_hintikka_conjunction():
-    assert len(hintikka_sets(closure(parse("p & q")))) == 4
+    assert len(LabelSpace.for_formula(parse("p & q")).enumerate_labels()) == 4
 
 
 def test_hintikka_order_deterministic():
-    labs = hintikka_sets(closure(parse("<>p | q")))
+    labs = LabelSpace.for_formula(parse("<>p | q")).enumerate_labels()
     assert labs == sorted(labs)
 
 
@@ -150,20 +149,18 @@ def test_models_always_verified():
             assert res.model.frame.root == 0
 
 
-def test_strict_middle_flag():
+def test_middle_witnesses_its_own_diamonds():
     # a world with p & <>~p & ~<>[]q is neither an endpoint (no reflexive
     # witness for <>~p there) nor the root (which sees the []q endpoint), so
-    # the only witness sits at a middle; the literal middle rule has no
-    # reflexive witness and wrongly rejects
+    # the only witness sits at a middle, which sees itself
     th = parse("<>[]q & <>[]~q & <>(p & <>~p & ~<>[]q)")
-    assert decide_sat(th).sat
+    res = decide_sat(th)
+    assert res.sat and eval_formula(res.model, res.world, th)
     assert crown_sat_oracle(th, 6) is not None
-    assert not decide_sat(th, strict_middle=True).sat
-
-
-def test_strict_flag_agrees_when_root_witnesses():
-    th = parse("<>(p & <>~p)")
-    assert decide_sat(th).sat and decide_sat(th, strict_middle=True).sat
+    wit = parse("p & <>~p & ~<>[]q")
+    middles = range(2, res.model.frame.n, 2)
+    assert [w for w in middles if eval_formula(res.model, w, wit)]
+    assert decide_sat(parse("<>(p & <>~p)")).sat
 
 
 def test_double_negation_wrapper():
@@ -174,11 +171,13 @@ def test_double_negation_wrapper():
 
 
 def test_anywhere_pass_equivalence():
+    # the root pass is complete: a second pass over root labels without
+    # theta, placing theta anywhere below, finds nothing more
     rng = random.Random(31)
     for _ in range(80):
         f = random_formula(rng, rng.randint(1, 6), ("p", "q"))
-        assert decide_sat(f).sat == decide_sat(f, exhaustive_anywhere=True).sat
-    assert sat_at_root(parse("p | ~p")).sat
+        want = reference_decide_sat(f, exhaustive_anywhere=True)
+        assert answer(decide_sat(f)) == answer(want), pretty(f)
 
 
 def test_extract_single_tile_self_glue_gives_crown_one():
@@ -216,6 +215,13 @@ def test_extract_rejects_disconnected_pool():
     assert all(is_coherent(t, space) for t in pool)
     with pytest.raises(MosaicError, match="single cycle"):
         extract_model(pool, space)
+
+
+def test_extract_rejects_a_pool_where_theta_holds_nowhere():
+    # label 0 makes p false at every world
+    space = LabelSpace.for_formula(parse("p"))
+    with pytest.raises(MosaicError, match="no world holds p"):
+        extract_model([Mosaic(0, 0, 0, 0)], space)
 
 
 def test_extract_verifies_truth_lemma():
@@ -364,10 +370,10 @@ def answer(res):
 
 
 @settings(max_examples=300, deadline=None)
-@given(formulas(), st.booleans(), st.booleans())
-def test_search_matches_per_root_reference(f, strict, anywhere):
-    kw = dict(strict_middle=strict, exhaustive_anywhere=anywhere)
-    assert answer(decide_sat(f, **kw)) == answer(reference_decide_sat(f, **kw))
+@given(formulas(), st.booleans())
+def test_search_matches_per_root_reference(f, anywhere):
+    want = reference_decide_sat(f, exhaustive_anywhere=anywhere)
+    assert answer(decide_sat(f)) == answer(want)
 
 
 def test_search_matches_per_root_reference_on_all_small_formulas():
@@ -466,7 +472,6 @@ def by_size_and_text(members):
 def test_member_order_is_size_then_text(f):
     want = by_size_and_text(closure(f))
     assert LabelSpace.for_formula(f).members == want
-    assert LabelSpace(closure(f)).members == want
 
 
 @pytest.mark.parametrize("prefix", [Diamond, Not, lambda g: Box(Not(g))])
@@ -476,7 +481,6 @@ def test_member_order_of_deep_towers(prefix):
         f = prefix(f)
     want = by_size_and_text(closure(f))
     assert LabelSpace.for_formula(f).members == want
-    assert LabelSpace(closure(f)).members == want
 
 
 def test_deep_diamond_budget_out_is_pinned():
