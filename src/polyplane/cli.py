@@ -123,10 +123,11 @@ def _cmd_realize(args) -> int:
     real = geo.realize_crown_model(model, witness)
     out = geo.scene_to_dict(real.scene, real.val)
     out["cell"] = "".join({1: "+", 0: "0", -1: "-"}[s] for s in real.cell)
-    print(_dump_json(out))
+    # the figure first: a failed write must leave no answer on stdout
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(geo.scene_to_svg(real.scene, real.val) + "\n")
+    print(_dump_json(out))
     return 0
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .errors import BudgetExceededError, VerificationError
@@ -18,8 +19,12 @@ from .kripke import (Frame, Model, WorldMap, _closed_walk, _evaluate,
                      program_masks)
 
 
+@lru_cache(maxsize=64)
 def crown(n: int) -> Frame:
-    """Crown frame with worlds {0..2n}: world 0 is the root r, world i is s_i."""
+    """Crown frame with worlds {0..2n}: world 0 is the root r, world i is s_i.
+
+    Frames are immutable, so each n has one shared frame, kept in a bounded
+    cache: crown(3) is crown(3)."""
     if n < 1:
         raise ValueError("crown parameter must be >= 1")
     pairs = [(0, i) for i in range(1, 2 * n + 1)]
@@ -204,7 +209,8 @@ class _CrownTables:
             if op in (DIA, BOX):
                 tracked |= 1 << a
         self.tracked = tracked
-        self._columns = _lane_index_bits(P)  # lane a holds pattern a
+        # lane a holds pattern a, on the one world of _POINT
+        self._columns = [[bits] for bits in _lane_index_bits(P)]
         self.end = self._sigs(None)  # end[a]: endpoint signature of pattern a
         self._mids: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         self._roots: dict[tuple[int, int], Optional[int]] = {}
@@ -219,7 +225,7 @@ class _CrownTables:
         # make `beyond` true somewhere / everywhere
         sigs = [0] * self.npat
         vals = _evaluate(_POINT, self.prog, self._columns, self.npat, beyond)
-        for i, lanes in enumerate(vals):
+        for i, [lanes] in enumerate(vals):
             if self.tracked >> i & 1:
                 while lanes:
                     low = lanes & -lanes
@@ -246,8 +252,8 @@ class _CrownTables:
         key = (any_mask, all_mask)
         if key not in self._roots:
             self.spend(self.npat)
-            lanes = _evaluate(_POINT, self.prog, self._columns, self.npat,
-                              key)[self.prog.root]
+            [lanes] = _evaluate(_POINT, self.prog, self._columns, self.npat,
+                                key)[self.prog.root]
             self._roots[key] = (lanes & -lanes).bit_length() - 1 if lanes else None
         return self._roots[key]
 

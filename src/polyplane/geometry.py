@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -189,11 +189,24 @@ def feasible_point(eqs: list[tuple[Fraction, Fraction, Fraction]],
 @dataclass(frozen=True)
 class Scene:
     """Arrangement of distinct lines; cells are exactly the realizable sign
-    vectors, each with a rational witness attaining it."""
+    vectors, each with a rational witness attaining it.
+
+    The specialization frame (`frame`) and the cell -> index map (`index`)
+    are built on first use and kept with the scene, so every query on one
+    scene reads the same ones.  `scene_frame(scene)` builds a fresh frame on
+    each call."""
 
     lines: tuple[Line, ...]
     cells: tuple[SignVector, ...]
     witness: dict[SignVector, Point]
+
+    @cached_property
+    def frame(self) -> Frame:
+        return scene_frame(self)
+
+    @cached_property
+    def index(self) -> dict[SignVector, int]:
+        return {c: i for i, c in enumerate(self.cells)}
 
     def cell_index(self, cell: SignVector) -> int:
         return self.cells.index(cell)
@@ -342,7 +355,7 @@ def cells_to_dnf(scene: Scene, cells: Iterable[SignVector]) -> list[list[tuple[i
 def _cell_ids(scene: Scene, cells: Iterable[SignVector]) -> list[int]:
     """Indices of the cells in the scene; a cell of another scene is a
     ValueError."""
-    index = {c: i for i, c in enumerate(scene.cells)}
+    index = scene.index
     ids = []
     for c in cells:
         if c not in index:
@@ -357,11 +370,11 @@ def eval_scene(scene: Scene, val: dict[str, CellSet], cell: SignVector,
     valuation; computed on the specialization frame."""
     [world] = _cell_ids(scene, [cell])
     kv = {name: frozenset(_cell_ids(scene, cs)) for name, cs in val.items()}
-    return eval_formula(Model(scene_frame(scene), kv), world, phi)
+    return eval_formula(Model(scene.frame, kv), world, phi)
 
 
 def _scene_cells(scene: Scene, op, cells: Iterable[SignVector]) -> CellSet:
-    got = op(scene_frame(scene), _cell_ids(scene, cells))
+    got = op(scene.frame, _cell_ids(scene, cells))
     return frozenset(scene.cells[i] for i in got)
 
 
@@ -412,14 +425,14 @@ def concurrent_crown_map(scene: Scene) -> dict[int, int]:
     if any(kinds[i] == kinds[(i + 1) % len(kinds)] for i in range(len(kinds))):
         raise VerificationError("rays and sectors do not alternate around the vertex")
     p = kinds.index(True)  # first ray in angular order
-    index = {c: i for i, c in enumerate(scene.cells)}
+    index = scene.index
     out = {index[vertex[0]]: 0}
     m = 4 * L
     for j in range(m):
         cell = around[(p + j) % m]
         world = 2 + j if j < m - 1 else 1
         out[index[cell]] = world
-    fr = scene_frame(scene)
+    fr = scene.frame
     target = crown(2 * L)
     if any(fr.sees(i, j) != target.sees(out[i], out[j]) for i in out for j in out):
         raise VerificationError(f"cell map is not an isomorphism onto crown({2 * L})")

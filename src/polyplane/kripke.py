@@ -10,12 +10,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import repeat
 from operator import and_, or_
 from typing import Iterable, Optional
 
 from .errors import BudgetExceededError
-from .formula import (AND, BOT, DIA, IFF, IMP, NOT, OR, VAR, And, Box, Diamond,
-                      Formula, Implies, Not, Program, Var, compile, conj, disj)
+from .formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, And, Box,
+                      Diamond, Formula, Implies, Not, Program, Var, compile,
+                      conj, disj)
 
 
 def _closure_rows(rows: list[int], n: int) -> list[int]:
@@ -44,7 +46,7 @@ class Frame:
     strict=True a non-closed input is rejected instead.
     """
 
-    __slots__ = ("n", "rows", "root", "closure_applied", "_preds")
+    __slots__ = ("n", "rows", "root", "closure_applied", "_preds", "_succs")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = (),
                  root: Optional[int] = None, strict: bool = False):
@@ -94,6 +96,15 @@ class Frame:
 
     def successors(self, x: int) -> tuple[int, ...]:
         return _mask_worlds(self.rows[x])
+
+    def _successor_tuples(self) -> tuple[tuple[int, ...], ...]:
+        """Every world's successors, worked out on the first call only."""
+        try:
+            return self._succs
+        except AttributeError:
+            succs = tuple(map(_mask_worlds, self.rows))
+            object.__setattr__(self, "_succs", succs)
+            return succs
 
     def predecessors(self, y: int) -> tuple[int, ...]:
         return _mask_worlds(self._preds[y])
@@ -155,21 +166,21 @@ class Model:
         object.__setattr__(self, "val", norm)
 
 
-def _blocks(value: int, n: int, lanes: int) -> list[int]:
-    """The n world blocks of a world-major value, each `lanes` bits wide."""
-    lane = (1 << lanes) - 1
-    return [value >> (w * lanes) & lane for w in range(n)]
+def _evaluate(frame: Frame, prog: Program, columns: list,
+              lanes: Optional[int] = None,
+              beyond: Optional[tuple[int, int]] = None) -> list:
+    """Value of every node of prog on the frame, under one valuation or
+    under `lanes` valuations at once.
 
+    One lane (lanes=None): a value is the bitmask of worlds where the node
+    holds, and columns[j] is that mask for variable prog.names[j].  A
+    diamond holds at the worlds whose row in `Frame.rows` meets its
+    operand, a box at the worlds whose row lies inside it.
 
-def _evaluate(frame: Frame, prog: Program, columns: list[int],
-              lanes: int = 1,
-              beyond: Optional[tuple[int, int]] = None) -> list[int]:
-    """Value of every node of prog on the frame under `lanes` valuations at
-    once.
-
-    Values are world-major: bit w*lanes + k is the truth at world w under
-    valuation k, and columns[j] holds variable prog.names[j] in that layout.
-    With lanes=1 a value is the bitmask of worlds where the node holds.
+    Many lanes: a value is a list of n `lanes`-bit blocks, one per world;
+    bit k of block w is the truth at world w under valuation k, and
+    columns[j] holds variable prog.names[j] in that layout.  A diamond
+    ORs, a box ANDs, the blocks of each world's successors.
 
     `beyond`, when given, is a pair (some, every) of node bitmasks for
     further worlds that every world of the frame sees: bit i of `some` says
@@ -178,38 +189,59 @@ def _evaluate(frame: Frame, prog: Program, columns: list[int],
     way, one lane per atom pattern, with its strict successors as `beyond`.
     """
     n = frame.n
-    full = (1 << (n * lanes)) - 1
-    succs = [_mask_worlds(row) for row in frame.rows]
-    vals: list[int] = []
+    if lanes is None:
+        full = (1 << n) - 1
+        top, bottom = full, 0
+        rows = frame.rows
+    else:
+        full = (1 << lanes) - 1
+        top, bottom = [full] * n, [0] * n
+        succs = frame._successor_tuples()
+    vals: list = []
     for op, a, b in prog.code:
         if op == VAR:
             v = columns[a]
         elif op == BOT:
-            v = 0
-        elif op == NOT:
-            v = full ^ vals[a]
-        elif op == AND:
-            v = vals[a] & vals[b]
-        elif op == OR:
-            v = vals[a] | vals[b]
-        elif op == IMP:
-            v = (full ^ vals[a]) | vals[b]
-        elif op == IFF:
-            v = full ^ (vals[a] ^ vals[b])
-        else:  # DIA, BOX: OR / AND the operand's blocks over successors
-            v = vals[a]
-            if n > 1:  # a single world sees only itself
-                blocks = _blocks(v, n, lanes)
+            v = bottom
+        elif op == DIA or op == BOX:
+            x = vals[a]
+            if lanes is not None:
                 join = or_ if op == DIA else and_
-                v = 0
-                for w in range(n):
-                    v |= reduce(join, [blocks[u] for u in succs[w]]) << (w * lanes)
+                v = [reduce(join, [x[u] for u in s]) for s in succs]
+            elif op == DIA:
+                v = sum([1 << w for w, row in enumerate(rows) if row & x])
+            else:
+                v = sum([1 << w for w, row in enumerate(rows) if row & x == row])
             if beyond is not None:
                 some, every = beyond
                 if op == DIA and some >> a & 1:
-                    v = full
-                elif op != DIA and not every >> a & 1:
-                    v = 0
+                    v = top
+                elif op == BOX and not every >> a & 1:
+                    v = bottom
+        elif lanes is None:
+            x = vals[a]
+            if op == NOT:
+                v = full ^ x
+            elif op == AND:
+                v = x & vals[b]
+            elif op == OR:
+                v = x | vals[b]
+            elif op == IMP:
+                v = (full ^ x) | vals[b]
+            elif op == IFF:
+                v = full ^ x ^ vals[b]
+        else:
+            x = vals[a]
+            if op == NOT:
+                v = [full ^ p for p in x]
+            elif op == AND:
+                v = [p & q for p, q in zip(x, vals[b])]
+            elif op == OR:
+                v = [p | q for p, q in zip(x, vals[b])]
+            elif op == IMP:
+                v = [(full ^ p) | q for p, q in zip(x, vals[b])]
+            elif op == IFF:
+                v = [full ^ p ^ q for p, q in zip(x, vals[b])]
         vals.append(v)
     return vals
 
@@ -269,9 +301,11 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
     `getrandbits(n)` per sorted variable per sample, and can only report the
     absence of a counterexample among them.
 
-    Both modes evaluate up to 2^16 valuations at once and report the first
-    failing valuation in their order (`checked` is its position + 1) with
-    the least world where phi fails under it.
+    Both modes evaluate up to 2^16 valuations at once, as one lane each:
+    every variable's column is built directly as one block per world (see
+    `_evaluate`).  They report the first failing valuation in their order
+    (`checked` is its position + 1) with the least world where phi fails
+    under it.
     """
     prog = compile(phi)
     names, k, n = prog.names, len(prog.names), frame.n
@@ -295,11 +329,10 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
             ones = (1 << lanes) - 1
             blocks = periodic + [ones * (base >> b & 1)
                                  for b in range(len(periodic), n * k)]
-            columns = [sum(blocks[j * n + w] << (w * lanes) for w in range(n))
-                       for j in range(k)]
+            columns = [blocks[j * n:(j + 1) * n] for j in range(k)]
         else:
-            draws = [rng.getrandbits(n) for _ in range(lanes * k)]
-            columns = [_transpose(draws[j::k], n) for j in range(k)]
+            draws = list(map(rng.getrandbits, repeat(n, lanes * k)))
+            columns = _transpose(draws, n, k)
         hit = _first_failure(frame, prog, columns, lanes)
         if hit is not None:
             lane, world = hit
@@ -315,28 +348,49 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
 def _lane_index_bits(lanes: int) -> list[int]:
     """For a power of two `lanes`, one `lanes`-bit value per bit b of a
     lane index: lane k of entry b is bit b of k."""
-    return [int(("1" * (1 << b) + "0" * (1 << b)) * (lanes >> (b + 1)), 2)
-            for b in range(lanes.bit_length() - 1)]
+    out = []
+    for b in range(lanes.bit_length() - 1):
+        # 2^b zeros then 2^b ones from lane 0 up, doubled until `lanes` wide
+        half = 1 << b
+        value, width = ((1 << half) - 1) << half, 2 * half
+        while width < lanes:
+            value |= value << width
+            width *= 2
+        out.append(value)
+    return out
 
 
-def _transpose(draws: list[int], n: int) -> int:
-    """World-major value with bit w*len(draws) + k = bit w of draws[k]."""
-    # written most significant bit first: worlds descending, lanes descending
-    rows = "".join(format(d, f"0{n}b") for d in reversed(draws))
-    return int("".join(rows[i::n] for i in range(n)), 2)
+def _transpose(draws: list[int], n: int, k: int) -> list[list[int]]:
+    """Columns of k variables drawn sample by sample: draws[i*k + j] holds
+    variable j under lane i, and column j's block w has bit i = bit w of it.
+
+    The draws are packed into one int, each in a field of n bits rounded
+    up to whole bytes, and its binary string is sliced once per variable
+    and world."""
+    size = (n + 7) // 8
+    width = 8 * size
+    packed = int.from_bytes(b"".join(map(int.to_bytes, draws, repeat(size),
+                                         repeat("little"))), "little")
+    # the string runs from the last draw down to the first, each draw's
+    # bit width-1 first: bit w of draw i*k + j sits at index
+    # (len(draws) - i*k - j)*width - 1 - w
+    text = format(packed, f"0{len(draws) * width}b")
+    stride = k * width
+    return [[int(text[(k - j) * width - 1 - w::stride], 2) for w in range(n)]
+            for j in range(k)]
 
 
-def _first_failure(frame: Frame, prog: Program, columns: list[int],
+def _first_failure(frame: Frame, prog: Program, columns: list[list[int]],
                    lanes: int) -> Optional[tuple[int, int]]:
     """(least lane, least world in it) where the root of prog is false."""
-    n = frame.n
-    vals = _evaluate(frame, prog, columns, lanes)
-    fail = ((1 << (n * lanes)) - 1) ^ vals[prog.root]
-    if not fail:
+    full = (1 << lanes) - 1
+    root = _evaluate(frame, prog, columns, lanes)[prog.root]
+    fail = [full ^ block for block in root]
+    failing = reduce(or_, fail)  # lanes that fail at some world
+    if not failing:
         return None
-    blocks = _blocks(fail, n, lanes)
-    lane = min((b & -b).bit_length() for b in blocks if b) - 1
-    world = next(w for w, b in enumerate(blocks) if b >> lane & 1)
+    lane = (failing & -failing).bit_length() - 1
+    world = next(w for w, block in enumerate(fail) if block >> lane & 1)
     return lane, world
 
 

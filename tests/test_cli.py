@@ -88,6 +88,25 @@ def test_realize_command(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
+def test_failed_svg_write_prints_no_scene(tmp_path, capsys):
+    m = tmp_path / "model.json"
+    m.write_text(json.dumps(
+        {"worlds": 5, "root": 0, "val": {"p": [1]},
+         "rel": [[0, 1], [0, 2], [0, 3], [0, 4], [2, 1], [2, 3], [4, 3], [4, 1]]}))
+    missing = str(tmp_path / "missing" / "fig.svg")
+    assert run(["realize", "--model", str(m), "--svg", missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file")
+    # a good run prints the same JSON, byte for byte, with or without --svg
+    scene = ('{"cell":"00","lines":[["0","1","0"],["1","-1","0"]],'
+             '"val":{"p":{"dnf":[[[0,"<"],[1,">"]],[[0,">"],[1,"<"]]]}}}\n')
+    assert run(["realize", "--model", str(m), "--svg", str(tmp_path / "fig.svg")]) == 0
+    assert capsys.readouterr().out == scene
+    assert run(["realize", "--model", str(m)]) == 0
+    assert capsys.readouterr().out == scene
+
+
 def test_outputs_byte_stable(tmp_path, capsys):
     m = tmp_path / "model.json"
     m.write_text(json.dumps(

@@ -24,7 +24,8 @@ from polyplane.kripke import Frame, Model, WorldMap, eval_formula, is_p_morphism
 from polyplane.mosaic import decide_sat
 
 from helpers import (frames_isomorphic, random_formula, reference_arrangement,
-                     reference_feasible_point, reference_scene_frame)
+                     reference_feasible_point, reference_scene_frame,
+                     reference_truth)
 
 
 def concurrent(L):
@@ -210,6 +211,33 @@ def test_eval_scene_boundary():
     assert not eval_scene(s, val, (0,), parse("[]p"))
     with pytest.raises(ValueError):
         eval_scene(s, val, (0, 0), parse("p"))
+
+
+def test_eval_scene_matches_reference_on_twelve_lines():
+    # several queries read one scene's frame and cell index, and each
+    # answer is checked world by world on the pairwise frame
+    rng = random.Random(12)
+    lines = [(1, 0, 0), (0, 1, 0), (1, 1, -1), (1, -1, 2), (2, 1, 3),
+             (1, 2, -4), (3, -1, 5), (1, -3, -2), (4, 1, -7), (1, 4, 6),
+             (5, -2, 1), (2, -5, -3)]
+    s = build_arrangement(lines)
+    ref = reference_scene_frame(s)
+    assert len(s.lines) == 12 and len(s.cells) == 271
+    for _ in range(8):
+        val = {name: frozenset(c for c in s.cells if rng.random() < 0.4)
+               for name in ("p", "q")}
+        phi = random_formula(rng, rng.randint(2, 8), ("p", "q"))
+        kv = {name: frozenset(s.cells.index(c) for c in cs)
+              for name, cs in val.items()}
+        want = reference_truth(ref, kv, phi)
+        for cell in rng.sample(s.cells, 5):
+            assert eval_scene(s, val, cell, phi) == (s.cells.index(cell) in want)
+    assert s.frame is s.frame and s.frame == ref
+    foreign = (0,) * 11
+    with pytest.raises(ValueError, match="does not belong to the scene"):
+        eval_scene(s, {}, foreign, parse("p"))
+    with pytest.raises(ValueError, match="does not belong to the scene"):
+        eval_scene(s, {"p": frozenset({foreign})}, s.cells[0], parse("p"))
 
 
 def test_eval_scene_vertex_sees_ray():

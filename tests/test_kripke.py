@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from polyplane.crown import crown
 from polyplane.errors import BudgetExceededError
 from polyplane.formula import (And, Bottom, Box, Diamond, Iff, Implies, Not,
-                               Or, Var, conj, parse, variables)
+                               Or, Var, conj, parse, substitute, variables)
 from polyplane.kripke import (Frame, Model, WorldMap, _closed_walk,
                               _shortest_path, closure_set, delta,
                               eval_formula, find_subreduction, frame_from_dict,
@@ -322,11 +322,13 @@ NAMES = ("p", "q", "r")
 
 
 @st.composite
-def frames(draw):
-    n = draw(st.integers(1, 5))
-    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                          max_size=2 * n))
-    return Frame(n, pairs)
+def frames(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(pair, max_size=2 * n))
+    # pairs joined both ways make clusters
+    both = draw(st.lists(pair, max_size=2))
+    return Frame(n, pairs + both + [(y, x) for x, y in both])
 
 
 formulas = st.recursive(
@@ -393,6 +395,73 @@ def test_evaluator_matches_reference(frame, phi, bits, samples, seed):
     assert not rep.exhaustive
     assert (rep.valid, rep.checked, rep.counterexample, rep.world) == \
         reference_sampled(frame, phi, samples, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(frames(max_n=9), formulas, st.integers(0, (1 << 27) - 1),
+       st.integers(0, 60), st.integers(0, 1 << 32))
+def test_evaluator_matches_reference_up_to_nine_worlds(frame, phi, bits,
+                                                       samples, seed):
+    # one lane under one valuation, sampled lanes over the three variables,
+    # and exhaustive lanes over one variable (9 worlds x 3 variables would
+    # be 2^27 valuations)
+    n = frame.n
+    val = {name: frozenset(w for w in range(n) if bits >> (j * n + w) & 1)
+           for j, name in enumerate(NAMES)}
+    want = sum(1 << w for w in reference_truth(frame, val, phi))
+    assert truth_mask(Model(frame, val), phi) == want
+    rep = valid_on_frame(frame, phi, mode="sampled", samples=samples, seed=seed)
+    assert (rep.valid, rep.checked, rep.counterexample, rep.world) == \
+        reference_sampled(frame, phi, samples, seed)
+    psi = substitute(phi, {"q": Not(p), "r": Diamond(p)})
+    rep = valid_on_frame(frame, psi)
+    assert (rep.valid, rep.checked, rep.counterexample, rep.world) == \
+        reference_exhaustive(frame, psi)
+
+
+def _random_frame(rng, n):
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+    both = [(rng.randrange(n), rng.randrange(n)) for _ in range(3)]
+    return Frame(n, pairs + both + [(y, x) for x, y in both])
+
+
+@pytest.mark.parametrize("n", [33, 70])
+def test_sampled_validity_on_wide_frames(n):
+    # a draw of 33 or 70 bits spans more than one 32- or 64-bit word
+    rng = random.Random(n)
+    # on the chain, <>~p | r fails at the top world one draw in four
+    phis = [parse("[]p -> p"), parse("<>[]p -> []<>p"), parse("<>~p | r"),
+            parse("<>(p & q) | [](~p | r) | <>~q")]
+    phis += [random_formula(rng, rng.randint(3, 7)) for _ in range(4)]
+    outcomes = []
+    for frame in (_random_frame(rng, n), chain(n)):
+        for seed, phi in enumerate(phis, start=3):
+            got = valid_on_frame(frame, phi, mode="sampled", samples=30, seed=seed)
+            want = reference_sampled(frame, phi, 30, seed)
+            assert (got.valid, got.checked, got.counterexample, got.world) == want
+            outcomes.append((got.valid, got.checked > 1))
+        val = {name: frozenset(w for w in range(n) if rng.random() < 0.5)
+               for name in NAMES}
+        for phi in phis:
+            want = sum(1 << w for w in reference_truth(frame, val, phi))
+            assert truth_mask(Model(frame, val), phi) == want
+    # valid ones, and failures found after the first sample
+    assert (True, True) in outcomes and (False, True) in outcomes
+
+
+def test_exhaustive_first_failure_past_first_chunk_on_crown():
+    # crown(3) has 7 worlds; p, q, r take bits 0-6, 7-13 and 14-20.  The
+    # negated formula holds only at the root, through a middle u with r
+    # and p true there: r must hold at a middle, and the least such bit is
+    # r at world 2 (bit 16).  Then p at world 2 (bit 2) and q at the root
+    # (bit 7) give the first failing valuation, in the second chunk.
+    phi = parse("~(<>(r & <>~r & p) & ~r & <>q)")
+    rep = valid_on_frame(crown(3), phi)
+    value = (1 << 16) + (1 << 2) + (1 << 7)
+    assert (rep.valid, rep.exhaustive, rep.checked, rep.world) == \
+        (False, True, value + 1, 0)
+    assert rep.counterexample == {"p": frozenset({2}), "q": frozenset({0}),
+                                  "r": frozenset({2})}
 
 
 def test_validity_reports_first_failure_past_first_chunk():

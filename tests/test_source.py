@@ -36,3 +36,55 @@ def test_no_unused_imports():
                                        for a in node.names)
                           if name not in used]
     assert found == []
+
+
+def _functions(tree):
+    """(function name, node) for every node inside a function, naming the
+    innermost function around it."""
+    def walk(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
+            yield inner, child
+            yield from walk(child, inner)
+    yield from walk(tree, None)
+
+
+CACHED_CONSTRUCTORS = {"crown.py:crown"}
+
+
+def test_caches_only_on_structure_constructors():
+    # the benchmark keeps each op's fastest pass, so a memo keyed by a
+    # formula, model or frame would fake a gain; only constructors of fixed
+    # structures may cache
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decorated = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    for sub in ast.walk(dec):
+                        decorated[id(sub)] = node.name
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in ("cache", "lru_cache"):
+                found.add(f"{path.name}:{decorated.get(id(node), '<not a decorator>')}")
+    assert found <= CACHED_CONSTRUCTORS
+
+
+def test_one_opcode_dispatch():
+    # the evaluator is the only code that branches on opcodes: IFF is
+    # compared in kripke._evaluate and nowhere else
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func, node in _functions(tree):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(sub, ast.Name) and sub.id == "IFF"
+                    or isinstance(sub, ast.Attribute) and sub.attr == "IFF"
+                    for operand in [node.left, *node.comparators]
+                    for sub in ast.walk(operand)):
+                found.add(f"{path.name}:{func}")
+    assert found == {"kripke.py:_evaluate"}
