@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BudgetExceededError, VerificationError
+from .errors import StepBudget, VerificationError
 from .formula import And, Box, Diamond, Formula, Implies, Not, Var, conj
 from .kripke import Frame, WorldMap, _mask_worlds, is_p_morphism, jankov_fine
 
@@ -153,21 +153,20 @@ def _find_forbidden(frame: Frame, budget: int
                           for w in _mask_worlds(rows[x])}
 
     # a poset from here on
-    steps = 0
+    spend = StepBudget(budget, "classifier").spend
     for u in range(n):
         rest = rows[u] & ~(1 << u)
         comps = []
         while rest:
             comp, front = 0, rest & -rest
             while front:
-                steps += front.bit_count()
-                if steps > budget:
-                    raise BudgetExceededError("classifier budget exhausted")
                 comp |= front
                 reach = 0
                 for y in _mask_worlds(front):
                     reach |= rows[y] | preds[y]
                 front = reach & rest & ~comp
+            # one step per world the flood fill visited
+            spend(comp.bit_count(), "up-set components")
             rest &= ~comp
             comps.append(comp)
         if len(comps) >= 3:

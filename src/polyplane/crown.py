@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .errors import BudgetExceededError, VerificationError
+from .errors import BudgetExceededError, StepBudget, VerificationError
 from .formula import BOX, DIA, Formula, compile
 from .kripke import (Frame, Model, WorldMap, _closed_walk, _evaluate,
                      _lane_index_bits, _shortest_path, is_p_morphism,
@@ -176,6 +176,7 @@ class OracleResult:
 
 
 _POINT = Frame(1)
+_TABLES = "signature tables"  # the budget phase of every table fill
 
 
 class _CrownTables:
@@ -191,18 +192,16 @@ class _CrownTables:
     keeps only the tracked bits, the nodes whose truth reaches other
     worlds: phi and the operands of diamonds and boxes.
 
-    The tables also keep the oracle's step count.  Every table fill costs
-    P steps (evaluation, transposition and the distinct signatures), and
-    tables whose pattern count alone exceeds the budget are not built.
+    Every table fill spends P steps from the oracle's budget (evaluation,
+    transposition and the distinct signatures), so tables whose pattern
+    count alone exceeds the budget are not built.
     """
 
-    def __init__(self, phi: Formula, step_budget: int):
+    def __init__(self, phi: Formula, steps: StepBudget):
         self.prog = compile(phi)
         self.names = self.prog.names
         self.npat = P = 1 << len(self.names)
-        self.steps = 0
-        self.step_budget = step_budget
-        self.spend(P)
+        steps.spend(P, _TABLES)
         self.phi_bit = 1 << self.prog.root
         tracked = self.phi_bit
         for op, a, _ in self.prog.code:
@@ -214,11 +213,6 @@ class _CrownTables:
         self.end = self._sigs(None)  # end[a]: endpoint signature of pattern a
         self._mids: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         self._roots: dict[tuple[int, int], Optional[int]] = {}
-
-    def spend(self, steps: int) -> None:
-        self.steps += steps
-        if self.steps > self.step_budget:
-            raise BudgetExceededError("crown oracle step budget exhausted")
 
     def _sigs(self, beyond: Optional[tuple[int, int]]) -> list[int]:
         # signature of every pattern at a world whose strict successors
@@ -233,25 +227,27 @@ class _CrownTables:
                     lanes ^= low
         return sigs
 
-    def mid(self, left: int, right: int) -> tuple[list[int], list[int]]:
+    def mid(self, left: int, right: int, steps: StepBudget
+            ) -> tuple[list[int], list[int]]:
         """Signatures of a middle between endpoints with signatures left and
         right: one per pattern, and the distinct ones in ascending order."""
         key = (left | right, left & right)
         got = self._mids.get(key)
         if got is None:
-            self.spend(self.npat)
+            steps.spend(self.npat, _TABLES)
             sigs = self._sigs(key)
             got = self._mids[key] = (sigs, sorted(set(sigs)))
         return got
 
-    def root_pattern(self, any_mask: int, all_mask: int) -> Optional[int]:
+    def root_pattern(self, any_mask: int, all_mask: int, steps: StepBudget
+                     ) -> Optional[int]:
         """Least root pattern under which phi holds at some world, given what
         the non-root worlds make true somewhere / everywhere, or None."""
         if any_mask & self.phi_bit:
             return 0
         key = (any_mask, all_mask)
         if key not in self._roots:
-            self.spend(self.npat)
+            steps.spend(self.npat, _TABLES)
             [lanes] = _evaluate(_POINT, self.prog, self._columns, self.npat,
                                 key)[self.prog.root]
             self._roots[key] = (lanes & -lanes).bit_length() - 1 if lanes else None
@@ -273,11 +269,12 @@ def crown_sat_oracle(phi: Formula, max_n: int,
     """
     if max_n < 1:
         raise ValueError("crown bound must be >= 1")
-    tables = _CrownTables(phi, step_budget)
-    n = _least_crown(tables, max_n)
+    steps = StepBudget(step_budget, "crown oracle")
+    tables = _CrownTables(phi, steps)
+    n = _least_crown(tables, max_n, steps)
     if n is None:
         return None
-    pins = _crown_lex_search(tables, n)
+    pins = _crown_lex_search(tables, n, steps)
     if pins is None:
         raise VerificationError(f"feasible crown({n}) lost during reconstruction")
     model = _model_from_patterns(tables, n, pins)
@@ -288,7 +285,8 @@ def crown_sat_oracle(phi: Formula, max_n: int,
     return OracleResult(n, model, world)
 
 
-def _least_crown(tables: _CrownTables, max_n: int) -> Optional[int]:
+def _least_crown(tables: _CrownTables, max_n: int, steps: StepBudget
+                 ) -> Optional[int]:
     """Least n <= max_n with phi satisfiable on crown(n), or None.
 
     One forward pass over (first endpoint, last endpoint, any, all) states,
@@ -303,8 +301,8 @@ def _least_crown(tables: _CrownTables, max_n: int) -> Optional[int]:
             nxt: dict[tuple[int, int], set[tuple[int, int]]] = {}
             for (first, last), accs in frontier.items():
                 for e in ends:
-                    mids = tables.mid(last, e)[1]
-                    tables.spend(len(accs) * len(mids))
+                    mids = tables.mid(last, e, steps)[1]
+                    steps.spend(len(accs) * len(mids), "feasibility pass")
                     bucket = nxt.setdefault((first, e), set())
                     for m in mids:
                         c_or, c_and = e | m, e & m
@@ -312,16 +310,18 @@ def _least_crown(tables: _CrownTables, max_n: int) -> Optional[int]:
                             bucket.add((any_mask | c_or, all_mask & c_and))
             frontier = nxt
         for (first, last), accs in frontier.items():
-            wraps = tables.mid(last, first)[1]
-            tables.spend(len(accs) * len(wraps))
+            wraps = tables.mid(last, first, steps)[1]
+            steps.spend(len(accs) * len(wraps), "feasibility pass")
             roots = {(any_mask | w, all_mask & w)
                      for w in wraps for any_mask, all_mask in accs}
-            if any(tables.root_pattern(*key) is not None for key in roots):
+            if any(tables.root_pattern(*key, steps) is not None
+                   for key in roots):
                 return n
     return None
 
 
-def _crown_lex_search(tables: _CrownTables, n: int) -> Optional[list[int]]:
+def _crown_lex_search(tables: _CrownTables, n: int, steps: StepBudget
+                      ) -> Optional[list[int]]:
     """Least world-pattern assignment (index 0 = root) satisfying phi on
     crown(n), or None.  Patterns are chosen from world 2n downward so the
     first complete success is the least valuation integer."""
@@ -335,10 +335,12 @@ def _crown_lex_search(tables: _CrownTables, n: int) -> Optional[list[int]]:
 
             def dfs(t: int, alpha_next: int, any_mask: int, all_mask: int
                     ) -> Optional[list[int]]:
-                tables.spend(1)
+                steps.spend(1, "lexicographic reconstruction")
                 if t == 0:
-                    wrap = tables.mid(end[alpha_n], end[alpha_next])[0][beta_n]
-                    a_r = tables.root_pattern(any_mask | wrap, all_mask & wrap)
+                    wrap = tables.mid(end[alpha_n], end[alpha_next],
+                                      steps)[0][beta_n]
+                    a_r = tables.root_pattern(any_mask | wrap,
+                                              all_mask & wrap, steps)
                     if a_r is None:
                         return None
                     return [a_r]
@@ -348,7 +350,7 @@ def _crown_lex_search(tables: _CrownTables, n: int) -> Optional[list[int]]:
                 for beta in range(P):        # world 2t
                     for alpha in range(P):   # world 2t-1
                         e = end[alpha]
-                        m = tables.mid(e, end[alpha_next])[0][beta]
+                        m = tables.mid(e, end[alpha_next], steps)[0][beta]
                         got = dfs(t - 1, alpha, any_mask | e | m,
                                   all_mask & e & m)
                         if got is not None:

@@ -20,10 +20,10 @@ from typing import Iterable, Optional, Sequence
 from .crown import crown
 from .errors import VerificationError
 from .formula import Formula
-from .kripke import (Frame, Model, WorldMap, closure_set, delta as frame_delta,
-                     eval_formula, interior_set, is_p_morphism)
+from .kripke import (Frame, Model, WorldMap, _mask_worlds, closure_set,
+                     delta as frame_delta, eval_formula, interior_set,
+                     is_p_morphism)
 
-Rational = Fraction
 Point = tuple[Fraction, Fraction]
 SignVector = tuple[int, ...]
 CellSet = frozenset
@@ -128,25 +128,23 @@ def feasible_point(eqs: list[tuple[Fraction, Fraction, Fraction]],
     to integers, which moves no bound, so the arithmetic stays on ints."""
     eqs = [_integral(e) for e in eqs]
     ins = [_integral(i) for i in ins]
+    # an equality 0 = c holds nowhere unless c = 0, and then everywhere
+    if any(a == b == 0 and c for a, b, c in eqs):
+        return None
+    eqs = [e for e in eqs if e[0] or e[1]]
     if eqs:
         a, b, c = eqs[0]
-        if b != 0:
-            # y = -(a x + c)/b; the substituted rows are scaled by |b|
-            sb = 1 if b > 0 else -1
+        if b == 0:
+            return _at_x(Fraction(-c, a), eqs[1:], ins)
+        # y = -(a x + c)/b; the substituted rows are scaled by |b|
+        sb = 1 if b > 0 else -1
 
-            def sub(aa, bb, cc):
-                return (sb * (aa * b - bb * a), sb * (cc * b - bb * c))
-            x = _solve_1d([sub(*e) for e in eqs[1:]], [sub(*i) for i in ins])
-            if x is None:
-                return None
-            return (x, -(a * x + c) / b)
-        x = Fraction(-c, a)
-        xn, xd = x.numerator, x.denominator
-        y = _solve_1d([(bb * xd, aa * xn + cc * xd) for aa, bb, cc in eqs[1:]],
-                      [(bb * xd, aa * xn + cc * xd) for aa, bb, cc in ins])
-        if y is None:
+        def sub(aa, bb, cc):
+            return (sb * (aa * b - bb * a), sb * (cc * b - bb * c))
+        x = _solve_1d([sub(*e) for e in eqs[1:]], [sub(*i) for i in ins])
+        if x is None:
             return None
-        return (x, y)
+        return (x, -(a * x + c) / b)
     lows, highs, pure = [], [], []
     for a, b, c in ins:
         if b > 0:
@@ -161,26 +159,17 @@ def feasible_point(eqs: list[tuple[Fraction, Fraction, Fraction]],
     x = _solve_1d([], pure)
     if x is None:
         return None
-    # bounds -(a x + c)/b on y as (numerator, positive denominator)
+    return _at_x(x, [], ins)
+
+
+def _at_x(x: Fraction, eqs: list[tuple[int, int, int]],
+          ins: list[tuple[int, int, int]]) -> Optional[Point]:
+    """(x, y) for the y that `_solve_1d` picks on the rows at this x, or
+    None; each row a*x + b*y + c is scaled by the denominator of x."""
     xn, xd = x.numerator, x.denominator
-    ylo = yhi = None
-    for a, b, c in lows:
-        v = (-(a * xn + c * xd), b * xd)
-        if ylo is None or v[0] * ylo[1] > ylo[0] * v[1]:
-            ylo = v
-    for a, b, c in highs:
-        v = (a * xn + c * xd, -b * xd)
-        if yhi is None or v[0] * yhi[1] < yhi[0] * v[1]:
-            yhi = v
-    if ylo is not None and yhi is not None:
-        y = (Fraction(*ylo) + Fraction(*yhi)) / 2
-    elif ylo is not None:
-        y = Fraction(*ylo) + 1
-    elif yhi is not None:
-        y = Fraction(*yhi) - 1
-    else:
-        y = Fraction(0)
-    return (x, y)
+    y = _solve_1d([(b * xd, a * xn + c * xd) for a, b, c in eqs],
+                  [(b * xd, a * xn + c * xd) for a, b, c in ins])
+    return None if y is None else (x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +196,6 @@ class Scene:
     @cached_property
     def index(self) -> dict[SignVector, int]:
         return {c: i for i, c in enumerate(self.cells)}
-
-    def cell_index(self, cell: SignVector) -> int:
-        return self.cells.index(cell)
 
     def signs_of(self, p: Point) -> SignVector:
         return tuple(l.sign_at(p) for l in self.lines)
@@ -406,36 +392,43 @@ def _angle_cmp(u: Point, v: Point) -> int:
     return -1 if cross > 0 else 1
 
 
-def concurrent_crown_map(scene: Scene) -> dict[int, int]:
-    """For a scene of L >= 2 concurrent lines: the isomorphism from cell
-    indices onto crown(2L), sending the vertex to the root, rays to the
-    even worlds in angular order, and sectors to the odd worlds between
-    them."""
+def _around(scene: Scene) -> tuple[SignVector, list[SignVector]]:
+    """The vertex of a scene of L >= 2 concurrent lines, and its 2L rays
+    and 2L sectors in counterclockwise order from the positive x-axis; a
+    scene of another shape is a ValueError."""
     L = len(scene.lines)
     vertex = [c for c in scene.cells if all(s == 0 for s in c)]
-    rays = [c for c in scene.cells if sum(1 for s in c if s == 0) == 1]
-    sectors = [c for c in scene.cells if all(s != 0 for s in c)]
+    rays = [c for c in scene.cells if c.count(0) == 1]
+    sectors = [c for c in scene.cells if 0 not in c]
     if not (len(vertex) == 1 and len(rays) == 2 * L and len(sectors) == 2 * L):
         raise ValueError("scene is not a concurrent-line arrangement")
     around = sorted(rays + sectors,
                     key=cmp_to_key(lambda a, b: _angle_cmp(
                         _direction(scene, vertex[0], a),
                         _direction(scene, vertex[0], b))))
-    kinds = [sum(1 for s in c if s == 0) == 1 for c in around]
-    if any(kinds[i] == kinds[(i + 1) % len(kinds)] for i in range(len(kinds))):
+    if any((0 in c) == (0 in around[i - 1]) for i, c in enumerate(around)):
         raise VerificationError("rays and sectors do not alternate around the vertex")
-    p = kinds.index(True)  # first ray in angular order
+    return vertex[0], around
+
+
+def concurrent_crown_map(scene: Scene) -> dict[int, int]:
+    """For a scene of L >= 2 concurrent lines: the isomorphism from cell
+    indices onto crown(2L), sending the vertex to the root, rays to the
+    even worlds in angular order, and sectors to the odd worlds between
+    them."""
+    vertex, around = _around(scene)
+    m = len(around)
+    p = next(i for i, c in enumerate(around) if 0 in c)  # first ray
     index = scene.index
-    out = {index[vertex[0]]: 0}
-    m = 4 * L
+    out = {index[vertex]: 0}
     for j in range(m):
-        cell = around[(p + j) % m]
-        world = 2 + j if j < m - 1 else 1
-        out[index[cell]] = world
-    fr = scene.frame
-    target = crown(2 * L)
-    if any(fr.sees(i, j) != target.sees(out[i], out[j]) for i in out for j in out):
-        raise VerificationError(f"cell map is not an isomorphism onto crown({2 * L})")
+        out[index[around[(p + j) % m]]] = 2 + j if j < m - 1 else 1
+    # the map is one-to-one onto the worlds, so it is an isomorphism iff it
+    # carries every cell's row onto its world's row
+    rows, target = scene.frame.rows, crown(m // 2).rows
+    if any(sum(1 << out[j] for j in _mask_worlds(rows[i])) != target[w]
+           for i, w in out.items()):
+        raise VerificationError(f"cell map is not an isomorphism onto crown({m // 2})")
     return out
 
 
@@ -510,13 +503,8 @@ def realize_crown_model(model: Model, witness: int,
 # ---------------------------------------------------------------------------
 # Interchange and figure output
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
 def scene_to_dict(scene: Scene, val: Optional[dict[str, CellSet]] = None) -> dict:
-    d = {"lines": [[_frac_str(l.a), _frac_str(l.b), _frac_str(l.c)]
-                   for l in scene.lines]}
+    d = {"lines": [[str(l.a), str(l.b), str(l.c)] for l in scene.lines]}
     if val is not None:
         d["val"] = {name: {"dnf": [[[i, rel] for i, rel in clause]
                                    for clause in cells_to_dnf(scene, cs)]}
@@ -542,20 +530,13 @@ _PALETTE = ["#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#b07aa1",
 def scene_to_svg(scene: Scene, val: dict[str, CellSet], radius: int = 160) -> str:
     """Plain SVG figure of a concurrent-line scene: sectors and rays
     coloured by the set of atoms true on them."""
-    L = len(scene.lines)
-    iso = concurrent_crown_map(scene)  # validates the shape
+    vertex, around = _around(scene)
     names = sorted(val)
     key_of = {}
     for c in scene.cells:
         key_of[c] = tuple(name for name in names if c in val[name])
     combos = sorted(set(key_of.values()))
     color = {k: _PALETTE[i % len(_PALETTE)] for i, k in enumerate(combos)}
-    vertex = next(c for c in scene.cells if all(s == 0 for s in c))
-    rays = [c for c in scene.cells if sum(1 for s in c if s == 0) == 1]
-    sectors = [c for c in scene.cells if all(s != 0 for s in c)]
-    around = sorted(rays + sectors,
-                    key=cmp_to_key(lambda a, b: _angle_cmp(
-                        _direction(scene, vertex, a), _direction(scene, vertex, b))))
 
     def unit(c):
         dx, dy = _direction(scene, vertex, c)
@@ -567,7 +548,7 @@ def scene_to_svg(scene: Scene, val: dict[str, CellSet], radius: int = 160) -> st
              '<g transform="scale(1,-1)">']
     k = len(around)
     for i, c in enumerate(around):
-        if c in sectors:
+        if 0 not in c:  # a sector
             x1, y1 = unit(around[(i - 1) % k])
             x2, y2 = unit(around[(i + 1) % k])
             parts.append(
@@ -575,7 +556,7 @@ def scene_to_svg(scene: Scene, val: dict[str, CellSet], radius: int = 160) -> st
                 f'{x2:.2f} {y2:.2f} Z" fill="{color[key_of[c]]}" '
                 f'fill-opacity="0.6" stroke="none"/>')
     for c in around:
-        if c in rays:
+        if 0 in c:  # a ray
             x, y = unit(c)
             parts.append(f'<line x1="0" y1="0" x2="{x:.2f}" y2="{y:.2f}" '
                          f'stroke="{color[key_of[c]]}" stroke-width="3"/>')

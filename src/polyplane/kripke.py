@@ -14,7 +14,7 @@ from itertools import repeat
 from operator import and_, or_
 from typing import Iterable, Optional
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, StepBudget
 from .formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, And, Box,
                       Diamond, Formula, Implies, Not, Program, Var, compile,
                       conj, disj)
@@ -460,11 +460,12 @@ def find_subreduction(source: Frame, target: Frame,
     Any subreduction restricts to one whose domain is generated by a single
     world, so domains range over R[u] for u ascending.  Assignment order is
     by ascending world index with monotonicity pruning and an incremental
-    back-condition check once a world's successors are all assigned.
+    back-condition check once a world's successors are all assigned.  Each
+    image tried for a world is one step.
     """
     if target.root is None:
         raise ValueError("target must be rooted")
-    steps = 0
+    spend = StepBudget(budget, "subreduction search").spend
 
     for u in range(source.n):
         dom = list(_mask_worlds(source.rows[u]))
@@ -477,13 +478,10 @@ def find_subreduction(source: Frame, target: Frame,
         assign = [-1] * len(dom)
 
         def backtrack(i: int) -> bool:
-            nonlocal steps
             if i == len(dom):
                 return len(set(assign)) == target.n
             for t in range(target.n):
-                steps += 1
-                if steps > budget:
-                    raise BudgetExceededError("subreduction search budget exhausted")
+                spend(1, "image assignment")
                 ok = True
                 for j in range(i):
                     xj, xi = dom[j], dom[i]
@@ -672,9 +670,9 @@ def frame_to_dict(frame: Frame) -> dict:
     return d
 
 
-def frame_from_dict(d: dict, strict: bool = False) -> Frame:
+def frame_from_dict(d: dict) -> Frame:
     pairs = [tuple(p) for p in d.get("rel", [])]
-    return Frame(d["worlds"], pairs, root=d.get("root"), strict=strict)
+    return Frame(d["worlds"], pairs, root=d.get("root"))
 
 
 def model_to_dict(model: Model) -> dict:
@@ -683,7 +681,7 @@ def model_to_dict(model: Model) -> dict:
     return d
 
 
-def model_from_dict(d: dict, strict: bool = False) -> Model:
-    frame = frame_from_dict(d, strict=strict)
+def model_from_dict(d: dict) -> Model:
+    frame = frame_from_dict(d)
     val = {name: frozenset(ws) for name, ws in d.get("val", {}).items()}
     return Model(frame, val)

@@ -17,7 +17,7 @@ from itertools import compress
 from typing import Iterable, NamedTuple, Optional
 
 from .crown import crown
-from .errors import BudgetExceededError
+from .errors import StepBudget
 from .formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, Formula,
                       Not, Var, compile, negation_text, pretty, render_nodes)
 from .kripke import Model, _closed_walk, _shortest_path, program_masks
@@ -387,21 +387,6 @@ class SolverStats:
     label_classes: int = 0
 
 
-class StepBudget:
-    """Step counter shared by every phase of one search."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self, steps: int, phase: str) -> None:
-        self.used += steps
-        if self.used > self.limit:
-            raise BudgetExceededError(
-                f"mosaic search budget exhausted in {phase} "
-                f"({self.used} of {self.limit} steps)")
-
-
 @dataclass(frozen=True)
 class SatResult:
     sat: bool
@@ -438,7 +423,7 @@ def decide_sat(theta: Formula, budget: int = 20_000_000) -> SatResult:
     """
     space = LabelSpace.for_formula(theta)
     stats = SolverStats()
-    steps = StepBudget(budget)
+    steps = StepBudget(budget, "mosaic search")
     idx, pol = space.ref(theta)
     roots = space.enumerate_labels(must=[(idx, pol, True)], budget=steps)
     if not roots:
@@ -573,9 +558,7 @@ def _try_component(space: LabelSpace, rho: int, graph: _GlueGraph,
                    members: list[int], stats: SolverStats
                    ) -> Optional[SatResult]:
     dt_r, dc_r, bt_r, bc_r = space.vectors(rho)
-    full_box = (1 << len(space.box_list)) - 1
     edges, arc_mid, adj = graph.edges, graph.arc_mid, graph.adj
-    member_set = set(members)
 
     chosen: set[tuple[int, int, int]] = set()
 
@@ -583,17 +566,28 @@ def _try_component(space: LabelSpace, rho: int, graph: _GlueGraph,
         chosen.add((xi, yi, m))
         chosen.add((yi, xi, m))  # mirrored tile keeps the walk balanced
 
-    def place_edge(xi: int):
-        yi = min(adj[xi])
-        m = arc_mid.get((xi, yi))
-        if m is None:
-            m = arc_mid[(yi, xi)]
-        add_arc(xi, yi, m)
+    def link(xi: int, yi: int):
+        # the arc's least middle, stored under one of its two directions
+        add_arc(xi, yi, arc_mid[(xi, yi)] if (xi, yi) in arc_mid
+                else arc_mid[(yi, xi)])
 
-    def find_middle(pred) -> bool:
-        # least (m, xi, yi) with pred(m) and a coherent tile inside the component
+    # every diamond and every refuted box of the root needs a placed witness
+    # (a label whose vector slot has the bit at the wanted value); the root
+    # label itself counts, then component edge labels, then middles
+    reqs = [(1, d, 1) for d in range(len(space.dia_list))
+            if dt_r >> d & 1 and not dc_r >> d & 1]
+    reqs += [(3, b, 0) for b in range(len(space.box_list))
+             if bc_r >> b & 1 and not bt_r >> b & 1]
+
+    def meets(label: int, req: tuple[int, int, int]) -> bool:
+        slot, bit, want = req
+        return space.vectors(label)[slot] >> bit & 1 == want
+
+    def find_middle(req) -> bool:
+        # least (m, xi, yi) with m meeting req and a coherent tile inside
+        # the component
         for m in graph.middles:
-            if not pred(m):
+            if not meets(m, req):
                 continue
             for xi in members:
                 if not space.pair_ok(m, edges[xi]):
@@ -605,43 +599,20 @@ def _try_component(space: LabelSpace, rho: int, graph: _GlueGraph,
                         return True
         return False
 
-    # every diamond and every refuted box of the root needs a placed witness;
-    # the root label itself counts, then component edge labels, then middles
-    reqs: list[tuple[str, int]] = []
-    base = dt_r & ~dc_r
-    while base:
-        d = (base & -base).bit_length() - 1
-        base &= base - 1
-        reqs.append(("dia", d))
-    base = ~bt_r & full_box & bc_r
-    while base:
-        b = (base & -base).bit_length() - 1
-        base &= base - 1
-        reqs.append(("box", b))
-    for kind, bit in reqs:
-        done = False
-        for xi in members:
-            vec = space.vectors(edges[xi])
-            hit = vec[1] >> bit & 1 if kind == "dia" else not vec[3] >> bit & 1
-            if hit:
-                place_edge(xi)
-                done = True
-                break
-        if not done:
-            if kind == "dia":
-                done = find_middle(lambda m: bool(space.vectors(m)[1] >> bit & 1))
-            else:
-                done = find_middle(lambda m: not space.vectors(m)[3] >> bit & 1)
-        if not done:
+    for req in reqs:
+        xi = next((xi for xi in members if meets(edges[xi], req)), None)
+        if xi is not None:
+            link(xi, min(adj[xi]))
+        elif not find_middle(req):
             return None
 
     if not chosen:
         loops = [xi for xi in members if (xi, xi) in arc_mid]
         if loops:
-            add_arc(loops[0], loops[0], arc_mid[(loops[0], loops[0])])
+            link(loops[0], loops[0])
         else:
-            xi, yi = min(k for k in arc_mid if k[0] in member_set)
-            add_arc(xi, yi, arc_mid[(xi, yi)])
+            member_set = set(members)
+            link(*min(k for k in arc_mid if k[0] in member_set))
 
     # connect the chosen arcs through the component so one closed walk
     # covers them all
@@ -653,10 +624,7 @@ def _try_component(space: LabelSpace, rho: int, graph: _GlueGraph,
         if path is None:
             raise MosaicError("component lost connectivity")
         for u, v in zip(path, path[1:]):
-            m = arc_mid.get((u, v))
-            if m is None:
-                m = arc_mid[(v, u)]
-            add_arc(u, v, m)
+            link(u, v)
         connected |= set(path)
         missing = set(nodes) - connected
 

@@ -229,6 +229,13 @@ def test_classify_budget():
     assert classify_frame(crown(5), budget=20).validates
 
 
+def test_classify_budget_error_names_its_phase():
+    with pytest.raises(BudgetExceededError,
+                       match=r"^classifier budget exhausted in up-set "
+                             r"components \(20 of 19 steps\)$"):
+        classify_frame(crown(5), budget=19)
+
+
 def test_classify_rechecks_its_witness(monkeypatch):
     monkeypatch.setattr(axioms, "_find_forbidden",
                         lambda frame, budget: ("B1", {0: 0, 1: 0, 2: 0}))

@@ -335,6 +335,20 @@ def test_oracle_budget_bounds_pattern_tables():
         crown_sat_oracle(conj(ps[:10] + [parse("~p0")]), 1, step_budget=3000)
 
 
+@pytest.mark.parametrize("budget, phase, used", [
+    (1, "signature tables", 2),
+    (4, "feasibility pass", 6),
+    (16, "lexicographic reconstruction", 17),
+])
+def test_oracle_budget_error_names_its_phase(budget, phase, used):
+    f = parse("[](p -> <>~p) & p")
+    with pytest.raises(BudgetExceededError,
+                       match=rf"^crown oracle budget exhausted in {phase} "
+                             rf"\({used} of {budget} steps\)$"):
+        crown_sat_oracle(f, 4, step_budget=budget)
+    assert crown_sat_oracle(f, 4, step_budget=17) is not None
+
+
 @pytest.mark.parametrize("max_n", [0, -1])
 def test_oracle_rejects_bounds_below_one(max_n):
     with pytest.raises(ValueError, match="crown bound"):

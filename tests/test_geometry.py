@@ -402,6 +402,22 @@ def test_feasible_point_cases():
     assert feasible_point([], [(Fraction(1), Fraction(0), Fraction(0)),
                                (Fraction(-1), Fraction(0), Fraction(0))]) is None
 
+
+@pytest.mark.parametrize("pos", [0, 1])
+def test_feasible_point_degenerate_equalities(pos):
+    # 0 = 0 holds everywhere and 0 = c nowhere, first in the list or not
+    x_is_1 = (Fraction(1), Fraction(0), Fraction(-1))
+    y_pos = (Fraction(0), Fraction(1), Fraction(0))
+    for c, feasible in ((0, True), (4, False)):
+        eqs = [x_is_1]
+        eqs.insert(pos, (Fraction(0), Fraction(0), Fraction(c)))
+        got = feasible_point(eqs, [y_pos])
+        assert (got is not None) == feasible
+        if feasible:
+            assert got == feasible_point([x_is_1], [y_pos])
+    assert feasible_point([(0, 0, 0)], [(1, 0, 0)]) == (1, 0)
+    assert feasible_point([(0, 0, 4)], [(1, 0, 0)]) is None
+
 def test_two_line_scene_maps_onto_crown_four():
     # vertex to the root, rays to the even worlds, sectors to the odd ones
     s = build_arrangement([(1, 0, 0), (0, 1, 0)])

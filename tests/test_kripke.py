@@ -137,6 +137,16 @@ def test_find_subreduction_fixtures():
     assert find_subreduction(crown(3), b5) is None
 
 
+def test_subreduction_budget_error_names_its_phase():
+    # each image tried is one step: the identity on B3 takes 14
+    b3 = Frame(4, [(0, 1), (0, 2), (0, 3)], root=0)
+    with pytest.raises(BudgetExceededError,
+                       match=r"^subreduction search budget exhausted in "
+                             r"image assignment \(14 of 13 steps\)$"):
+        find_subreduction(b3, b3, budget=13)
+    assert find_subreduction(b3, b3, budget=14) == WorldMap({w: w for w in range(4)})
+
+
 def test_jankov_fine_point_satisfiable_everywhere():
     point = Frame(1, [], root=0)
     f = jankov_fine(point)

@@ -88,3 +88,19 @@ def test_one_opcode_dispatch():
                     for sub in ast.walk(operand)):
                 found.add(f"{path.name}:{func}")
     assert found == {"kripke.py:_evaluate"}
+
+
+def test_one_budget_error_site():
+    # searches spend from one StepBudget, whose spend is the only place a
+    # budget runs out; the two up-front size guards refuse before any work
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func, node in _functions(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None and any(
+                    isinstance(sub, ast.Name)
+                    and sub.id == "BudgetExceededError"
+                    for sub in ast.walk(node.exc)):
+                found.add(f"{path.name}:{func}")
+    assert found == {"errors.py:spend", "kripke.py:valid_on_frame",
+                     "crown.py:crown_sat_bruteforce"}
