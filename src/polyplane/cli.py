@@ -15,7 +15,7 @@ import json
 import random
 import sys
 from math import ceil, log2
-from typing import Optional
+from typing import Callable, Optional
 
 from . import axioms as ax
 from . import geometry as geo
@@ -27,9 +27,15 @@ from .formula import (And, Bottom, Box, Diamond, Formula, Iff, Implies, Not,
                       Or, ParseError, Var, parse, pretty)
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, convert: Callable):
+    """convert applied to the JSON read from path; data of the wrong shape
+    for it is a ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    try:
+        return convert(data)
+    except (TypeError, AttributeError, ZeroDivisionError) as e:
+        raise ValueError(f"malformed input in {path}: {e}") from None
 
 
 def _dump_json(data: dict) -> str:
@@ -80,7 +86,7 @@ def _cmd_valid(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    frame = kr.frame_from_dict(_load_json(args.frame))
+    frame = _load(args.frame, kr.frame_from_dict)
     verdict = ax.classify_frame(frame)
     if verdict.validates:
         print("validates")
@@ -91,7 +97,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    frame = kr.frame_from_dict(_load_json(args.frame))
+    frame = _load(args.frame, kr.frame_from_dict)
     red = reduce_to_crown(frame)
     out = {"n": red.n,
            "map": {str(k): v for k, v in sorted(red.world_map.mapping.items())}}
@@ -102,13 +108,13 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_jankov(args) -> int:
-    frame = kr.frame_from_dict(_load_json(args.frame)).rooted()
+    frame = _load(args.frame, kr.frame_from_dict).rooted()
     print(pretty(kr.jankov_fine(frame)))
     return 0
 
 
 def _cmd_eval_scene(args) -> int:
-    scene, val = geo.scene_from_dict(_load_json(args.scene))
+    scene, val = _load(args.scene, geo.scene_from_dict)
     cell = tuple({"+": 1, "0": 0, "-": -1}[ch] for ch in args.cell)
     if len(cell) != len(scene.lines):
         raise ValueError("cell signature length does not match the line count")
@@ -118,7 +124,7 @@ def _cmd_eval_scene(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    model = kr.model_from_dict(_load_json(args.model))
+    model = _load(args.model, kr.model_from_dict)
     witness = args.world
     real = geo.realize_crown_model(model, witness)
     out = geo.scene_to_dict(real.scene, real.val)

@@ -166,20 +166,18 @@ def ast_size(f: Formula) -> int:
 def modal_depth(f: Formula) -> int:
     """Most modalities on one path from f down; iterative, so depth is
     unbounded."""
-    deepest = 0
-    # (subformula, modalities on the path from f down to it, exclusive)
-    stack = [(f, 0)]
-    while stack:
-        g, d = stack.pop()
-        if isinstance(g, _BINARY):
-            stack += ((g.left, d), (g.right, d))
-        elif isinstance(g, Not):
-            stack.append((g.sub, d))
-        elif isinstance(g, _UNARY):
-            stack.append((g.sub, d + 1))
-        elif d > deepest:
-            deepest = d  # the deepest paths end at atoms
-    return deepest
+    prog = compile(f)
+    depth: list[int] = []  # of every program node, from its operands'
+    for op, a, b in prog.code:
+        if op in (VAR, BOT):
+            depth.append(0)
+        elif op == NOT:
+            depth.append(depth[a])
+        elif op in (DIA, BOX):
+            depth.append(depth[a] + 1)
+        else:
+            depth.append(max(depth[a], depth[b]))
+    return depth[prog.root]
 
 
 def variables(f: Formula) -> frozenset[str]:
@@ -189,15 +187,7 @@ def variables(f: Formula) -> frozenset[str]:
 
 def subformulas(f: Formula) -> frozenset[Formula]:
     """All subformulas of f, including f itself."""
-    seen: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        stack.extend(children(g))
-    return frozenset(seen)
+    return frozenset(compile(f).nodes)
 
 
 def negate(f: Formula) -> Formula:
@@ -219,26 +209,18 @@ def closure(phi: Formula) -> frozenset[Formula]:
 def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
     """Simultaneous substitution of variables; no re-substitution into images.
     Iterative, so depth is unbounded."""
-    done: list[Formula] = []  # substituted operands, left before right
-    # (formula, operands done): the True entry of g is popped right after
-    # its operands' results are pushed
-    stack = [(f, False)]
-    while stack:
-        g, ready = stack.pop()
-        if ready:
-            if isinstance(g, _UNARY):
-                done.append(type(g)(done.pop()))
-            else:
-                right = done.pop()
-                done.append(type(g)(done.pop(), right))
-        elif isinstance(g, Var):
-            done.append(mapping.get(g.name, g))
-        elif isinstance(g, Bottom):
-            done.append(g)
+    prog = compile(f)
+    out: list[Formula] = []  # image of every program node, from its operands'
+    for g, (op, a, b) in zip(prog.nodes, prog.code):
+        if op == VAR:
+            out.append(mapping.get(g.name, g))
+        elif op == BOT:
+            out.append(g)
+        elif op in (NOT, DIA, BOX):
+            out.append(type(g)(out[a]))
         else:
-            stack.append((g, True))
-            stack.extend((c, False) for c in reversed(children(g)))
-    return done[0]
+            out.append(type(g)(out[a], out[b]))
+    return out[prog.root]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 from .crown import crown
 from .errors import VerificationError
 from .formula import Formula
-from .kripke import (Frame, Model, WorldMap, _mask_worlds, closure_set,
+from .kripke import (Frame, Model, WorldMap, closure_set,
                      delta as frame_delta, eval_formula, interior_set,
                      is_p_morphism)
 
@@ -204,15 +204,15 @@ class Scene:
 MAX_LINES = 12
 
 
-def build_arrangement(lines: Sequence, max_lines: int = MAX_LINES) -> Scene:
+def build_arrangement(lines: Sequence) -> Scene:
     """Scene of the given lines.  The cells are read off the crossings (see
     `_cell_signs`); each witness is `feasible_point` of the cell's own sign
     system, taken in line order, and is re-checked against the cell."""
     norm = tuple(l if isinstance(l, Line) else Line.make(*l) for l in lines)
     if len(set(norm)) != len(norm):
         raise ValueError("duplicate line in arrangement")
-    if len(norm) > max_lines:
-        raise ValueError(f"more than {max_lines} lines")
+    if len(norm) > MAX_LINES:
+        raise ValueError(f"more than {MAX_LINES} lines")
     cells = tuple(sorted(_cell_signs(norm)))
     rows = [_integral((l.a, l.b, l.c)) for l in norm]
     negs = [(-a, -b, -c) for a, b, c in rows]
@@ -424,10 +424,8 @@ def concurrent_crown_map(scene: Scene) -> dict[int, int]:
     for j in range(m):
         out[index[around[(p + j) % m]]] = 2 + j if j < m - 1 else 1
     # the map is one-to-one onto the worlds, so it is an isomorphism iff it
-    # carries every cell's row onto its world's row
-    rows, target = scene.frame.rows, crown(m // 2).rows
-    if any(sum(1 << out[j] for j in _mask_worlds(rows[i])) != target[w]
-           for i, w in out.items()):
+    # is a p-morphism
+    if not is_p_morphism(WorldMap(out), scene.frame, crown(m // 2)):
         raise VerificationError(f"cell map is not an isomorphism onto crown({m // 2})")
     return out
 
@@ -527,9 +525,10 @@ _PALETTE = ["#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#b07aa1",
             "#76b7b2", "#edc948", "#ff9da7", "#9c755f", "#bab0ac"]
 
 
-def scene_to_svg(scene: Scene, val: dict[str, CellSet], radius: int = 160) -> str:
+def scene_to_svg(scene: Scene, val: dict[str, CellSet]) -> str:
     """Plain SVG figure of a concurrent-line scene: sectors and rays
     coloured by the set of atoms true on them."""
+    radius = 160
     vertex, around = _around(scene)
     names = sorted(val)
     key_of = {}

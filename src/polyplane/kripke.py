@@ -65,6 +65,8 @@ class Frame:
         object.__setattr__(self, "rows", tuple(closed))
         object.__setattr__(self, "closure_applied", closed != given)
         if root is not None:
+            if not 0 <= root < n:
+                raise ValueError(f"root {root} out of range")
             full = (1 << n) - 1
             if closed[root] != full:
                 raise ValueError(f"world {root} does not see every world")
@@ -433,22 +435,18 @@ class WorldMap:
 
 def is_p_morphism(f: WorldMap, source: Frame, target: Frame) -> bool:
     """Monotone + back condition on the declared domain; the domain must be
-    an up-set of the source (a generated subframe)."""
+    an up-set of the source (a generated subframe).  Together the two
+    conditions say f carries each domain world's row onto its image's."""
     dom = f.mapping
+    if not all(0 <= fx < target.n for fx in dom.values()):
+        return False
     dom_mask = _worlds_mask(dom)
-    for x in dom:
-        if source.rows[x] & ~dom_mask:
+    for x, fx in dom.items():
+        row = source.rows[x]
+        if row & ~dom_mask:
             return False  # domain not an up-set
-        fx = dom[x]
-        if not (0 <= fx < target.n):
+        if _worlds_mask(dom[y] for y in _mask_worlds(row)) != target.rows[fx]:
             return False
-        for y in _mask_worlds(source.rows[x]):
-            if not target.sees(fx, dom[y]):
-                return False  # not monotone
-        images = {dom[y] for y in _mask_worlds(source.rows[x])}
-        for z in _mask_worlds(target.rows[fx]):
-            if z not in images:
-                return False  # back condition fails
     return True
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Optional
 from .crown import crown
 from .errors import StepBudget
 from .formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, Formula,
-                      Not, Var, compile, negation_text, pretty, render_nodes)
+                      Not, compile, negation_text, pretty, render_nodes)
 from .kripke import Model, _closed_walk, _shortest_path, program_masks
 
 
@@ -681,8 +681,8 @@ def extract_model(pool: Iterable[Mosaic], space: LabelSpace,
         world_labels.append(t.middle)
     # world 2i+1 carries edge0 of tile i, world 2i+2 its middle
     val: dict[str, frozenset[int]] = {}
-    for f in space.positives:
-        if isinstance(f, Var):
+    for i, f in enumerate(space.positives):
+        if space.ops[i] == VAR:
             val[f.name] = frozenset(w for w, lab in enumerate(world_labels)
                                     if space.member(lab, f))
     model = Model(crown(n), val)

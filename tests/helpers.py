@@ -17,7 +17,7 @@ from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, And,
                                Not, Or, Var, children, compile, modal_depth,
                                pretty)
 from polyplane.geometry import Line, Scene
-from polyplane.kripke import Frame, find_subreduction, program_masks
+from polyplane.kripke import Frame, WorldMap, find_subreduction, program_masks
 from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, SatResult,
                               SolverStats, StepBudget, extract_model)
 
@@ -850,8 +850,17 @@ def reference_enumerate_labels(space: LabelSpace,
 
 
 # ---------------------------------------------------------------------------
-# The recursive modal_depth and substitute, kept as references for the
-# iterative ones
+# The recursive subformulas, closure, modal_depth and substitute, kept as
+# references for the ones reading the compiled program
+
+def reference_subformulas(f: Formula) -> frozenset[Formula]:
+    return frozenset({f}).union(*map(reference_subformulas, children(f)))
+
+
+def reference_closure(f: Formula) -> frozenset[Formula]:
+    subs = reference_subformulas(f)
+    return subs | {g.sub if isinstance(g, Not) else Not(g) for g in subs}
+
 
 def reference_modal_depth(f: Formula) -> int:
     if isinstance(f, (Box, Diamond)):
@@ -875,6 +884,26 @@ def reference_substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
         return Diamond(reference_substitute(f.sub, mapping))
     return type(f)(reference_substitute(f.left, mapping),
                    reference_substitute(f.right, mapping))
+
+
+def reference_is_p_morphism(f: WorldMap, source: Frame, target: Frame) -> bool:
+    """Monotone and back conditions checked world by world over successor
+    sets, kept as the reference for the row-image test."""
+    dom = f.mapping
+    for x in dom:
+        if any(y not in dom for y in source.successors(x)):
+            return False  # domain not an up-set
+        fx = dom[x]
+        if not (0 <= fx < target.n):
+            return False
+        for y in source.successors(x):
+            if not target.sees(fx, dom[y]):
+                return False  # not monotone
+        images = {dom[y] for y in source.successors(x)}
+        for z in target.successors(fx):
+            if z not in images:
+                return False  # back condition fails
+    return True
 
 
 # ---------------------------------------------------------------------------

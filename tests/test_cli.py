@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from polyplane.cli import run
 from polyplane.kripke import model_from_dict, eval_formula
 from polyplane.formula import parse
@@ -279,3 +281,29 @@ def test_out_of_memory_is_one_line_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("command,data,message", [
+    (["classify-frame"], {"worlds": 3, "rel": [[0, 1], [1, 2]], "root": 9},
+     "root 9 out of range"),
+    (["reduce"], {"worlds": 2, "rel": [[1, 0]], "root": -1},
+     "root -1 out of range"),
+    (["classify-frame"], [1, 2], "'list' object has no attribute 'get'"),
+    (["reduce"], {"worlds": "3"}, "'<=' not supported between instances"),
+    (["jankov"], {"worlds": 2, "rel": [[0, 1.5]]},
+     "unsupported operand type(s) for <<"),
+    (["realize", "--model"], {"worlds": 1, "val": {"p": 3}},
+     "'int' object is not iterable"),
+    (["eval-scene"], {"lines": [["1/0", "0", "0"]]}, "Fraction(1, 0)"),
+], ids=["root-past-end", "root-negative", "frame-list", "worlds-string",
+        "pair-float", "val-int", "scene-zero-denominator"])
+def test_input_of_the_wrong_shape_is_one_line_error(tmp_path, capsys, command,
+                                                    data, message):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(data))
+    extra = ["p", "--cell", "+"] if command == ["eval-scene"] else []
+    assert run(command + [str(f)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err

@@ -8,7 +8,10 @@ from polyplane.formula import (And, Bottom, Box, Diamond, Iff, Implies, Not,
                                subformulas, substitute, variables)
 from polyplane.mosaic import decide_sat
 
-from helpers import (all_formulas, random_formula, reference_modal_depth,
+from hypothesis import given, settings
+
+from helpers import (all_formulas, formulas, random_formula, reference_closure,
+                     reference_modal_depth, reference_subformulas,
                      reference_substitute)
 
 p, q, r = Var("p"), Var("q"), Var("r")
@@ -104,6 +107,13 @@ def test_closure_properties():
                     isinstance(child, Not) and child.sub in cl)
 
 
+@settings(max_examples=300, deadline=None)
+@given(formulas(max_size=20))
+def test_subformulas_and_closure_match_the_recursive_versions(f):
+    assert subformulas(f) == reference_subformulas(f)
+    assert closure(f) == reference_closure(f)
+
+
 def test_substitute():
     assert substitute(Or(p, q), {"p": Bottom()}) == Or(Bottom(), q)
     assert substitute(Diamond(p), {"p": Diamond(p)}) == Diamond(Diamond(p))
@@ -135,9 +145,19 @@ def test_printing_and_size_without_recursion():
     assert ast_size(chain) == n + 1 and ast_size(left) == 2 * n + 1
 
 
+def _deep_chain(n):
+    g = p
+    for i in range(n):
+        g = (Box, Not, Diamond)[i % 3](g) if i % 4 else And(q, g)
+    return g
+
+
 def test_depth_and_substitution_match_the_recursive_versions():
+    # shared inputs: one 300-deep subtree twice by identity, and equal to a
+    # separately built copy
     images = {"p": Diamond(q), "q": And(p, Not(q))}
-    for f in all_formulas(5):
+    g = _deep_chain(300)
+    for f in all_formulas(5) + [And(g, g), Iff(g, _deep_chain(300))]:
         assert modal_depth(f) == reference_modal_depth(f), pretty(f)
         assert substitute(f, images) == reference_substitute(f, images)
         assert substitute(f, {}) == f

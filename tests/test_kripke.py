@@ -16,7 +16,7 @@ from polyplane.kripke import (Frame, Model, WorldMap, _closed_walk,
                               valid_on_frame)
 
 from helpers import (enumerate_rooted_s4, enumerate_s4, formula_pool,
-                     random_formula, reference_truth)
+                     random_formula, reference_is_p_morphism, reference_truth)
 
 p = Var("p")
 
@@ -34,6 +34,12 @@ def test_frame_construction_closure():
     assert not ok.closure_applied
     with pytest.raises(ValueError):
         Frame(2, [], root=0)  # 0 does not see 1
+
+
+@pytest.mark.parametrize("root", [3, 9, -1])
+def test_root_out_of_range(root):
+    with pytest.raises(ValueError, match=f"root {root} out of range"):
+        Frame(3, [(0, 1), (1, 2)], root=root)
 
 
 def test_eval_single_reflexive_point():
@@ -123,6 +129,32 @@ def test_p_morphism_identity_and_constant():
     # the top without preimages along the relation
     two = chain(2)
     assert not is_p_morphism(WorldMap({0: 0, 1: 0, 2: 0}), crown(1), two)
+
+
+@st.composite
+def world_maps(draw):
+    """(map, source, target): a domain that is R[u] or any set of worlds,
+    with images drawn from the target's worlds and one past them."""
+    source, target = draw(frames(max_n=4)), draw(frames(max_n=3))
+    u = draw(st.integers(0, source.n - 1))
+    dom = draw(st.one_of(st.just(source.successors(u)), st.lists(
+        st.integers(0, source.n - 1), min_size=1, unique=True)))
+    images = st.integers(0, target.n) if draw(st.booleans()) \
+        else st.integers(0, target.n - 1)
+    return WorldMap({w: draw(images) for w in dom}), source, target
+
+
+@settings(max_examples=400, deadline=None)
+@given(world_maps())
+@example((WorldMap({0: 0, 1: 1, 2: 2, 3: 1, 4: 2}), crown(2), crown(1)))
+@example((WorldMap({1: 1, 2: 2, 3: 1}), crown(2), crown(1)))
+def test_p_morphism_matches_reference(case):
+    assert is_p_morphism(*case) == reference_is_p_morphism(*case)
+
+
+def test_negative_image_is_no_p_morphism():
+    # a negative image names no target world
+    assert not is_p_morphism(WorldMap({0: 0, 1: -1, 2: 0}), crown(1), Frame(1))
 
 
 def test_find_subreduction_fixtures():

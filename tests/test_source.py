@@ -104,3 +104,26 @@ def test_one_budget_error_site():
                 found.add(f"{path.name}:{func}")
     assert found == {"errors.py:spend", "kripke.py:valid_on_frame",
                      "crown.py:crown_sat_bruteforce"}
+
+
+FORMULA_CLASSES = {"Var", "Bottom", "Not", "Box", "Diamond", "And", "Or",
+                   "Implies", "Iff", "_UNARY", "_BINARY"}
+
+
+def test_formula_analyses_read_the_compiled_program():
+    # compile is the one walk that dispatches on node classes; besides it
+    # only the tree printer, one-step helpers and LabelSpace.ref (which
+    # strips negations off a caller's formula) call isinstance on them
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func, node in _functions(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and any(isinstance(sub, ast.Name) and sub.id in FORMULA_CLASSES
+                            or isinstance(sub, ast.Attribute)
+                            and sub.attr in FORMULA_CLASSES
+                            for sub in ast.walk(node.args[1]))):
+                found.add(f"{path.name}:{func}")
+    assert found == {"formula.py:children", "formula.py:compile",
+                     "formula.py:negate", "formula.py:pretty", "mosaic.py:ref"}
