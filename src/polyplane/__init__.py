@@ -11,10 +11,9 @@ from .formula import (And, Bottom, Box, Diamond, Formula, Iff, Implies, Not,
                       parse, pretty, subformulas, substitute, variables)
 from .geometry import (Line, Realization, Scene, build_arrangement,
                        cells_to_dnf, compile_polygon, concurrent_crown_map,
-                       eval_scene, feasible_point, realize_crown_model,
-                       scene_closure, scene_delta, scene_frame,
-                       scene_from_dict, scene_interior, scene_to_dict,
-                       scene_to_svg, wrap_map)
+                       eval_scene, realize_crown_model, scene_closure,
+                       scene_delta, scene_frame, scene_from_dict,
+                       scene_interior, scene_to_dict, scene_to_svg, wrap_map)
 from .kripke import (Frame, Model, ValidityReport, WorldMap, closure_set,
                      delta, eval_formula, find_subreduction, frame_from_dict,
                      frame_to_dict, interior_set, is_p_morphism, jankov_fine,

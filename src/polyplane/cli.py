@@ -115,7 +115,10 @@ def _cmd_jankov(args) -> int:
 
 def _cmd_eval_scene(args) -> int:
     scene, val = _load(args.scene, geo.scene_from_dict)
-    cell = tuple({"+": 1, "0": 0, "-": -1}[ch] for ch in args.cell)
+    signs = {"+": 1, "0": 0, "-": -1}
+    if any(ch not in signs for ch in args.cell):
+        raise ValueError("--cell takes one of the characters +, 0, - per line")
+    cell = tuple(signs[ch] for ch in args.cell)
     if len(cell) != len(scene.lines):
         raise ValueError("cell signature length does not match the line count")
     ok = geo.eval_scene(scene, val, cell, parse(args.formula))

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .crown import crown
 from .errors import VerificationError
 from .formula import Formula
-from .kripke import (Frame, Model, WorldMap, closure_set,
+from .kripke import (Frame, Model, WorldMap, _no_bools, closure_set,
                      delta as frame_delta, eval_formula, interior_set,
                      is_p_morphism)
 
@@ -57,119 +57,18 @@ class Line:
     def at(self, p: Point) -> Fraction:
         return self.a * p[0] + self.b * p[1] + self.c
 
+    @cached_property
+    def row(self) -> tuple[int, int, int]:
+        """(a, b, c) as ints, for exact sign tests in integers."""
+        return (self.a.numerator, self.b.numerator, self.c.numerator)
+
     def sign_at(self, p: Point) -> int:
-        return _sign(_integral((self.a, self.b, self.c)), p)
-
-
-# ---------------------------------------------------------------------------
-# Feasibility of sign systems (two variables, equalities + strict inequalities)
-
-def _integral(row: tuple) -> tuple[int, ...]:
-    """The constraint times the least positive integer that clears its
-    denominators; a positive factor keeps an inequality's direction."""
-    m = lcm(*(v.denominator for v in row))
-    return tuple(v.numerator * (m // v.denominator) for v in row)
-
-
-def _sign(row: tuple[int, int, int], p: Point) -> int:
-    """Sign of a*x + b*y + c at p, for integers (a, b, c): the value times
-    the positive denominators of x and y, in integers."""
-    a, b, c = row
-    (xn, xd), (yn, yd) = ((v.numerator, v.denominator) for v in p)
-    v = a * xn * yd + b * yn * xd + c * xd * yd
-    return (v > 0) - (v < 0)
-
-
-def _solve_1d(eqs: list[tuple[int, int]],
-              ins: list[tuple[int, int]]) -> Optional[Fraction]:
-    # eqs: p*t + q = 0; ins: p*t + q > 0; bounds are kept as integer pairs
-    # (numerator, positive denominator) and compared by cross-multiplying
-    t = None
-    for p, q in eqs:
-        if p == 0:
-            if q != 0:
-                return None
-        else:
-            v = (-q, p) if p > 0 else (q, -p)
-            if t is None:
-                t = v
-            elif v[0] * t[1] != t[0] * v[1]:
-                return None
-    if t is not None:
-        return Fraction(*t) if all(p * t[0] + q * t[1] > 0 for p, q in ins) else None
-    lo = hi = None
-    for p, q in ins:
-        if p == 0:
-            if q <= 0:
-                return None
-        elif p > 0:
-            if lo is None or -q * lo[1] > lo[0] * p:
-                lo = (-q, p)
-        elif hi is None or q * hi[1] < hi[0] * -p:
-            hi = (q, -p)
-    if lo is not None and hi is not None:
-        if lo[0] * hi[1] >= hi[0] * lo[1]:
-            return None
-        return (Fraction(*lo) + Fraction(*hi)) / 2
-    if lo is not None:
-        return Fraction(*lo) + 1
-    if hi is not None:
-        return Fraction(*hi) - 1
-    return Fraction(0)
-
-
-def feasible_point(eqs: list[tuple[Fraction, Fraction, Fraction]],
-                   ins: list[tuple[Fraction, Fraction, Fraction]]
-                   ) -> Optional[Point]:
-    """Rational point satisfying a*x+b*y+c = 0 for all eqs and > 0 for all
-    ins, or None.  Equalities are substituted away; the remaining strict
-    system loses y by pairing lower and upper bounds (the standard
-    elimination, exact at this dimension).  Each constraint is first scaled
-    to integers, which moves no bound, so the arithmetic stays on ints."""
-    eqs = [_integral(e) for e in eqs]
-    ins = [_integral(i) for i in ins]
-    # an equality 0 = c holds nowhere unless c = 0, and then everywhere
-    if any(a == b == 0 and c for a, b, c in eqs):
-        return None
-    eqs = [e for e in eqs if e[0] or e[1]]
-    if eqs:
-        a, b, c = eqs[0]
-        if b == 0:
-            return _at_x(Fraction(-c, a), eqs[1:], ins)
-        # y = -(a x + c)/b; the substituted rows are scaled by |b|
-        sb = 1 if b > 0 else -1
-
-        def sub(aa, bb, cc):
-            return (sb * (aa * b - bb * a), sb * (cc * b - bb * c))
-        x = _solve_1d([sub(*e) for e in eqs[1:]], [sub(*i) for i in ins])
-        if x is None:
-            return None
-        return (x, -(a * x + c) / b)
-    lows, highs, pure = [], [], []
-    for a, b, c in ins:
-        if b > 0:
-            lows.append((a, b, c))
-        elif b < 0:
-            highs.append((a, b, c))
-        else:
-            pure.append((a, c))
-    for al, bl, cl in lows:
-        for ah, bh, ch in highs:
-            pure.append((-bh * al + bl * ah, -bh * cl + bl * ch))
-    x = _solve_1d([], pure)
-    if x is None:
-        return None
-    return _at_x(x, [], ins)
-
-
-def _at_x(x: Fraction, eqs: list[tuple[int, int, int]],
-          ins: list[tuple[int, int, int]]) -> Optional[Point]:
-    """(x, y) for the y that `_solve_1d` picks on the rows at this x, or
-    None; each row a*x + b*y + c is scaled by the denominator of x."""
-    xn, xd = x.numerator, x.denominator
-    y = _solve_1d([(b * xd, a * xn + c * xd) for a, b, c in eqs],
-                  [(b * xd, a * xn + c * xd) for a, b, c in ins])
-    return None if y is None else (x, y)
+        """Sign of a*x + b*y + c at p: the value times the positive
+        denominators of x and y, in integers."""
+        a, b, c = self.row
+        (xn, xd), (yn, yd) = ((v.numerator, v.denominator) for v in p)
+        v = a * xn * yd + b * yn * xd + c * xd * yd
+        return (v > 0) - (v < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,77 +100,130 @@ class Scene:
         return tuple(l.sign_at(p) for l in self.lines)
 
 
-MAX_LINES = 12
+MAX_LINES = 24
 
 
 def build_arrangement(lines: Sequence) -> Scene:
-    """Scene of the given lines.  The cells are read off the crossings (see
-    `_cell_signs`); each witness is `feasible_point` of the cell's own sign
-    system, taken in line order, and is re-checked against the cell."""
+    """Scene of the given lines.  One walk along each line (`_walk`) gives
+    the cells and a witness point for each; every witness is re-checked
+    against every line, on the integer rows, before it is stored."""
     norm = tuple(l if isinstance(l, Line) else Line.make(*l) for l in lines)
     if len(set(norm)) != len(norm):
         raise ValueError("duplicate line in arrangement")
     if len(norm) > MAX_LINES:
         raise ValueError(f"more than {MAX_LINES} lines")
-    cells = tuple(sorted(_cell_signs(norm)))
-    rows = [_integral((l.a, l.b, l.c)) for l in norm]
-    negs = [(-a, -b, -c) for a, b, c in rows]
+    rows = [l.row for l in norm]
+    points = _walk(rows)
+    cells = tuple(sorted(points))
     witness: dict[SignVector, Point] = {}
     for cell in cells:
-        eqs = [r for r, s in zip(rows, cell) if s == 0]
-        ins = [r if s > 0 else n for r, n, s in zip(rows, negs, cell) if s != 0]
-        p = feasible_point(eqs, ins)
-        if p is None:
-            raise VerificationError(f"cell {cell} has no feasible point")
-        if tuple(_sign(r, p) for r in rows) != cell:
+        x, y, d = points[cell]
+        p = (Fraction(x, d), Fraction(y, d))
+        if tuple([((v := a * x + b * y + c * d) > 0) - (v < 0)
+                  for a, b, c in rows]) != cell:
             raise VerificationError(f"witness {p} does not attain cell {cell}")
         witness[cell] = p
     return Scene(norm, cells, witness)
 
 
-def _cell_signs(lines: tuple[Line, ...]) -> set[SignVector]:
-    """Sign vectors of all cells.  Every vertex is a crossing, every edge
-    holds a point between consecutive crossings of its line (or beyond the
-    last one), and every face has an edge on its boundary.  A point just off
-    an edge, nearer than any other line, keeps the edge's signs except on the
-    edge's own line, so each edge gives its two faces by flipping that sign.
-    Walking a line past its crossings in order, each crossing zeroes the
-    lines through it, and the sign of each beyond it is fixed."""
-    if not lines:
-        return {()}
-    out: set[SignVector] = set()
-    for i, li in enumerate(lines):
-        # points p0 + t*(-b, a) of line i; line j is k*(t - t_j) along it
-        p0 = (Fraction(0), -li.c / li.b) if li.b != 0 else (-li.c / li.a, Fraction(0))
-        signs = [0] * len(lines)
-        crossings: dict[Fraction, list[tuple[int, int]]] = {}
-        for j, lj in enumerate(lines):
-            if j == i:
-                continue
-            k = li.a * lj.b - lj.a * li.b
-            if k == 0:
-                signs[j] = lj.sign_at(p0)
-            else:
-                sk = 1 if k > 0 else -1
-                signs[j] = -sk
-                crossings.setdefault(-lj.at(p0) / k, []).append((j, sk))
-        for t in sorted(crossings):
-            _add_edge(out, signs, i)
-            for j, _ in crossings[t]:
+def _walk(rows: list[tuple[int, int, int]]) -> dict[SignVector, tuple[int, int, int]]:
+    """Every cell of the lines with integer rows `rows`, mapped to a witness
+    (X, Y, D) with D > 0 that stands for the point (X/D, Y/D).
+
+    Line i = (a, b, c) is walked from a point p0 on it in the direction
+    (-b, a); each crossing zeroes the lines through it, and beyond it their
+    signs are fixed.  Every vertex is a crossing, and its witness is the
+    crossing point.  Every edge holds the midpoint of two consecutive
+    crossings of its line, or the point one step past the first or the last
+    one, or p0 on a line that crosses nothing.  Every face has an edge on its
+    boundary (see `_add_edge`).  A point is built only for a cell not seen
+    yet.  The arithmetic is in integers throughout."""
+    if not rows:
+        return {(): (0, 0, 1)}
+    out: dict[SignVector, tuple[int, int, int]] = {}
+    for i, (a, b, c) in enumerate(rows):
+        d0 = b or a
+        x0, y0 = (0, -c) if b else (-c, 0)
+        if d0 < 0:
+            x0, y0, d0 = -x0, -y0, -d0
+        # line j has the value (w + t*d0*k) / d0 at p0 + t*(-b, a)
+        signs = [0] * len(rows)
+        crossers = []
+        for j, (aj, bj, cj) in enumerate(rows):
+            if j != i:
+                k = a * bj - aj * b
+                w = aj * x0 + bj * y0 + cj * d0
+                if k:
+                    signs[j] = -1 if k > 0 else 1
+                    crossers.append((j, k, w))
+                else:
+                    signs[j] = (w > 0) - (w < 0)
+        # line j crosses at t = -w / (d0*k); times d0*m, for m the least
+        # common multiple of the |k|, that is the integer -w*m/k
+        m = lcm(*(abs(k) for _, k, _ in crossers))
+        crossings: dict[int, tuple[tuple[int, int, int], list]] = {}
+        for j, k, w in crossers:
+            t = -w * (m // k)
+            if t not in crossings:
+                aj, bj, cj = rows[j]
+                x, y = b * cj - bj * c, aj * c - a * cj
+                crossings[t] = ((x, y, k) if k > 0 else (-x, -y, -k), [])
+            crossings[t][1].append((j, 1 if k > 0 else -1))
+        stops = [crossings[t] for t in sorted(crossings)]
+        vertices = [p for p, _ in stops]
+        if vertices:
+            (x, y, d), (u, v, e) = vertices[0], vertices[-1]
+            edges = [(x + b * d, y - a * d, d), *map(_midpoint, vertices, vertices[1:]),
+                     (u - b * e, v + a * e, e)]
+        else:
+            edges = [(x0, y0, d0)]
+        for (vertex, through), q in zip(stops, edges):
+            _add_edge(out, rows, signs, i, q)
+            for j, _ in through:
                 signs[j] = 0
-            out.add(tuple(signs))
-            for j, sk in crossings[t]:
+            out.setdefault(tuple(signs), vertex)
+            for j, sk in through:
                 signs[j] = sk
-        _add_edge(out, signs, i)
+        _add_edge(out, rows, signs, i, edges[-1])
     return out
 
 
-def _add_edge(out: set[SignVector], signs: list[int], i: int) -> None:
-    """Add the edge of line i with these signs elsewhere, and its two faces."""
-    for s in (-1, 0, 1):
-        signs[i] = s
-        out.add(tuple(signs))
+def _midpoint(p: tuple[int, int, int], q: tuple[int, int, int]) -> tuple[int, int, int]:
+    (x, y, d), (u, v, e) = p, q
+    return (x * e + u * d, y * e + v * d, 2 * d * e)
+
+
+def _add_edge(out: dict, rows: list[tuple[int, int, int]], signs: list[int],
+              i: int, q: tuple[int, int, int]) -> None:
+    """Add the edge of line i through q, with these signs elsewhere, and the
+    two faces beside it.  Moving q = (X, Y, D) by e*(a, b), the normal of
+    line i, changes line j's value by e*(a*aj + b*bj) from wj/D, where wj is
+    aj*X + bj*Y + cj*D; so for e = half the least |wj| / (D*|a*aj + b*bj|)
+    over the other lines, capped at 1, q - e*(a, b) and q + e*(a, b) keep
+    every sign but line i's."""
     signs[i] = 0
+    out[tuple(signs)] = q
+    signs[i] = -1
+    below = tuple(signs)
+    signs[i] = 1
+    above = tuple(signs)
+    signs[i] = 0
+    if below in out and above in out:
+        return
+    x, y, d = q
+    a, b, _ = rows[i]
+    en, ed = 1, 1
+    for j, (aj, bj, cj) in enumerate(rows):
+        g = abs(a * aj + b * bj)
+        if j != i and g:
+            w = abs(aj * x + bj * y + cj * d)
+            if w * ed < 2 * d * g * en:
+                en, ed = w, 2 * d * g
+    x, y, dx, dy, d = x * ed, y * ed, en * a * d, en * b * d, d * ed
+    if below not in out:
+        out[below] = (x - dx, y - dy, d)
+    if above not in out:
+        out[above] = (x + dx, y + dy, d)
 
 
 def scene_frame(scene: Scene) -> Frame:
@@ -279,28 +231,21 @@ def scene_frame(scene: Scene) -> Frame:
     closure it lies in, i.e. it agrees with them wherever it is off the
     lines.  One bitmask per (line, sign) holds the cells with that sign on
     that line, so a cell's row is the AND of its masks over the lines it is
-    off.  The relation is already reflexive and transitive, and a root is a
-    cell that sees every cell."""
-    n = len(scene.cells)
-    full = (1 << n) - 1
+    off.  The rows are already reflexive and transitive, which
+    `Frame.from_rows` checks, and a root is a cell that sees every cell."""
+    full = (1 << len(scene.cells)) - 1
     masks = [[0, 0, 0] for _ in scene.lines]
     for k, cell in enumerate(scene.cells):
         for i, s in enumerate(cell):
             masks[i][s + 1] |= 1 << k
-    pairs = []
-    root = None
-    for k, cell in enumerate(scene.cells):
+    rows = []
+    for cell in scene.cells:
         row = full
         for i, s in enumerate(cell):
             if s:
                 row &= masks[i][s + 1]
-        if row == full and root is None:
-            root = k
-        while row:
-            low = row & -row
-            pairs.append((k, low.bit_length() - 1))
-            row ^= low
-    return Frame(n, pairs, root=root)
+        rows.append(row)
+    return Frame.from_rows(rows, root=rows.index(full) if full in rows else None)
 
 
 _REL_SIGNS = {"<": {-1}, "<=": {-1, 0}, "=": {0}, ">=": {0, 1}, ">": {1}}
@@ -379,22 +324,22 @@ def scene_delta(scene: Scene, cells: Iterable[SignVector]) -> CellSet:
 # ---------------------------------------------------------------------------
 # Realizing crown models as concurrent-line scenes
 
-def _angle_cmp(u: Point, v: Point) -> int:
-    # counterclockwise from the positive x-axis, exact
-    def half(p):
-        return 0 if (p[1] > 0 or (p[1] == 0 and p[0] > 0)) else 1
-    hu, hv = half(u), half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    cross = u[0] * v[1] - u[1] * v[0]
-    if cross == 0:
-        raise ValueError("equal directions")
-    return -1 if cross > 0 else 1
+def _angle_key(u: Point) -> tuple:
+    """Sort key of a nonzero direction by its angle counterclockwise from
+    the positive x-axis, exact: the half-plane (angles [0, pi), then
+    [pi, 2*pi)), the direction along the x-axis first in each, then the
+    cotangent x/y, which falls as the angle grows within a half."""
+    x, y = u
+    if y == 0:
+        return (0 if x > 0 else 1, 0, 0)
+    return (0 if y > 0 else 1, 1, -x / y)
 
 
-def _around(scene: Scene) -> tuple[SignVector, list[SignVector]]:
-    """The vertex of a scene of L >= 2 concurrent lines, and its 2L rays
-    and 2L sectors in counterclockwise order from the positive x-axis; a
+def _around(scene: Scene) -> tuple[SignVector, list[SignVector],
+                                   dict[SignVector, Point]]:
+    """The vertex of a scene of L >= 2 concurrent lines, its 2L rays and
+    2L sectors in counterclockwise order from the positive x-axis, and the
+    direction from the vertex's witness to each of their witnesses; a
     scene of another shape is a ValueError."""
     L = len(scene.lines)
     vertex = [c for c in scene.cells if all(s == 0 for s in c)]
@@ -402,13 +347,15 @@ def _around(scene: Scene) -> tuple[SignVector, list[SignVector]]:
     sectors = [c for c in scene.cells if 0 not in c]
     if not (len(vertex) == 1 and len(rays) == 2 * L and len(sectors) == 2 * L):
         raise ValueError("scene is not a concurrent-line arrangement")
-    around = sorted(rays + sectors,
-                    key=cmp_to_key(lambda a, b: _angle_cmp(
-                        _direction(scene, vertex[0], a),
-                        _direction(scene, vertex[0], b))))
+    vx, vy = scene.witness[vertex[0]]
+    direction = {}
+    for c in rays + sectors:
+        wx, wy = scene.witness[c]
+        direction[c] = (wx - vx, wy - vy)
+    around = sorted(rays + sectors, key=lambda c: _angle_key(direction[c]))
     if any((0 in c) == (0 in around[i - 1]) for i, c in enumerate(around)):
         raise VerificationError("rays and sectors do not alternate around the vertex")
-    return vertex[0], around
+    return vertex[0], around, direction
 
 
 def concurrent_crown_map(scene: Scene) -> dict[int, int]:
@@ -416,7 +363,7 @@ def concurrent_crown_map(scene: Scene) -> dict[int, int]:
     indices onto crown(2L), sending the vertex to the root, rays to the
     even worlds in angular order, and sectors to the odd worlds between
     them."""
-    vertex, around = _around(scene)
+    vertex, around, _ = _around(scene)
     m = len(around)
     p = next(i for i, c in enumerate(around) if 0 in c)  # first ray
     index = scene.index
@@ -428,12 +375,6 @@ def concurrent_crown_map(scene: Scene) -> dict[int, int]:
     if not is_p_morphism(WorldMap(out), scene.frame, crown(m // 2)):
         raise VerificationError(f"cell map is not an isomorphism onto crown({m // 2})")
     return out
-
-
-def _direction(scene: Scene, vertex: SignVector, cell: SignVector) -> Point:
-    wx, wy = scene.witness[cell]
-    vx, vy = scene.witness[vertex]
-    return (wx - vx, wy - vy)
 
 
 def wrap_map(big: int, small: int) -> WorldMap:
@@ -517,6 +458,7 @@ def scene_from_dict(d: dict) -> tuple[Scene, dict[str, CellSet]]:
     val = {}
     for name, entry in d.get("val", {}).items():
         dnf = [[(int(i), rel) for i, rel in clause] for clause in entry["dnf"]]
+        _no_bools(f"val.{name}.dnf", [i for clause in entry["dnf"] for i, _ in clause])
         val[name] = compile_polygon(scene, dnf)
     return scene, val
 
@@ -529,7 +471,7 @@ def scene_to_svg(scene: Scene, val: dict[str, CellSet]) -> str:
     """Plain SVG figure of a concurrent-line scene: sectors and rays
     coloured by the set of atoms true on them."""
     radius = 160
-    vertex, around = _around(scene)
+    vertex, around, direction = _around(scene)
     names = sorted(val)
     key_of = {}
     for c in scene.cells:
@@ -538,7 +480,7 @@ def scene_to_svg(scene: Scene, val: dict[str, CellSet]) -> str:
     color = {k: _PALETTE[i % len(_PALETTE)] for i, k in enumerate(combos)}
 
     def unit(c):
-        dx, dy = _direction(scene, vertex, c)
+        dx, dy = direction[c]
         norm = (float(dx) ** 2 + float(dy) ** 2) ** 0.5
         return (float(dx) / norm * radius, float(dy) / norm * radius)
 

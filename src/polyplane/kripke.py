@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
 from operator import and_, or_
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, StepBudget
 from .formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, And, Box,
@@ -61,19 +61,48 @@ class Frame:
         closed = _closure_rows(list(rows), n)
         if strict and closed != given:
             raise ValueError("relation is not reflexive-transitively closed")
+        self._store(closed, root, closed != given)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[int], root: Optional[int] = None) -> "Frame":
+        """Frame whose world x sees the worlds in the bitmask rows[x].  The
+        rows must already be reflexive and transitive, which one pass checks
+        (a ValueError if not), so no closure is taken."""
+        n = len(rows)
+        if n <= 0:
+            raise ValueError("frame needs at least one world")
+        full = (1 << n) - 1
+        for x, row in enumerate(rows):
+            if row & ~full or not row >> x & 1:
+                raise ValueError(f"row {x} is out of range or not reflexive")
+            seen, m = row, row
+            while m:
+                y = (m & -m).bit_length() - 1
+                m &= m - 1
+                seen |= rows[y]
+            if seen != row:
+                raise ValueError(f"row {x} is not transitive")
+        frame = object.__new__(cls)
+        frame._store(list(rows), root, False)
+        return frame
+
+    def _store(self, rows: list[int], root: Optional[int],
+               closure_applied: bool) -> None:
+        """Keep closed rows and the root, after checking that the root sees
+        every world, and work out each world's predecessors."""
+        n = len(rows)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", tuple(closed))
-        object.__setattr__(self, "closure_applied", closed != given)
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "closure_applied", closure_applied)
         if root is not None:
             if not 0 <= root < n:
                 raise ValueError(f"root {root} out of range")
-            full = (1 << n) - 1
-            if closed[root] != full:
+            if rows[root] != (1 << n) - 1:
                 raise ValueError(f"world {root} does not see every world")
         object.__setattr__(self, "root", root)
         preds = [0] * n
         for x in range(n):
-            m = closed[x]
+            m = rows[x]
             while m:
                 y = (m & -m).bit_length() - 1
                 m &= m - 1
@@ -668,8 +697,18 @@ def frame_to_dict(frame: Frame) -> dict:
     return d
 
 
+def _no_bools(field: str, values: Iterable) -> None:
+    """JSON true and false read as Python bools, which pass as the ints 1
+    and 0; a ValueError naming the field where an int is needed."""
+    if any(isinstance(v, bool) for v in values):
+        raise ValueError(f'"{field}" holds a boolean where an integer is needed')
+
+
 def frame_from_dict(d: dict) -> Frame:
     pairs = [tuple(p) for p in d.get("rel", [])]
+    _no_bools("worlds", [d["worlds"]])
+    _no_bools("rel", [w for p in pairs for w in p])
+    _no_bools("root", [d.get("root")])
     return Frame(d["worlds"], pairs, root=d.get("root"))
 
 
@@ -681,5 +720,8 @@ def model_to_dict(model: Model) -> dict:
 
 def model_from_dict(d: dict) -> Model:
     frame = frame_from_dict(d)
-    val = {name: frozenset(ws) for name, ws in d.get("val", {}).items()}
+    val = {}
+    for name, ws in d.get("val", {}).items():
+        _no_bools(f"val.{name}", ws)
+        val[name] = frozenset(ws)
     return Model(frame, val)

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from polyplane.cli import run
+from polyplane.geometry import eval_scene, scene_from_dict
 from polyplane.kripke import model_from_dict, eval_formula
 from polyplane.formula import parse
 
@@ -76,6 +77,29 @@ def test_eval_scene_command(tmp_path, capsys):
     assert run(["eval-scene", str(s), "[]p", "--cell", "0"]) == 1
     assert run(["eval-scene", str(s), "p", "--cell", "++"]) == 2
     capsys.readouterr()
+
+
+def test_cell_of_unknown_characters_is_usage_error(tmp_path, capsys):
+    s = tmp_path / "scene.json"
+    s.write_text(json.dumps({"lines": [["1", "0", "0"], ["0", "1", "0"]]}))
+    assert run(["eval-scene", str(s), "p", "--cell", "+x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --cell takes one of the characters +, 0, - per line\n"
+
+
+def test_realize_crown_fifteen_model(tmp_path, capsys):
+    # all eight sign patterns of p, q, r as endpoints: crown(15), 15 lines
+    theta = " & ".join(f"<>[]({a}p & {b}q & {c}r)"
+                       for a in ("", "~") for b in ("", "~") for c in ("", "~"))
+    m = tmp_path / "model.json"
+    assert run(["sat", theta, "--model-out", str(m)]) == 0
+    assert capsys.readouterr().out == "SAT on crown(15) at world 0\n"
+    assert run(["realize", "--model", str(m), "--svg", str(tmp_path / "fig.svg")]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["lines"]) == 15 and data["cell"] == "0" * 15
+    scene, val = scene_from_dict(data)
+    assert eval_scene(scene, val, (0,) * 15, parse(theta))
 
 
 def test_realize_command(tmp_path, capsys):
@@ -295,8 +319,20 @@ def test_out_of_memory_is_one_line_error(monkeypatch, capsys):
     (["realize", "--model"], {"worlds": 1, "val": {"p": 3}},
      "'int' object is not iterable"),
     (["eval-scene"], {"lines": [["1/0", "0", "0"]]}, "Fraction(1, 0)"),
+    # JSON booleans are Python ints, so each int field rejects them by name
+    (["reduce"], {"worlds": 2, "rel": [[0, 1]], "root": False},
+     '"root" holds a boolean'),
+    (["classify-frame"], {"worlds": True}, '"worlds" holds a boolean'),
+    (["classify-frame"], {"worlds": 2, "rel": [[0, True]]},
+     '"rel" holds a boolean'),
+    (["realize", "--model"], {"worlds": 1, "val": {"p": [False]}},
+     '"val.p" holds a boolean'),
+    (["eval-scene"], {"lines": [["1", "0", "0"]],
+                      "val": {"p": {"dnf": [[[True, ">"]]]}}},
+     '"val.p.dnf" holds a boolean'),
 ], ids=["root-past-end", "root-negative", "frame-list", "worlds-string",
-        "pair-float", "val-int", "scene-zero-denominator"])
+        "pair-float", "val-int", "scene-zero-denominator", "root-bool",
+        "worlds-bool", "pair-bool", "val-bool", "dnf-bool"])
 def test_input_of_the_wrong_shape_is_one_line_error(tmp_path, capsys, command,
                                                     data, message):
     f = tmp_path / "input.json"

@@ -12,11 +12,10 @@ from polyplane import geometry
 from polyplane.axioms import classify_frame
 from polyplane.crown import crown
 from polyplane.errors import VerificationError
-from polyplane.formula import parse
+from polyplane.formula import Box, Diamond, Not, Var, conj, parse
 from polyplane.geometry import (Line, Scene, build_arrangement, cells_to_dnf,
                                 compile_polygon, concurrent_crown_map,
-                                eval_scene, feasible_point,
-                                realize_crown_model, scene_closure,
+                                eval_scene, realize_crown_model, scene_closure,
                                 scene_delta, scene_frame, scene_from_dict,
                                 scene_interior, scene_to_dict, scene_to_svg,
                                 wrap_map)
@@ -24,8 +23,7 @@ from polyplane.kripke import Frame, Model, WorldMap, eval_formula, is_p_morphism
 from polyplane.mosaic import decide_sat
 
 from helpers import (frames_isomorphic, random_formula, reference_arrangement,
-                     reference_feasible_point, reference_scene_frame,
-                     reference_truth)
+                     reference_scene_frame, reference_truth)
 
 
 def concurrent(L):
@@ -45,7 +43,7 @@ def test_duplicate_lines_rejected():
     with pytest.raises(ValueError):
         build_arrangement([(1, 0, 0), (2, 0, 0)])
     with pytest.raises(ValueError):
-        build_arrangement([(k, 1, 0) for k in range(13)])
+        build_arrangement([(k, 1, 0) for k in range(geometry.MAX_LINES + 1)])
 
 
 def test_single_line_cells():
@@ -64,7 +62,7 @@ def test_two_parallel_lines_five_cells():
     s = build_arrangement([(1, 0, 0), (1, 0, -1)])
     assert s.cells == ((-1, -1), (0, -1), (1, -1), (1, 0), (1, 1))
     xs = [s.witness[c][0] for c in s.cells]
-    assert xs == [-1, 0, Fraction(1, 2), 1, 2]
+    assert xs == [Fraction(-1, 2), 0, Fraction(1, 2), 1, Fraction(3, 2)]
 
 
 def test_zero_line_scene():
@@ -81,7 +79,8 @@ def test_all_parallel_lines():
     assert s.cells == ((-1, -1, -1), (0, -1, -1), (1, -1, -1), (1, 0, -1),
                        (1, 1, -1), (1, 1, 0), (1, 1, 1))
     assert [s.witness[c] for c in s.cells] == \
-        [(-1, 0), (0, 0), (Fraction(1, 2), 0), (1, 0), (2, 0), (3, 0), (4, 0)]
+        [(Fraction(-1, 2), 0), (0, 0), (Fraction(1, 2), 0), (1, 0),
+         (Fraction(3, 2), 0), (3, 0), (4, 0)]
     fr = scene_frame(s)
     assert fr.root is None
     assert sorted(fr.strict_pairs()) == [(1, 0), (1, 2), (3, 2), (3, 4), (5, 4), (5, 6)]
@@ -96,8 +95,14 @@ small_lines = st.lists(
 @settings(max_examples=100, deadline=None)
 @given(small_lines)
 def test_build_matches_reference(lines):
-    # coefficients in -2..2 make parallel and concurrent lines common
-    assert build_arrangement(lines) == reference_arrangement(lines)
+    # coefficients in -2..2 make parallel and concurrent lines common; the
+    # witnesses are other points than the reference's, but attain the cells
+    s, ref = build_arrangement(lines), reference_arrangement(lines)
+    assert s.lines == ref.lines and s.cells == ref.cells
+    assert scene_frame(s) == scene_frame(ref)
+    for c in s.cells:  # in Fractions, apart from the build's integer re-check
+        values = [l.at(s.witness[c]) for l in s.lines]
+        assert tuple((v > 0) - (v < 0) for v in values) == c
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,36 +112,23 @@ def test_scene_frame_matches_pairwise(lines):
     assert scene_frame(s) == reference_scene_frame(s)
 
 
-small_fractions = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
-constraints = st.tuples(small_fractions, small_fractions, small_fractions)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(constraints.filter(lambda r: r[:2] != (0, 0)), max_size=3),
-       st.lists(constraints, max_size=6))
-def test_feasible_point_matches_reference(eqs, ins):
-    assert feasible_point(eqs, ins) == reference_feasible_point(eqs, ins)
-
-
 def test_build_rechecks_witnesses(monkeypatch):
-    monkeypatch.setattr(geometry, "feasible_point",
-                        lambda eqs, ins: (Fraction(5), Fraction(5)))
+    walk = geometry._walk
+    monkeypatch.setattr(geometry, "_walk",
+                        lambda rows: {c: (5, 5, 1) for c in walk(rows)})
     with pytest.raises(VerificationError, match="does not attain"):
         build_arrangement([(1, 0, 0), (0, 1, 0)])
-    monkeypatch.setattr(geometry, "feasible_point", lambda eqs, ins: None)
-    with pytest.raises(VerificationError, match="no feasible point"):
-        build_arrangement([(1, 0, 0)])
 
 
 def test_build_recheck_survives_optimize():
     code = "\n".join([
         "import sys",
-        "from fractions import Fraction",
         "from polyplane import geometry",
         "from polyplane.errors import VerificationError",
         "if __debug__:",
         "    sys.exit('assertions are enabled')",
-        "geometry.feasible_point = lambda eqs, ins: (Fraction(5), Fraction(5))",
+        "walk = geometry._walk",
+        "geometry._walk = lambda rows: {c: (5, 5, 1) for c in walk(rows)}",
         "try:",
         "    geometry.build_arrangement([(1, 0, 0)])",
         "except VerificationError:",
@@ -365,6 +357,25 @@ def test_realize_solver_witnesses_roundtrip():
         done += 1
 
 
+def endpoint_formula(patterns):
+    """<>[] of each sign pattern of p, q, r: one endpoint for each."""
+    return conj([Diamond(Box(conj([Var(n) if pat >> i & 1 else Not(Var(n))
+                                   for i, n in enumerate("pqr")])))
+                 for pat in sorted(patterns)])
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.sets(st.integers(0, 7), min_size=1, max_size=6))
+def test_endpoint_models_realize(patterns):
+    # the least crown grows with the number of patterns
+    theta = endpoint_formula(patterns)
+    res = decide_sat(theta)
+    assert res.sat
+    real = realize_crown_model(res.model, res.world, formula=theta)
+    assert eval_scene(real.scene, real.val, real.cell, theta) \
+        == eval_formula(res.model, res.world, theta)
+
+
 def test_scene_json_roundtrip():
     s = concurrent(2)
     val = {"p": frozenset({s.cells[0], s.cells[3]})}
@@ -389,34 +400,6 @@ def test_svg_output():
     with pytest.raises(ValueError):
         scene_to_svg(build_arrangement([(1, 0, 0), (1, 0, -1)]), {})
 
-
-def test_feasible_point_cases():
-    # single equality with inequalities
-    got = feasible_point([(Fraction(1), Fraction(0), Fraction(0))],
-                         [(Fraction(0), Fraction(1), Fraction(-1))])
-    assert got is not None and got[0] == 0 and got[1] > 1
-    # inconsistent equalities
-    assert feasible_point([(Fraction(1), Fraction(0), Fraction(0)),
-                           (Fraction(1), Fraction(0), Fraction(-1))], []) is None
-    # strict sandwich with no room
-    assert feasible_point([], [(Fraction(1), Fraction(0), Fraction(0)),
-                               (Fraction(-1), Fraction(0), Fraction(0))]) is None
-
-
-@pytest.mark.parametrize("pos", [0, 1])
-def test_feasible_point_degenerate_equalities(pos):
-    # 0 = 0 holds everywhere and 0 = c nowhere, first in the list or not
-    x_is_1 = (Fraction(1), Fraction(0), Fraction(-1))
-    y_pos = (Fraction(0), Fraction(1), Fraction(0))
-    for c, feasible in ((0, True), (4, False)):
-        eqs = [x_is_1]
-        eqs.insert(pos, (Fraction(0), Fraction(0), Fraction(c)))
-        got = feasible_point(eqs, [y_pos])
-        assert (got is not None) == feasible
-        if feasible:
-            assert got == feasible_point([x_is_1], [y_pos])
-    assert feasible_point([(0, 0, 0)], [(1, 0, 0)]) == (1, 0)
-    assert feasible_point([(0, 0, 4)], [(1, 0, 0)]) is None
 
 def test_two_line_scene_maps_onto_crown_four():
     # vertex to the root, rays to the even worlds, sectors to the odd ones

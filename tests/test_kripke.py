@@ -42,6 +42,28 @@ def test_root_out_of_range(root):
         Frame(3, [(0, 1), (1, 2)], root=root)
 
 
+def test_frame_from_rows():
+    # a closed frame given by its rows equals the one built from its pairs
+    fr = Frame(4, [(0, 1), (1, 2), (0, 3)], root=0)
+    got = Frame.from_rows(fr.rows, root=0)
+    assert got == fr and not got.closure_applied
+    assert [got.predecessors(y) for y in range(4)] == \
+        [fr.predecessors(y) for y in range(4)]
+    assert Frame.from_rows([0b1]).root is None
+    with pytest.raises(ValueError, match="row 0 is not transitive"):
+        Frame.from_rows([0b011, 0b110, 0b100])
+    with pytest.raises(ValueError, match="row 1 is out of range or not reflexive"):
+        Frame.from_rows([0b11, 0b01])
+    with pytest.raises(ValueError, match="row 0 is out of range"):
+        Frame.from_rows([0b101, 0b10])
+    with pytest.raises(ValueError, match="at least one world"):
+        Frame.from_rows([])
+    with pytest.raises(ValueError, match="world 1 does not see every world"):
+        Frame.from_rows([0b11, 0b10], root=1)
+    with pytest.raises(ValueError, match="root 2 out of range"):
+        Frame.from_rows([0b11, 0b10], root=2)
+
+
 def test_eval_single_reflexive_point():
     m = Model(Frame(1, []), {"p": {0}})
     assert eval_formula(m, 0, parse("<>p & []p"))
