@@ -274,7 +274,7 @@ def run(argv: list[str]) -> int:
     except (mo.MosaicError, VerificationError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

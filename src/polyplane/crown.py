@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+from .axioms import classify_frame
 from .errors import BudgetExceededError, StepBudget, VerificationError
 from .formula import BOX, DIA, Formula, compile
 from .kripke import (Frame, Model, WorldMap, _closed_walk, _evaluate,
@@ -77,8 +78,6 @@ def reduce_to_crown(g: Frame, budget: int = 2_000_000) -> CrownReduction:
     one of its successors to the other, so every crown middle sees exactly
     the successors of the middle it maps to.
     """
-    from .axioms import classify_frame
-
     g = g.rooted()
     verdict = classify_frame(g, budget=budget)
     if not verdict.validates:

@@ -9,14 +9,18 @@ Concrete syntax::
     and     := unary ('&' unary)*          left associative
     unary   := '~' unary | '[]' unary | '<>' unary | atom
     atom    := ident | 'T' | 'F' | '(' formula ')'
-    ident   := [A-Za-z_][A-Za-z0-9_]*   (T and F are reserved literals)
+    ident   := (letter | '_') (letter | digit | '_')*   (T, F reserved)
 
-Binding strength: ``~ [] <>``  >  ``&``  >  ``|``  >  ``->``  >  ``<->``.
+A letter is a str.isalpha() character and a digit any other
+str.isalnum() one, so ``π`` and ``p²`` are identifiers.  Binding strength,
+which the parser and the printer read from one table (_PREC, _INFIX,
+_PREFIX): ``~ [] <>``  >  ``&``  >  ``|``  >  ``->``  >  ``<->``.
 'T' is sugar for ~F; there is no separate AST node for it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -54,7 +58,9 @@ class Var(Formula):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        if not _is_identifier(name):
+        word = _TOKEN.fullmatch(name)
+        if name in _RESERVED_NAMES or not (
+                word and word.lastgroup == "word" and _is_identifier(name)):
             raise ValueError(f"invalid variable name {name!r}")
         self.name = name
         self._hash = hash(("Var", name))
@@ -131,12 +137,10 @@ class Iff(_Binary):
 _RESERVED_NAMES = {"T", "F"}
 
 
-def _is_identifier(name: str) -> bool:
-    if not name or name in _RESERVED_NAMES:
-        return False
-    if not (name[0].isalpha() or name[0] == "_"):
-        return False
-    return all(c.isalnum() or c == "_" for c in name)
+def _is_identifier(word: str) -> bool:
+    """Whether a word token names a variable, T or F: its first character
+    is a letter (str.isalpha()) or '_'."""
+    return word[0].isalpha() or word[0] == "_"
 
 
 TOP = Not(Bottom())
@@ -400,128 +404,83 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-_PUNCT = ("<->", "->", "[]", "<>", "~", "&", "|", "(", ")")
+# one match per token: a newline, other whitespace, an operator or
+# parenthesis, a run of word characters (str.isalnum() ones and '_'), or
+# any other character
+_TOKEN = re.compile(r"(?P<newline>\n)|(?P<space>\s)|(?P<op><->|->|\[\]|<>|[~&|()])"
+                    r"|(?P<word>\w+)|(?P<other>.)")
+
+# opcode and node class of every operator token; how it binds is read off
+# the printer's _PREC, _PREFIX and _operand_prec
+_OPERATOR = {"~": (NOT, Not), "[]": (BOX, Box), "<>": (DIA, Diamond),
+             "&": (AND, And), "|": (OR, Or), "->": (IMP, Implies),
+             "<->": (IFF, Iff)}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    # token = (kind, value, line, col); kind is 'ident', a punct literal, or 'end'
+    # token = (kind, value, line, col); kind is 'ident', an operator, '(', ')' or 'end'
     toks = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append((p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                toks.append(("ident", text[i:j], line, col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, col,
-                                 ("formula",))
-    toks.append(("end", "", line, col))
+    line, start = 1, 0  # the current line and the index of its first character
+    for m in _TOKEN.finditer(text):
+        kind, value, col = m.lastgroup, m.group(), m.start() - start + 1
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind == "op":
+            toks.append((value, value, line, col))
+        elif kind == "word" and _is_identifier(value):
+            toks.append(("ident", value, line, col))
+        elif kind != "space":
+            raise ParseError(f"unexpected character {value[0]!r}", line, col,
+                             ("formula",))
+    toks.append(("end", "", line, len(text) - start + 1))
     return toks
 
 
 class _Parser:
+    """Precedence climbing over the printer's tables: `binary` reads
+    operands joined by infix operators that bind at least as strongly as
+    asked, grouped as `_operand_prec` says; `unary` reads prefix operators,
+    parentheses and atoms."""
+
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self):
-        return self.toks[self.pos]
-
-    def take(self, kind: str):
-        tok = self.toks[self.pos]
-        if tok[0] != kind:
-            self.fail((kind,))
-        self.pos += 1
-        return tok
-
     def fail(self, expected: tuple[str, ...]):
-        kind, value, line, col = self.peek()
-        shown = value if value else "end of input"
-        raise ParseError(f"unexpected {shown!r}", line, col, expected)
+        kind, value, line, col = self.toks[self.pos]
+        raise ParseError(f"unexpected {value or 'end of input'!r}", line, col, expected)
 
-    def formula(self) -> Formula:
-        left = self.imp()
-        if self.peek()[0] == "<->":
-            self.take("<->")
-            return Iff(left, self.formula())
+    def binary(self, min_prec: int) -> Formula:
+        left = self.unary()
+        op, node = _OPERATOR.get(self.toks[self.pos][0], (None, None))
+        while op in _PREC and _PREC[op] >= min_prec:
+            self.pos += 1
+            left = node(left, self.binary(_operand_prec(_PREC[op])[1]))
+            op, node = _OPERATOR.get(self.toks[self.pos][0], (None, None))
         return left
-
-    def imp(self) -> Formula:
-        left = self.disjunct()
-        if self.peek()[0] == "->":
-            self.take("->")
-            return Implies(left, self.imp())
-        return left
-
-    def disjunct(self) -> Formula:
-        out = self.conjunct()
-        while self.peek()[0] == "|":
-            self.take("|")
-            out = Or(out, self.conjunct())
-        return out
-
-    def conjunct(self) -> Formula:
-        out = self.unary()
-        while self.peek()[0] == "&":
-            self.take("&")
-            out = And(out, self.unary())
-        return out
 
     def unary(self) -> Formula:
-        kind = self.peek()[0]
-        if kind == "~":
-            self.take("~")
-            return Not(self.unary())
-        if kind == "[]":
-            self.take("[]")
-            return Box(self.unary())
-        if kind == "<>":
-            self.take("<>")
-            return Diamond(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, line, col = self.peek()
-        if kind == "(":
-            self.take("(")
-            f = self.formula()
-            self.take(")")
-            return f
+        kind, value, _, _ = self.toks[self.pos]
+        self.pos += 1
         if kind == "ident":
-            self.take("ident")
-            if value == "F":
-                return Bottom()
-            if value == "T":
-                return TOP
-            return Var(value)
-        self.fail(("identifier", "T", "F", "~", "[]", "<>", "("))
+            return Bottom() if value == "F" else TOP if value == "T" else Var(value)
+        if kind == "(":
+            f = self.binary(0)
+            if self.toks[self.pos][0] != ")":
+                self.fail((")",))
+            self.pos += 1
+            return f
+        op, node = _OPERATOR.get(kind, (None, None))
+        if op not in _PREFIX:
+            self.pos -= 1
+            self.fail(("identifier", "T", "F", *_PREFIX.values(), "("))
+        return node(self.unary())
 
 
 def parse(text: str) -> Formula:
     """Parse the concrete syntax above into a Formula."""
     p = _Parser(text)
-    f = p.formula()
-    if p.peek()[0] != "end":
-        p.fail(("end of input", "<->", "->", "|", "&"))
+    f = p.binary(0)
+    if p.toks[p.pos][0] != "end":
+        p.fail(("end of input", *(s.strip() for s in _INFIX.values())))
     return f

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 from .crown import crown
 from .errors import VerificationError
 from .formula import Formula
-from .kripke import (Frame, Model, WorldMap, _no_bools, closure_set,
+from .kripke import (Frame, Model, WorldMap, _ints, closure_set,
                      delta as frame_delta, eval_formula, interior_set,
                      is_p_morphism)
 
@@ -457,8 +457,8 @@ def scene_from_dict(d: dict) -> tuple[Scene, dict[str, CellSet]]:
     scene = build_arrangement(lines)
     val = {}
     for name, entry in d.get("val", {}).items():
-        dnf = [[(int(i), rel) for i, rel in clause] for clause in entry["dnf"]]
-        _no_bools(f"val.{name}.dnf", [i for clause in entry["dnf"] for i, _ in clause])
+        dnf = entry["dnf"]
+        _ints(f"val.{name}.dnf", [i for clause in dnf for i, _ in clause])
         val[name] = compile_polygon(scene, dnf)
     return scene, val
 

@@ -20,48 +20,43 @@ from .formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, And, Box,
                       conj, disj)
 
 
-def _closure_rows(rows: list[int], n: int) -> list[int]:
-    rows = [rows[i] | (1 << i) for i in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            acc = rows[x]
-            m = rows[x]
-            while m:
-                y = (m & -m).bit_length() - 1
-                m &= m - 1
-                acc |= rows[y]
-            if acc != rows[x]:
-                rows[x] = acc
-                changed = True
-    return rows
+def _transitive_pass(rows: list[int]) -> Optional[int]:
+    """OR into each row, in place and in order, the rows of the worlds it
+    sees; the first world whose row grew, or None if none did."""
+    grew = None
+    for x, row in enumerate(rows):
+        acc, m = row, row
+        while m:
+            y = (m & -m).bit_length() - 1
+            m &= m - 1
+            acc |= rows[y]
+        if acc != row:
+            rows[x] = acc
+            if grew is None:
+                grew = x
+    return grew
 
 
 class Frame:
     """Reflexive-transitive frame over worlds 0..n-1.
 
-    The input relation is reflexive-transitively closed at construction;
-    `closure_applied` records whether that changed anything.  With
-    strict=True a non-closed input is rejected instead.
+    The input relation is reflexive-transitively closed at construction.
     """
 
-    __slots__ = ("n", "rows", "root", "closure_applied", "_preds", "_succs")
+    __slots__ = ("n", "rows", "root", "_preds", "_succs")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = (),
-                 root: Optional[int] = None, strict: bool = False):
+                 root: Optional[int] = None):
         if n <= 0:
             raise ValueError("frame needs at least one world")
-        rows = [0] * n
+        rows = [1 << x for x in range(n)]
         for x, y in pairs:
             if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"relation pair {(x, y)} out of range")
             rows[x] |= 1 << y
-        given = [rows[i] | (1 << i) for i in range(n)]
-        closed = _closure_rows(list(rows), n)
-        if strict and closed != given:
-            raise ValueError("relation is not reflexive-transitively closed")
-        self._store(closed, root, closed != given)
+        while _transitive_pass(rows) is not None:
+            pass
+        self._store(rows, root)
 
     @classmethod
     def from_rows(cls, rows: Sequence[int], root: Optional[int] = None) -> "Frame":
@@ -75,25 +70,20 @@ class Frame:
         for x, row in enumerate(rows):
             if row & ~full or not row >> x & 1:
                 raise ValueError(f"row {x} is out of range or not reflexive")
-            seen, m = row, row
-            while m:
-                y = (m & -m).bit_length() - 1
-                m &= m - 1
-                seen |= rows[y]
-            if seen != row:
-                raise ValueError(f"row {x} is not transitive")
+        rows = list(rows)
+        grew = _transitive_pass(rows)
+        if grew is not None:
+            raise ValueError(f"row {grew} is not transitive")
         frame = object.__new__(cls)
-        frame._store(list(rows), root, False)
+        frame._store(rows, root)
         return frame
 
-    def _store(self, rows: list[int], root: Optional[int],
-               closure_applied: bool) -> None:
+    def _store(self, rows: list[int], root: Optional[int]) -> None:
         """Keep closed rows and the root, after checking that the root sees
         every world, and work out each world's predecessors."""
         n = len(rows)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "closure_applied", closure_applied)
         if root is not None:
             if not 0 <= root < n:
                 raise ValueError(f"root {root} out of range")
@@ -161,7 +151,7 @@ class Frame:
         r = self.find_root()
         if r is None:
             raise ValueError("frame has no root")
-        return Frame(self.n, self.strict_pairs(), root=r)
+        return Frame.from_rows(self.rows, root=r)
 
 
 def _mask_worlds(mask: int) -> tuple[int, ...]:
@@ -697,19 +687,23 @@ def frame_to_dict(frame: Frame) -> dict:
     return d
 
 
-def _no_bools(field: str, values: Iterable) -> None:
-    """JSON true and false read as Python bools, which pass as the ints 1
-    and 0; a ValueError naming the field where an int is needed."""
-    if any(isinstance(v, bool) for v in values):
-        raise ValueError(f'"{field}" holds a boolean where an integer is needed')
+def _ints(field: str, values: Iterable) -> None:
+    """A ValueError naming the field unless every value is an int.  JSON
+    true and false read as Python bools, which would pass as 1 and 0, and
+    1.0 would pass as world 1, so only exact ints are taken."""
+    for v in values:
+        if type(v) is not int:
+            shown = "a boolean" if isinstance(v, bool) else repr(v)
+            raise ValueError(f'"{field}" holds {shown} where an integer is needed')
 
 
 def frame_from_dict(d: dict) -> Frame:
     pairs = [tuple(p) for p in d.get("rel", [])]
-    _no_bools("worlds", [d["worlds"]])
-    _no_bools("rel", [w for p in pairs for w in p])
-    _no_bools("root", [d.get("root")])
-    return Frame(d["worlds"], pairs, root=d.get("root"))
+    root = d.get("root")
+    _ints("worlds", [d["worlds"]])
+    _ints("rel", [w for p in pairs for w in p])
+    _ints("root", [] if root is None else [root])
+    return Frame(d["worlds"], pairs, root=root)
 
 
 def model_to_dict(model: Model) -> dict:
@@ -722,6 +716,6 @@ def model_from_dict(d: dict) -> Model:
     frame = frame_from_dict(d)
     val = {}
     for name, ws in d.get("val", {}).items():
-        _no_bools(f"val.{name}", ws)
+        _ints(f"val.{name}", ws)
         val[name] = frozenset(ws)
     return Model(frame, val)

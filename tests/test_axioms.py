@@ -38,7 +38,6 @@ def test_forbidden_frame_shapes():
     assert b5.sees(0, 1) and b5.sees(1, 2) and b5.sees(0, 3) and b5.sees(0, 2)
     assert not b5.sees(1, 3) and not b5.sees(3, 1)
     for ff in ffs:
-        assert not ff.frame.closure_applied or ff.id in ("B4", "B5")
         assert ff.frame.root == 0
 
 

@@ -313,9 +313,10 @@ def test_out_of_memory_is_one_line_error(monkeypatch, capsys):
     (["reduce"], {"worlds": 2, "rel": [[1, 0]], "root": -1},
      "root -1 out of range"),
     (["classify-frame"], [1, 2], "'list' object has no attribute 'get'"),
-    (["reduce"], {"worlds": "3"}, "'<=' not supported between instances"),
+    (["reduce"], {"worlds": "3"},
+     '"worlds" holds \'3\' where an integer is needed'),
     (["jankov"], {"worlds": 2, "rel": [[0, 1.5]]},
-     "unsupported operand type(s) for <<"),
+     '"rel" holds 1.5 where an integer is needed'),
     (["realize", "--model"], {"worlds": 1, "val": {"p": 3}},
      "'int' object is not iterable"),
     (["eval-scene"], {"lines": [["1/0", "0", "0"]]}, "Fraction(1, 0)"),
@@ -330,9 +331,23 @@ def test_out_of_memory_is_one_line_error(monkeypatch, capsys):
     (["eval-scene"], {"lines": [["1", "0", "0"]],
                       "val": {"p": {"dnf": [[[True, ">"]]]}}},
      '"val.p.dnf" holds a boolean'),
+    # nor does a number with a fraction or a string pass as an int
+    (["eval-scene"], {"lines": [["1", "0", "0"]],
+                      "val": {"p": {"dnf": [[[0.9, ">"]]]}}},
+     '"val.p.dnf" holds 0.9 where an integer is needed'),
+    (["eval-scene"], {"lines": [["1", "0", "0"]],
+                      "val": {"p": {"dnf": [[["0", ">"]]]}}},
+     '"val.p.dnf" holds \'0\' where an integer is needed'),
+    (["realize", "--model"], {"worlds": 3, "rel": [[0, 1], [0, 2], [2, 1]],
+                              "root": 0, "val": {"p": [1.5]}},
+     '"val.p" holds 1.5 where an integer is needed'),
+    (["realize", "--model"], {"worlds": 3, "rel": [[0, 1], [0, 2], [2, 1]],
+                              "root": 0, "val": {"p": [1.0]}},
+     '"val.p" holds 1.0 where an integer is needed'),
 ], ids=["root-past-end", "root-negative", "frame-list", "worlds-string",
         "pair-float", "val-int", "scene-zero-denominator", "root-bool",
-        "worlds-bool", "pair-bool", "val-bool", "dnf-bool"])
+        "worlds-bool", "pair-bool", "val-bool", "dnf-bool", "dnf-float",
+        "dnf-string", "val-fraction", "val-float-int"])
 def test_input_of_the_wrong_shape_is_one_line_error(tmp_path, capsys, command,
                                                     data, message):
     f = tmp_path / "input.json"

@@ -201,7 +201,7 @@ def test_reduce_crowns():
 def test_reduce_rechecks_its_map(monkeypatch, n, pairs, message):
     # a classifier that wrongly accepts a refuted frame must not yield a map
     axioms = import_module("polyplane.axioms")
-    monkeypatch.setattr(axioms, "classify_frame",
+    monkeypatch.setattr(import_module("polyplane.crown"), "classify_frame",
                         lambda g, budget: axioms.Verdict(True))
     with pytest.raises(VerificationError, match=message):
         reduce_to_crown(Frame(n, pairs, root=0))

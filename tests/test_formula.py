@@ -63,14 +63,45 @@ def test_parse_error_position_and_expectation():
         parse("")
 
 
+OPERAND = ("identifier", "T", "F", "~", "[]", "<>", "(")
+AFTER_FORMULA = ("end of input", "<->", "->", "|", "&")
+
+
+@pytest.mark.parametrize("text,message,line,col,expected", [
+    ("", "unexpected 'end of input'", 1, 1, OPERAND),
+    ("p q", "unexpected 'q'", 1, 3, AFTER_FORMULA),
+    ("(p -> q", "unexpected 'end of input'", 1, 8, (")",)),
+    ("p &\n& q", "unexpected '&'", 2, 1, OPERAND),
+    ("p ->", "unexpected 'end of input'", 1, 5, OPERAND),
+    ("p)", "unexpected ')'", 1, 2, AFTER_FORMULA),
+    ("(p ~q)", "unexpected '~'", 1, 4, (")",)),
+    ("p\n\t$", "unexpected character '$'", 2, 2, ("formula",)),
+    ("9p", "unexpected character '9'", 1, 1, ("formula",)),
+    ("²p", "unexpected character '²'", 1, 1, ("formula",)),
+    ("p <- q", "unexpected character '<'", 1, 3, ("formula",)),
+])
+def test_parse_error_exact(text, message, line, col, expected):
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    e = ei.value
+    assert str(e) == (f"{message} at line {line}, column {col} "
+                      f"(expected: {', '.join(expected)})")
+    assert (e.line, e.col, e.expected) == (line, col, expected)
+
+
+def test_nested_parentheses_cost_two_frames_each():
+    # 300 levels need 600 frames, under the default recursion limit
+    assert parse("(" * 300 + "p" + ")" * 300) == p
+
+
 def test_var_name_rules():
+    # a letter (str.isalpha()) or '_', then str.isalnum() characters or '_'
     assert Var("p_1").name == "p_1"
-    with pytest.raises(ValueError):
-        Var("T")
-    with pytest.raises(ValueError):
-        Var("1p")
-    with pytest.raises(ValueError):
-        Var("")
+    assert parse("π & p²") == And(Var("π"), Var("p²"))
+    assert parse("_1") == Var("_1")
+    for name in ("T", "1p", "", "²p", "p q", "~"):
+        with pytest.raises(ValueError):
+            Var(name)
 
 
 def test_closure_atom():

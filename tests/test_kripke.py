@@ -27,11 +27,7 @@ def chain(n):
 
 def test_frame_construction_closure():
     fr = Frame(3, [(0, 1), (1, 2)])
-    assert fr.sees(0, 2) and fr.closure_applied
-    with pytest.raises(ValueError):
-        Frame(3, [(0, 1), (1, 2)], strict=True)
-    ok = Frame(3, [(0, 1), (1, 2), (0, 2)], strict=True)
-    assert not ok.closure_applied
+    assert fr.sees(0, 2)
     with pytest.raises(ValueError):
         Frame(2, [], root=0)  # 0 does not see 1
 
@@ -46,7 +42,7 @@ def test_frame_from_rows():
     # a closed frame given by its rows equals the one built from its pairs
     fr = Frame(4, [(0, 1), (1, 2), (0, 3)], root=0)
     got = Frame.from_rows(fr.rows, root=0)
-    assert got == fr and not got.closure_applied
+    assert got == fr
     assert [got.predecessors(y) for y in range(4)] == \
         [fr.predecessors(y) for y in range(4)]
     assert Frame.from_rows([0b1]).root is None

@@ -139,7 +139,7 @@ def _statement_key(node):
 
 IMPORT_TIME_CALLS = {
     "__init__.py:__all__", "cli.py:if __name__ == '__main__'",
-    "crown.py:_POINT", "formula.py:TOP",
+    "crown.py:_POINT", "formula.py:TOP", "formula.py:_TOKEN",
     "formula.py:(VAR, BOT, NOT, AND, OR, IMP, IFF, DIA, BOX)",
     "mosaic.py:_SLOTS"}
 
