@@ -28,10 +28,11 @@ class Formula:
     """Base class of all formula nodes.
 
     Nodes are immutable values with structural equality; hashes are computed
-    once at construction so formulas are cheap dictionary keys.
+    once at construction so formulas are cheap dictionary keys, and the
+    compiled program is kept on the node `compile` was called on.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_program")
 
     def __hash__(self):
         return self._hash
@@ -52,6 +53,22 @@ class Formula:
 
     def __str__(self) -> str:
         return pretty(self)
+
+    def __repr__(self) -> str:
+        # iterative, so depth is unbounded; leaves print themselves
+        parts: list[str] = []
+        stack: list = [self]  # formulas and literal text, in output order
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif kids := children(item):
+                parts.append(type(item).__name__ + "(")
+                stack.append(")")
+                stack += (kids[1], ", ", kids[0]) if len(kids) == 2 else kids
+            else:
+                parts.append(repr(item))
+        return "".join(parts)
 
 
 class Var(Formula):
@@ -88,9 +105,6 @@ class _Unary(Formula):
         self.sub = sub
         self._hash = hash((type(self).__name__, sub._hash))
 
-    def __repr__(self):
-        return f"{type(self).__name__}({self.sub!r})"
-
 
 class Not(_Unary):
     __slots__ = ()
@@ -113,9 +127,6 @@ class _Binary(Formula):
         self.left = left
         self.right = right
         self._hash = hash((type(self).__name__, left._hash, right._hash))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.left!r}, {self.right!r})"
 
 
 class And(_Binary):
@@ -254,7 +265,12 @@ class Program:
 
 
 def compile(phi: Formula) -> Program:
-    """Flatten phi into a Program; iterative, so depth is unbounded."""
+    """Flatten phi into a Program; iterative, so depth is unbounded.  The
+    program is kept on phi, so later calls on the same object (not on an
+    equal one) return it without a walk."""
+    prog = getattr(phi, "_program", None)
+    if prog is not None:
+        return prog
     index: dict[Formula, int] = {}
     code: list[tuple] = []
     # (formula, operands done): the True entry of f is popped after all of
@@ -287,7 +303,9 @@ def compile(phi: Formula) -> Program:
     names = sorted({a for op, a, _ in code if op == VAR})
     slot = {name: j for j, name in enumerate(names)}
     code = [(VAR, slot[a], 0) if op == VAR else (op, a, b) for op, a, b in code]
-    return Program(tuple(index), tuple(code), tuple(names), index[phi], index)
+    phi._program = Program(tuple(index), tuple(code), tuple(names), index[phi],
+                           index)
+    return phi._program
 
 
 def conj(parts: list[Formula]) -> Formula:

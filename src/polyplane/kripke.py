@@ -697,10 +697,18 @@ def _ints(field: str, values: Iterable) -> None:
             raise ValueError(f'"{field}" holds {shown} where an integer is needed')
 
 
+# the most worlds a frame file may declare: a frame keeps one row of
+# `worlds` bits per world, so 4,096 worlds take 2 MB of rows
+MAX_WORLDS = 4096
+
+
 def frame_from_dict(d: dict) -> Frame:
     pairs = [tuple(p) for p in d.get("rel", [])]
     root = d.get("root")
     _ints("worlds", [d["worlds"]])
+    if d["worlds"] > MAX_WORLDS:
+        raise ValueError(f'"worlds" is {d["worlds"]}, above the limit of '
+                         f'{MAX_WORLDS}')
     _ints("rel", [w for p in pairs for w in p])
     _ints("root", [] if root is None else [root])
     return Frame(d["worlds"], pairs, root=root)

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .crown import crown
 from .errors import StepBudget
 from .formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, Formula,
                       Not, compile, negation_text, pretty, render_nodes)
-from .kripke import Model, _closed_walk, _shortest_path, program_masks
+from .kripke import (Model, _closed_walk, _mask_worlds, _shortest_path,
+                     program_masks)
 
 
 class MosaicError(RuntimeError):
@@ -53,22 +53,28 @@ class LabelSpace:
     """The closure set of a formula theta (kept as `self.theta`), indexed,
     with the machinery for Hintikka-set enumeration.
 
-    Positive members (those not of the form ~psi) get one bit each; the
-    truth of any closure member under a label follows by stripping
-    negations.  Everything is read off one compiled program: its nodes are
-    the subformulas, each positive member's operands are node references
-    resolved to (positive index, polarity), and the members are ordered by
-    (ast_size, pretty) with sizes and texts built bottom-up from the
-    operands'.  The program is kept as `self.program`.
+    Positive members (those not of the form ~psi) get one bit each, in
+    (ast_size, pretty) order; the truth of any closure member under a label
+    follows by stripping negations.  Everything is read off one compiled
+    program (`self.program`), with each positive's operands resolved to
+    (positive index, polarity).
 
-    Enumeration branches only on atoms and modal members and derives
-    boolean compounds by unit propagation over the clauses of each member's
-    rule (`_RULES`).  Each member has a watch list: the clauses of the
-    member itself and of every member that has it as an operand, which are
-    the only ones an assignment to it can make unit or falsify.  The search
-    keeps one value list and undoes a branch by popping its trail, so no
-    node copies the values.  Step accounting is that of a full sweep per
-    node: every node entered spends one step per positive member.
+    Literal 2j says that member j is true, 2j + 1 that it is false.  A
+    two-literal clause a | b of a member's rule (`_RULES`) is kept as the
+    implications ~a -> b and ~b -> a, and every literal's closure under
+    them as a pair of masks (true, false), built once.  The longer clauses
+    are kept as (ones, zeros, twice) masks on the members they mention;
+    `twice` marks a member filling two positions, as in `p & p`.
+
+    Each implication joins a member's literal to an operand's, and no rule
+    gives a literal both an implication in from an operand and one out to
+    an operand: a true diamond, | or -> only has them in, a true box or &
+    only out, and false literals the reverse.  So the implication graph is
+    acyclic (a cycle's largest member would have such a literal), and a
+    literal implying no operand's literal only implies literals of larger
+    members that imply none either.  The closures are therefore built
+    without search: first those of such literals, largest member first,
+    then the others, smallest first.
     """
 
     def __init__(self, theta: Formula):
@@ -76,59 +82,71 @@ class LabelSpace:
         self.program = program = compile(theta)
         code, nodes = program.code, program.nodes
         sizes, texts = render_nodes(program)
-
-        # sort keys of the members: every program node and the negation of
-        # each non-NOT node no NOT node covers (~i stands for that negation)
-        keys = list(zip(sizes, texts, range(len(code))))
-        covered = {a for op, a, _ in code if op == NOT}
-        keys += [(sizes[i] + 1, negation_text(op, texts[i]), ~i)
-                 for i, (op, _, _) in enumerate(code)
-                 if op != NOT and i not in covered]
-        keys.sort()
-        self._order = order = [i for _, _, i in keys]
-        self.nodes = [i for i in order if i >= 0 and code[i][0] != NOT]
+        self.nodes = sorted((i for i, (op, _, _) in enumerate(code)
+                             if op != NOT), key=lambda i: (sizes[i], texts[i]))
         self.positives = [nodes[i] for i in self.nodes]
-        self.pos_index = {f: j for j, f in enumerate(self.positives)}
         self.size = size = len(self.nodes)
 
-        # (positive index, polarity) of every program node, NOTs stripped;
-        # None where the stripped node is no positive member
-        refs: list = [None] * len(code)
+        # literal of every program node, NOTs stripped: 2j for positive
+        # member j, 2j + 1 for its negation
+        self._lit_of = lit_of = [0] * len(code)
         for j, i in enumerate(self.nodes):
-            refs[i] = (j, True)
+            lit_of[i] = 2 * j
         for i, (op, a, _) in enumerate(code):
-            if op == NOT and refs[a] is not None:
-                refs[i] = (refs[a][0], not refs[a][1])
+            if op == NOT:
+                lit_of[i] = lit_of[a] ^ 1
         ops = [code[i][0] for i in self.nodes]
         args = [code[i][1:1 + _ARITY[op]] for i, op in zip(self.nodes, ops)]
 
-        # operands, and the clauses of each positive's rule as tuples of
-        # (positive index, value making the literal true), each on the watch
-        # lists of the positives it mentions and kept as (ones, zeros)
-        # bitmasks for checking complete labels
+        # operands as (positive index, polarity), and the clauses of each
+        # positive's rule, all kept as (ones, zeros) masks for checking
+        # complete labels
         self.ops, self.operands = ops, []
-        self._watch: list[list[tuple]] = [[] for _ in range(size)]
-        self._clause_masks: list[tuple[int, int]] = []
+        self._clause_masks = masks = []
+        succ: list[list[int]] = [[] for _ in range(2 * size)]
+        self._long = long = [[] for _ in range(size)]
+        down = [False] * (2 * size)  # literals implying an operand's
         for j, op in enumerate(ops):
-            lits = [(j, True), *[refs[i] for i in args[j]]]
-            self.operands.append(tuple(lits[1:]))
-            lits += [(idx, not pol) for idx, pol in reversed(lits)]
+            lits = [2 * j, *[lit_of[i] for i in args[j]]]
+            self.operands.append(tuple([(x >> 1, not x & 1) for x in lits[1:]]))
+            lits += [x ^ 1 for x in reversed(lits)]
             for slots in _SLOTS.get(op, ()):
-                clause = tuple([lits[k] for k in slots])
-                ones = zeros = 0
-                for idx, want in clause:
-                    self._watch[idx].append(clause)
-                    if want:
-                        ones |= 1 << idx
+                clause = [lits[k] for k in slots]
+                ones = zeros = twice = 0
+                for x in clause:
+                    bit = 1 << (x >> 1)
+                    twice |= (ones | zeros) & bit
+                    if x & 1:
+                        zeros |= bit
                     else:
-                        zeros |= 1 << idx
-                self._clause_masks.append((ones, zeros))
+                        ones |= bit
+                masks.append((ones, zeros))
+                if len(clause) == 2:
+                    x, y = clause
+                    succ[x ^ 1].append(y)
+                    succ[y ^ 1].append(x)
+                    # the larger is the member's literal c: ~c implies down
+                    down[max(x, y) ^ 1] = True
+                elif len(clause) > 2:
+                    for idx in {x >> 1 for x in clause}:
+                        long[idx].append((ones, zeros, twice))
+
+        # each literal's closure after those of the literals it implies
+        self._closure = closure = [None] * (2 * size)
+        for x in ([x for x in range(2 * size - 1, -1, -1) if not down[x]]
+                  + [x for x in range(2 * size) if down[x]]):
+            t, f = (0, 1 << (x >> 1)) if x & 1 else (1 << (x >> 1), 0)
+            for y in succ[x]:
+                yt, yf = closure[y]
+                t |= yt
+                f |= yf
+            closure[x] = t, f
+        self._watched = sum(1 << j for j in range(size) if long[j])
         self.dia_list = [j for j, op in enumerate(ops) if op == DIA]
         self.box_list = [j for j, op in enumerate(ops) if op == BOX]
-        self._bottoms = [j for j, op in enumerate(ops) if op == BOT]
-        self._decisions = [j for j, op in enumerate(ops)
-                           if op in (VAR, DIA, BOX)]
-        self._bits = [1 << i for i in range(size)]
+        self._bottoms = [2 * j + 1 for j, op in enumerate(ops) if op == BOT]
+        self._decisions = sum(1 << j for j, op in enumerate(ops)
+                              if op in (VAR, DIA, BOX))
         self._vec_cache: dict[int, tuple[int, int, int, int]] = {}
 
     @classmethod
@@ -137,9 +155,18 @@ class LabelSpace:
 
     @cached_property
     def members(self) -> list[Formula]:
-        """The closure set in (ast_size, pretty) order."""
-        nodes = self.program.nodes
-        return [nodes[i] if i >= 0 else Not(nodes[~i]) for i in self._order]
+        """The closure set in (ast_size, pretty) order: every program node
+        and the negation of each non-NOT node that no NOT node covers (~i
+        stands for that negation)."""
+        code, nodes = self.program.code, self.program.nodes
+        sizes, texts = render_nodes(self.program)
+        keys = list(zip(sizes, texts, range(len(code))))
+        covered = {a for op, a, _ in code if op == NOT}
+        keys += [(sizes[i] + 1, negation_text(op, texts[i]), ~i)
+                 for i, (op, _, _) in enumerate(code)
+                 if op != NOT and i not in covered]
+        keys.sort()
+        return [nodes[i] if i >= 0 else Not(nodes[~i]) for _, _, i in keys]
 
     def ref(self, f: Formula) -> tuple[int, bool]:
         """(positive index, polarity); polarity False means negated."""
@@ -147,10 +174,10 @@ class LabelSpace:
         while isinstance(f, Not):
             f = f.sub
             pol = not pol
-        idx = self.pos_index.get(f)
-        if idx is None:
+        i = self.program.index.get(f)
+        if i is None:
             raise KeyError(f"{pretty(f)} is not in the closure set")
-        return idx, pol
+        return self._lit_of[i] >> 1, pol
 
     def member(self, label: int, f: Formula) -> bool:
         idx, pol = self.ref(f)
@@ -161,92 +188,85 @@ class LabelSpace:
 
     # -- Hintikka enumeration -------------------------------------------
 
-    def _propagate(self, values: list, trail: list, head: int) -> bool:
-        """Unit propagation after the assignments trail[head:]; False on
-        conflict.  Examines the clauses on the watch lists of those
-        positives, appending each value it derives to `values` and `trail`
-        and examining its watch list in turn.  Clause literals count by
-        position, so `p & p` derives nothing from being false, just as the
-        member's rule reads its two operands apart; the fixpoint, and any
+    def _propagate(self, t: int, f: int, lits: Sequence[int]
+                   ) -> Optional[tuple[int, int]]:
+        """Unit propagation from a closed state (t, f) after setting the
+        literals lits; the closed state, or None on conflict.  A literal set
+        ORs in its whole implication closure, so a node's cost does not grow
+        with the length of an implication chain; the longer clauses are
+        rechecked for each newly set member they mention.  Their literals
+        count by position, so `p & p` derives nothing from being false, just
+        as the member's rule reads its operands apart; the fixpoint, and any
         conflict, is then the one a sweep over every member until nothing
-        changes reaches, and a search node spends the same steps either
-        way.  Spends nothing itself; enumerate_labels charges the node."""
-        watch = self._watch
-        while head < len(trail):
-            for clause in watch[trail[head]]:
-                free = None
-                for idx, want in clause:
-                    v = values[idx]
-                    if v is None:
-                        if free is not None:
-                            break  # two open literals: nothing follows
-                        free = idx, want
-                    elif v == want:
-                        break  # satisfied
-                else:
-                    if free is None:
-                        return False
-                    values[free[0]] = free[1]
-                    trail.append(free[0])
-            head += 1
-        return True
+        changes reaches.  Spends nothing itself; enumerate_labels charges
+        the node."""
+        closure, long, watched = self._closure, self._long, self._watched
+        done = t | f
+        while lits:
+            for lit in lits:
+                ct, cf = closure[lit]
+                t, f = t | ct, f | cf
+            if t & f:
+                return None
+            fresh = (t | f) & ~done & watched
+            done = t | f
+            lits = []
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                for ones, zeros, twice in long[low.bit_length() - 1]:
+                    if ones & t or zeros & f:
+                        continue
+                    free = (ones | zeros) & ~(t | f)
+                    if not free:
+                        return None
+                    if free & (free - 1) or free & twice:
+                        continue  # two open positions: nothing follows
+                    if free & ones:
+                        t |= free
+                        lits.append(2 * free.bit_length() - 2)
+                    else:
+                        f |= free
+                        lits.append(2 * free.bit_length() - 1)
+        return t, f
 
     def enumerate_labels(self, must: Iterable[tuple[int, bool, bool]] = (),
                          budget: Optional[StepBudget] = None) -> list[int]:
         """All Hintikka labels satisfying the given (index, polarity, value)
         constraints, as ascending bitmasks.
 
-        Depth first over the decisions (atoms and modal members, in positive
-        order, False first), on one value list with an undo trail: a child
-        sets its decision, propagates through the watch lists of what
-        changed, and is undone by resetting the trail back to its parent's
-        mark.  A leaf's label is read off the values, and a leaf with a
-        member still undecided raises MosaicError.  With a budget, every
-        search node entered spends one step per positive member, as when
-        each node swept every member, so budget errors read the same."""
-        values: list = [None] * self.size
-        # from nothing, only the clauses of false constants and of the
-        # constrained members can fire
-        seeds = list(self._bottoms)
-        for idx, pol, v in must:
-            want = v == pol
-            if values[idx] is not None and values[idx] != want:
-                return []
-            values[idx] = want
-            seeds.append(idx)
-        propagate = self._propagate
-        if not propagate(values, seeds, 0):
-            return []
+        Depth first over the decisions (atoms and modal members), each node
+        a closed state: a pair of masks (true, false).  A node branches on
+        its lowest open decision, keeping each child whose propagation finds
+        no conflict, and searches False first.  A node with no open decision
+        is a leaf whose label is its true mask; one with a member still
+        undecided raises MosaicError.  With a budget, every search node
+        entered spends one step per positive member, as when each node swept
+        every member, so budget errors read the same however a node
+        propagates."""
+        # from nothing, only false constants and the constrained members
+        # derive anything
+        root = self._propagate(0, 0, self._bottoms + [
+            2 * idx + (v != pol) for idx, pol, v in must])
         out: list[int] = []
-        decisions, bits = self._decisions, self._bits
-        n = len(decisions)
-        trail: list[int] = []
-        # (position in decisions, trail mark, value to decide; None enters
-        # the root)
-        stack: list = [(0, 0, None)]
+        decisions, full = self._decisions, (1 << self.size) - 1
+        stack = [] if root is None else [root]
         while stack:
-            k, mark, v = stack.pop()
-            if v is not None:
-                for i in trail[mark:]:
-                    values[i] = None
-                del trail[mark:]
-                values[decisions[k]] = v
-                trail.append(decisions[k])
-                if not propagate(values, trail, mark):
-                    continue
-                k += 1
+            t, f = stack.pop()
             if budget is not None:
                 budget.spend(self.size, "label enumeration")
-            while k < n and values[decisions[k]] is not None:
-                k += 1
-            if k == n:
-                if None in values:
+            undecided = decisions & ~(t | f)
+            if not undecided:
+                if t | f != full:
                     raise MosaicError("propagation left a closure member "
                                       "undecided in a complete label")
-                out.append(sum(compress(bits, values)))
+                out.append(t)
                 continue
-            mark = len(trail)
-            stack += ((k, mark, True), (k, mark, False))  # False popped first
+            lit = 2 * (undecided & -undecided).bit_length() - 2
+            for child in (self._propagate(t, f, (lit,)),
+                          self._propagate(t, f, (lit + 1,))):
+                if child is not None:
+                    stack.append(child)  # False, pushed last, is popped first
         out.sort()
         return out
 
@@ -262,24 +282,16 @@ class LabelSpace:
         """(dia_true, dia_child, box_true, box_child) as bits over the
         diamond / box member lists."""
         got = self._vec_cache.get(label)
-        if got is not None:
-            return got
-        dt = dc = 0
-        for pos, i in enumerate(self.dia_list):
-            if label >> i & 1:
-                dt |= 1 << pos
-            idx, pol = self.operands[i][0]
-            if bool(label >> idx & 1) == pol:
-                dc |= 1 << pos
-        bt = bc = 0
-        for pos, i in enumerate(self.box_list):
-            if label >> i & 1:
-                bt |= 1 << pos
-            idx, pol = self.operands[i][0]
-            if bool(label >> idx & 1) == pol:
-                bc |= 1 << pos
-        got = (dt, dc, bt, bc)
-        self._vec_cache[label] = got
+        if got is None:
+            got = ()
+            for members in (self.dia_list, self.box_list):
+                true = child = 0
+                for pos, i in enumerate(members):
+                    idx, pol = self.operands[i][0]
+                    true |= (label >> i & 1) << pos
+                    child |= (label >> idx & 1 == pol) << pos
+                got += (true, child)
+            self._vec_cache[label] = got
         return got
 
     def pair_ok(self, above: int, below: int) -> bool:
@@ -679,26 +691,29 @@ def extract_model(pool: Iterable[Mosaic], space: LabelSpace,
     for t in order:
         world_labels.append(t.edge0)
         world_labels.append(t.middle)
-    # world 2i+1 carries edge0 of tile i, world 2i+2 its middle
-    val: dict[str, frozenset[int]] = {}
-    for i, f in enumerate(space.positives):
-        if space.ops[i] == VAR:
-            val[f.name] = frozenset(w for w, lab in enumerate(world_labels)
-                                    if space.member(lab, f))
-    model = Model(crown(n), val)
+    # world 2i+1 carries edge0 of tile i, world 2i+2 its middle; column i
+    # holds the worlds whose labels make positive member i true
+    cols = [0] * space.size
+    for w, lab in enumerate(world_labels):
+        while lab:
+            low = lab & -lab
+            cols[low.bit_length() - 1] |= 1 << w
+            lab ^= low
+    model = Model(crown(n), {f.name: frozenset(_mask_worlds(cols[i]))
+                             for i, f in enumerate(space.positives)
+                             if space.ops[i] == VAR})
 
     # a negated member fails exactly where its positive does, so checking
     # the positives in member order finds the first failing member
     masks = program_masks(model, space.program)
     for i, f in enumerate(space.positives):
-        mask = masks[space.nodes[i]]
-        for w, lab in enumerate(world_labels):
-            if bool(mask >> w & 1) != bool(lab >> i & 1):
-                raise MosaicError(
-                    f"truth lemma fails at world {w} for {pretty(f)}")
+        wrong = _mask_worlds(masks[space.nodes[i]] ^ cols[i])
+        if wrong:
+            raise MosaicError(
+                f"truth lemma fails at world {wrong[0]} for {pretty(f)}")
 
-    witness = next((w for w, lab in enumerate(world_labels)
-                    if space.member(lab, space.theta)), None)
-    if witness is None:
+    idx, pol = space.ref(space.theta)
+    holds = _mask_worlds(cols[idx] if pol else ~cols[idx] & (1 << 2 * n + 1) - 1)
+    if not holds:
         raise MosaicError(f"no world holds {pretty(space.theta)}")
-    return n, model, witness
+    return n, model, holds[0]

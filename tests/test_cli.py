@@ -307,6 +307,33 @@ def test_out_of_memory_is_one_line_error(monkeypatch, capsys):
     assert captured.err == "error: out of memory\n"
 
 
+@pytest.mark.parametrize("command", [["classify-frame"], ["reduce"],
+                                     ["realize", "--model"]])
+def test_too_many_worlds_is_one_line_error(tmp_path, capsys, monkeypatch,
+                                           command):
+    # refused before any row is allocated: a Frame built here fails the test
+    # instead of trying to allocate 10**12 rows
+    from polyplane import kripke
+
+    def no_frame(*args, **kw):
+        raise AssertionError("a frame was built")
+
+    monkeypatch.setattr(kripke, "Frame", no_frame)
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps({"worlds": 10**12, "rel": [[0, 1]]}))
+    assert run(command + [str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ('error: "worlds" is 1000000000000, above the '
+                            'limit of 4096\n')
+
+
+def test_world_limit_is_inclusive():
+    from polyplane.kripke import MAX_WORLDS, frame_from_dict
+
+    assert frame_from_dict({"worlds": MAX_WORLDS}).n == MAX_WORLDS
+
+
 @pytest.mark.parametrize("command,data,message", [
     (["classify-frame"], {"worlds": 3, "rel": [[0, 1], [1, 2]], "root": 9},
      "root 9 out of range"),

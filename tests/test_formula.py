@@ -176,6 +176,28 @@ def test_printing_and_size_without_recursion():
     assert ast_size(chain) == n + 1 and ast_size(left) == 2 * n + 1
 
 
+def test_repr_without_recursion():
+    # 5,000 nested operators of mixed shapes; repr once recursed per level
+    n = 5000
+    f = p
+    for i in range(n):
+        f = (Not, Diamond, lambda g: And(g, q), lambda g: Iff(r, g))[i % 4](f)
+    got = repr(f)
+    assert got.count("(") == got.count(")") == 3 * n // 2 + 1
+    assert got.startswith("Iff(Var('r'), And(Diamond(Not(Iff(Var('r'), ")
+    assert repr(parse("p & " * 2000 + "p")).startswith("And(" * 2000 + "Var('p')")
+
+
+@pytest.mark.parametrize("text,want", [
+    ("p", "Var('p')"), ("F", "Bottom()"), ("T", "Not(Bottom())"),
+    ("~p & (q -> <>F)",
+     "And(Not(Var('p')), Implies(Var('q'), Diamond(Bottom())))"),
+    ("[](p <-> q) | r", "Or(Box(Iff(Var('p'), Var('q'))), Var('r'))"),
+    ("p & p", "And(Var('p'), Var('p'))")])
+def test_repr_of_small_formulas(text, want):
+    assert repr(parse(text)) == want
+
+
 def _deep_chain(n):
     g = p
     for i in range(n):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyplane.axioms import xi
-from polyplane.crown import crown_sat_oracle
+from polyplane.crown import crown, crown_sat_oracle
 from polyplane.errors import BudgetExceededError
 from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, OR, And, Box,
                                Diamond, Not, Var, ast_size, closure, conj,
                                parse, pretty)
-from polyplane.kripke import eval_formula
+from polyplane.kripke import Model, eval_formula, program_masks
 from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, StepBudget,
                               check_path, decide_sat, extract_model,
                               glue_reachable, is_coherent, mirror, valid)
@@ -425,10 +425,41 @@ def test_enumeration_spends_from_the_budget():
 def test_enumeration_rechecks_complete_labels(monkeypatch):
     # a propagation that derives nothing leaves `p & q` undecided once p and
     # q are; the check must hold under python -O as well
+    def set_only(t, f, lits):
+        # literal 2j sets member j true, 2j + 1 sets it false
+        for lit in lits:
+            if lit & 1:
+                f |= 1 << (lit >> 1)
+            else:
+                t |= 1 << (lit >> 1)
+        return t, f
+
     space = LabelSpace.for_formula(parse("p & q"))
-    monkeypatch.setattr(space, "_propagate", lambda values, trail, head: True)
+    monkeypatch.setattr(space, "_propagate", set_only)
     with pytest.raises(MosaicError, match="undecided"):
         space.enumerate_labels()
+
+
+def test_one_walk_per_formula_object(monkeypatch):
+    # compile keeps its program on the formula object: the search, the
+    # model's truth-lemma check and the oracle share one walk, and an equal
+    # but distinct object gets its own
+    from polyplane import formula
+
+    walks = []
+
+    def counted(*args):
+        walks.append(args[0][-1])  # the root node
+        return program(*args)
+
+    program = formula.Program
+    monkeypatch.setattr(formula, "Program", counted)
+    f, g = parse("<>[]p & <>[]~p"), parse("<>[]p & <>[]~p")
+    assert f == g and f is not g
+    assert decide_sat(f).sat and crown_sat_oracle(f, 4) is not None
+    assert len(walks) == 1 and walks[0] is f
+    assert decide_sat(g).sat and crown_sat_oracle(g, 4) is not None
+    assert len(walks) == 2 and walks[1] is g
 
 
 def test_xi_runs_out_of_budget():
@@ -449,6 +480,14 @@ def test_label_space_of_a_deep_formula():
 
 # -- the trail search and the one-pass label space against their references
 
+def agrees_with_sweep_reference(space, must):
+    got_steps, want_steps = StepBudget(10**9), StepBudget(10**9)
+    got = space.enumerate_labels(must=must, budget=got_steps)
+    assert got == reference_enumerate_labels(space, must=must,
+                                             budget=want_steps)
+    assert got_steps.used == want_steps.used
+
+
 @settings(max_examples=300)
 @given(formulas(max_size=14), st.data())
 def test_enumeration_matches_sweep_reference(f, data):
@@ -456,11 +495,52 @@ def test_enumeration_matches_sweep_reference(f, data):
     must = data.draw(st.lists(st.tuples(st.integers(0, space.size - 1),
                                         st.booleans(), st.booleans()),
                               max_size=4))
-    got_steps, want_steps = StepBudget(10**9), StepBudget(10**9)
-    got = space.enumerate_labels(must=must, budget=got_steps)
-    assert got == reference_enumerate_labels(space, must=must,
-                                             budget=want_steps)
-    assert got_steps.used == want_steps.used
+    agrees_with_sweep_reference(space, must)
+
+
+# operands filling two positions of one clause, the unit clause of F, and
+# subformulas shared between operands
+@pytest.mark.parametrize("text", [
+    "p & p", "p | p", "p -> p", "p <-> p", "p <-> ~p", "~p <-> p",
+    "<>p -> <>p", "[]p & ~[]p", "F", "~F", "F <-> F", "p & F",
+    "(<>p & q) | (q -> <>p)", "[](p & q) <-> (<>(p & q) & ~(p & q))",
+    "(p <-> q) & (q <-> p) & ~(p <-> ~q)"])
+def test_enumeration_matches_sweep_reference_on_fixed_shapes(text):
+    space = LabelSpace.for_formula(parse(text))
+    for must in [[], *([(j, pol, v)] for j in range(space.size)
+                       for pol in (True, False) for v in (True, False))]:
+        agrees_with_sweep_reference(space, must)
+
+
+def tower(k, ops):
+    """ops applied k times over p, the first outermost: ([]<>~)^k p for
+    (Box, Diamond, Not)."""
+    f = Var("p")
+    for _ in range(k):
+        for op in reversed(ops):
+            f = op(f)
+    return f
+
+
+@pytest.mark.parametrize("k,ops", [
+    (100, (Box, Diamond, Not)), (100, (Diamond, Box, Not)),
+    (75, (Box, Not, Diamond, Not)), (150, (Box, Not)), (300, (Diamond,)),
+    (300, (Box,))])
+def test_enumeration_matches_sweep_reference_on_deep_towers(k, ops):
+    # every decision but the five lowest and five highest is pinned to its
+    # truth at one world of a crown model, so the search stays small while
+    # propagation runs along the whole tower; one-operator towers have few
+    # labels and are also enumerated unpinned
+    space = LabelSpace.for_formula(tower(k, ops))
+    masks = program_masks(Model(crown(2), {"p": {1, 2}}), space.program)
+    top = space.size - 1
+    musts = [[], [(top, True, True)], [(top, False, True), (0, True, True)]
+             ] if len(ops) == 1 else []
+    for w in range(5):
+        musts.append([(j, True, bool(masks[i] >> w & 1))
+                      for j, i in enumerate(space.nodes) if 5 <= j < top - 4])
+    for must in musts:
+        agrees_with_sweep_reference(space, must)
 
 
 def by_size_and_text(members):
