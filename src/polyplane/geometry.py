@@ -19,10 +19,10 @@ from typing import Iterable, Optional, Sequence
 
 from .crown import crown
 from .errors import VerificationError
-from .formula import Formula
-from .kripke import (Frame, Model, WorldMap, _ints, closure_set,
-                     delta as frame_delta, eval_formula, interior_set,
-                     is_p_morphism)
+from .formula import Formula, compile
+from .kripke import (Frame, Model, WorldMap, _evaluate, _ints, _worlds_mask,
+                     closure_set, delta as frame_delta, eval_formula,
+                     interior_set, is_p_morphism)
 
 Point = tuple[Fraction, Fraction]
 SignVector = tuple[int, ...]
@@ -298,10 +298,17 @@ def _cell_ids(scene: Scene, cells: Iterable[SignVector]) -> list[int]:
 def eval_scene(scene: Scene, val: dict[str, CellSet], cell: SignVector,
                phi: Formula) -> bool:
     """Topological truth at any point of the cell, for the cell-constant
-    valuation; computed on the specialization frame."""
+    valuation, on the specialization frame.
+
+    Each entry of `val` becomes one bitmask of cell indices, so a cell of
+    another scene is a ValueError under any name, used by phi or not.  The
+    masks of phi's variables, in its compiled program's order and empty for
+    names `val` lacks, are evaluated once by `_evaluate`."""
     [world] = _cell_ids(scene, [cell])
-    kv = {name: frozenset(_cell_ids(scene, cs)) for name, cs in val.items()}
-    return eval_formula(Model(scene.frame, kv), world, phi)
+    masks = {name: _worlds_mask(_cell_ids(scene, cs)) for name, cs in val.items()}
+    prog = compile(phi)
+    columns = [masks.get(name, 0) for name in prog.names]
+    return bool(_evaluate(scene.frame, prog, columns)[prog.root] >> world & 1)
 
 
 def _scene_cells(scene: Scene, op, cells: Iterable[SignVector]) -> CellSet:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import repeat
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
@@ -318,13 +317,24 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
     Exhaustive mode decides by checking every valuation of vars(phi) and is
     rejected when 2^(n*|vars|) exceeds the budget; valuation v gives the
     j-th variable in sorted order the worlds w with bit j*n + w of v set.
-    Sampled mode draws `samples` seeded random valuations, one
-    `getrandbits(n)` per sorted variable per sample, and can only report the
-    absence of a counterexample among them.
+    Sampled mode checks `samples` (a non-negative int) seeded random
+    valuations and can only report the absence of a counterexample among
+    them.  Sample i gives the j-th of the k sorted variables the worlds set
+    in draw i*k + j, the draws being `getrandbits(n)` calls in turn on
+    random.Random(seed).
 
     Both modes evaluate up to 2^16 valuations at once, as one lane each:
     every variable's column is built directly as one block per world (see
-    `_evaluate`).  They report the first failing valuation in their order
+    `_evaluate`).  Sampled mode makes a chunk's draws with one
+    `getrandbits(width * lanes * k)`, width = 32 * ceil(n / 32): CPython
+    fills a draw with 32-bit words from the low end and keeps the top bits
+    of the last one, so the wide draw holds the n-bit draws in turn, one
+    per width-bit field, and leaves the generator where they would.  Bit w
+    of a draw is bit w of its field below the last word, and bit
+    w + width - n of it in the last word.  Each world's lane block is a
+    strided slice of the wide draw's binary text.
+
+    Both modes report the first failing valuation in their order
     (`checked` is its position + 1) with the least world where phi fails
     under it.
     """
@@ -340,8 +350,15 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
         # that vary inside a chunk, all ones or all zeros for the others
         periodic = _lane_index_bits(min(total, _CHUNK))
     elif mode == "sampled":
+        if type(samples) is not int or samples < 0:
+            raise ValueError(f"samples must be a non-negative int, not {samples!r}")
         rng = random.Random(seed)
         total = samples
+        width = -(-n // 32) * 32
+        # where world w's bit sits in each draw's field, counted from the
+        # field's top bit as the text shows it
+        offsets = [width - 1 - (w if w < width - 32 else w + width - n)
+                   for w in range(n)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     for base in range(0, total, _CHUNK):
@@ -352,16 +369,21 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
                                  for b in range(len(periodic), n * k)]
             columns = [blocks[j * n:(j + 1) * n] for j in range(k)]
         else:
-            draws = list(map(rng.getrandbits, repeat(n, lanes * k)))
-            columns = _transpose(draws, n, k)
+            # the text runs from the last draw down to the first: draw
+            # i*k + j starts at index (lanes*k - i*k - j - 1) * width, so a
+            # slice of stride k * width from the last lane's draw of
+            # variable j reads one world's bits, lane lanes-1 first
+            bits = width * lanes * k
+            text = format(rng.getrandbits(bits), f"0{bits}b")
+            stride = k * width
+            columns = [[int(text[(k - j - 1) * width + o::stride], 2)
+                        for o in offsets] for j in range(k)]
         hit = _first_failure(frame, prog, columns, lanes)
         if hit is not None:
             lane, world = hit
-            if exhaustive:
-                masks = [(base + lane) >> (j * n) & ((1 << n) - 1) for j in range(k)]
-            else:
-                masks = draws[lane * k:(lane + 1) * k]
-            val = {name: frozenset(_mask_worlds(m)) for name, m in zip(names, masks)}
+            val = {name: frozenset(w for w, block in enumerate(column)
+                                   if block >> lane & 1)
+                   for name, column in zip(names, columns)}
             return ValidityReport(False, exhaustive, base + lane + 1, val, world)
     return ValidityReport(True, exhaustive, total)
 
@@ -379,26 +401,6 @@ def _lane_index_bits(lanes: int) -> list[int]:
             width *= 2
         out.append(value)
     return out
-
-
-def _transpose(draws: list[int], n: int, k: int) -> list[list[int]]:
-    """Columns of k variables drawn sample by sample: draws[i*k + j] holds
-    variable j under lane i, and column j's block w has bit i = bit w of it.
-
-    The draws are packed into one int, each in a field of n bits rounded
-    up to whole bytes, and its binary string is sliced once per variable
-    and world."""
-    size = (n + 7) // 8
-    width = 8 * size
-    packed = int.from_bytes(b"".join(map(int.to_bytes, draws, repeat(size),
-                                         repeat("little"))), "little")
-    # the string runs from the last draw down to the first, each draw's
-    # bit width-1 first: bit w of draw i*k + j sits at index
-    # (len(draws) - i*k - j)*width - 1 - w
-    text = format(packed, f"0{len(draws) * width}b")
-    stride = k * width
-    return [[int(text[(k - j) * width - 1 - w::stride], 2) for w in range(n)]
-            for j in range(k)]
 
 
 def _first_failure(frame: Frame, prog: Program, columns: list[list[int]],

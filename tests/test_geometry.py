@@ -205,14 +205,16 @@ def test_eval_scene_boundary():
         eval_scene(s, val, (0, 0), parse("p"))
 
 
+TWELVE_LINES = [(1, 0, 0), (0, 1, 0), (1, 1, -1), (1, -1, 2), (2, 1, 3),
+                (1, 2, -4), (3, -1, 5), (1, -3, -2), (4, 1, -7), (1, 4, 6),
+                (5, -2, 1), (2, -5, -3)]
+
+
 def test_eval_scene_matches_reference_on_twelve_lines():
     # several queries read one scene's frame and cell index, and each
     # answer is checked world by world on the pairwise frame
     rng = random.Random(12)
-    lines = [(1, 0, 0), (0, 1, 0), (1, 1, -1), (1, -1, 2), (2, 1, 3),
-             (1, 2, -4), (3, -1, 5), (1, -3, -2), (4, 1, -7), (1, 4, 6),
-             (5, -2, 1), (2, -5, -3)]
-    s = build_arrangement(lines)
+    s = build_arrangement(TWELVE_LINES)
     ref = reference_scene_frame(s)
     assert len(s.lines) == 12 and len(s.cells) == 271
     for _ in range(8):
@@ -230,6 +232,29 @@ def test_eval_scene_matches_reference_on_twelve_lines():
         eval_scene(s, {}, foreign, parse("p"))
     with pytest.raises(ValueError, match="does not belong to the scene"):
         eval_scene(s, {"p": frozenset({foreign})}, s.cells[0], parse("p"))
+
+
+def test_eval_scene_checks_names_the_formula_lacks():
+    s = build_arrangement([(1, 0, 0)])
+    val = {"p": frozenset({(1,)}), "q": frozenset({(0, 0)})}
+    with pytest.raises(ValueError, match="does not belong to the scene"):
+        eval_scene(s, val, (0,), parse("<>p"))
+
+
+def test_eval_scene_matches_eval_formula_with_unused_names():
+    # val names p, q and two names no formula uses; the formulas also use
+    # s, which val lacks and so holds nowhere
+    rng = random.Random(19)
+    s = build_arrangement(TWELVE_LINES)
+    for _ in range(8):
+        val = {name: frozenset(c for c in s.cells if rng.random() < 0.4)
+               for name in ("p", "q", "extra", "z")}
+        model = Model(s.frame, {name: frozenset(s.index[c] for c in cs)
+                                for name, cs in val.items()})
+        phi = random_formula(rng, rng.randint(2, 8), ("p", "q", "s"))
+        for cell in rng.sample(s.cells, 5):
+            assert eval_scene(s, val, cell, phi) == \
+                eval_formula(model, s.index[cell], phi)
 
 
 def test_eval_scene_vertex_sees_ray():

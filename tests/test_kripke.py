@@ -3,12 +3,13 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from polyplane import kripke
 from polyplane.crown import crown
 from polyplane.errors import BudgetExceededError
 from polyplane.formula import (And, Bottom, Box, Diamond, Iff, Implies, Not,
                                Or, Var, conj, parse, substitute, variables)
-from polyplane.kripke import (Frame, Model, WorldMap, _closed_walk,
-                              _shortest_path, closure_set, delta,
+from polyplane.kripke import (Frame, Model, ValidityReport, WorldMap,
+                              _closed_walk, _shortest_path, closure_set, delta,
                               eval_formula, find_subreduction, frame_from_dict,
                               frame_to_dict, interior_set, is_p_morphism,
                               jankov_fine, model_from_dict, model_to_dict,
@@ -507,6 +508,67 @@ def test_sampled_validity_on_wide_frames(n):
             assert truth_mask(Model(frame, val), phi) == want
     # valid ones, and failures found after the first sample
     assert (True, True) in outcomes and (False, True) in outcomes
+
+
+# no variable, one and three; on the chain <>~p | <>~q | r fails only at
+# the top world, one sample in eight
+WIDE_PHIS = [parse("F"), parse("~F"), parse("[]p -> p"), parse("p -> []p"),
+             parse("<>~p | <>~q | r"), parse("<>(p & q) | [](~p | r) | <>~q")]
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 64, 65])
+def test_sampled_matches_reference_across_words_and_chunks(n, monkeypatch):
+    # a draw of 31 or 32 bits is one 32-bit word, of 64 two whole words,
+    # of 33 or 65 bits keeps the top bits of its last word; with 8 lanes a
+    # chunk, 13 and 29 samples end in a part chunk
+    monkeypatch.setattr(kripke, "_CHUNK", 8)
+    rng = random.Random(n)
+    for frame in (_random_frame(rng, n), chain(n)):
+        for phi in WIDE_PHIS:
+            for samples, seed in ((0, 1), (5, 2), (13, 3), (29, n)):
+                got = valid_on_frame(frame, phi, mode="sampled",
+                                     samples=samples, seed=seed)
+                assert (got.valid, got.checked, got.counterexample, got.world) \
+                    == reference_sampled(frame, phi, samples, seed)
+
+
+@pytest.mark.parametrize("n, seed, first", [(31, 29, 20), (33, 10, 22),
+                                            (65, 5, 23)])
+def test_sampled_first_failure_in_a_later_chunk(n, seed, first, monkeypatch):
+    # with 8 lanes a chunk the first failure lies in the third chunk, so
+    # the draws continue one random stream from chunk to chunk
+    monkeypatch.setattr(kripke, "_CHUNK", 8)
+    phi = parse("<>~p | <>~q | r")
+    got = valid_on_frame(chain(n), phi, mode="sampled", samples=29, seed=seed)
+    assert (got.valid, got.checked, got.world) == (False, first, n - 1)
+    assert (got.valid, got.checked, got.counterexample, got.world) == \
+        reference_sampled(chain(n), phi, 29, seed)
+
+
+def test_sampled_reports_pinned():
+    # any change to which draw bit gives which world shows here
+    phi = parse("<>~p | <>~q | r")
+    rep = valid_on_frame(crown(2), phi, mode="sampled", samples=29, seed=1)
+    assert rep == ValidityReport(False, False, 2, {
+        "p": frozenset({0, 3, 4}), "q": frozenset({3, 4}),
+        "r": frozenset({1})}, 3)
+    rep = valid_on_frame(chain(33), phi, mode="sampled", samples=29, seed=0)
+    masks = {name: sum(1 << w for w in ws)
+             for name, ws in rep.counterexample.items()}
+    assert (rep.valid, rep.exhaustive, rep.checked, rep.world) == \
+        (False, False, 3, 32)
+    assert masks == {"p": 0x1c8a70639, "q": 0x14da5e709, "r": 0x7a024204}
+
+
+@pytest.mark.parametrize("samples", [-5, -1, 1.5, 2.0, "10", None, True, False])
+def test_sampled_rejects_bad_sample_counts(samples):
+    with pytest.raises(ValueError, match="samples"):
+        valid_on_frame(crown(2), parse("p"), mode="sampled", samples=samples)
+
+
+def test_zero_samples_check_nothing():
+    rep = valid_on_frame(crown(2), parse("p"), mode="sampled", samples=0)
+    assert rep == ValidityReport(True, False, 0)
 
 
 def test_exhaustive_first_failure_past_first_chunk_on_crown():
