@@ -161,12 +161,14 @@ def _random_formula(rng: random.Random, size: int, names: list[str]) -> Formula:
 
 
 def _cmd_fuzz(args) -> int:
-    rng = random.Random(args.seed)
-    print(f"seed {args.seed}", file=sys.stderr)
     if args.max_size < 1:
         raise ValueError("formula size bound must be >= 1")
     if args.count < 0:
         raise ValueError("formula count must be >= 0")
+    if args.max_crown < 1:
+        raise ValueError("crown bound must be >= 1")
+    rng = random.Random(args.seed)
+    print(f"seed {args.seed}", file=sys.stderr)
     names = ["p", "q", "r"]
     bad = 0
     for i in range(args.count):

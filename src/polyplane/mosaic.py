@@ -40,8 +40,6 @@ _RULES = {
     IMP: ("-c -x y", "c x", "c -y"),
     IFF: ("-c -x y", "-c x -y", "c x y", "c -x -y"),
 }
-_ARITY = {VAR: 0, BOT: 0, NOT: 1, DIA: 1, BOX: 1, AND: 2, OR: 2, IMP: 2,
-          IFF: 2}
 # each clause as positions in a member's literal list c, x, y, ..., ~y, ~x,
 # ~c: k for the k-th of c, x, y and ~k for its negation
 _SLOTS = {op: tuple(tuple(~"cxy".index(t[1]) if t[0] == "-" else "cxy".index(t)
@@ -59,12 +57,13 @@ class LabelSpace:
     program (`self.program`), with each positive's operands resolved to
     (positive index, polarity).
 
-    Literal 2j says that member j is true, 2j + 1 that it is false.  A
-    two-literal clause a | b of a member's rule (`_RULES`) is kept as the
-    implications ~a -> b and ~b -> a, and every literal's closure under
-    them as a pair of masks (true, false), built once.  The longer clauses
-    are kept as (ones, zeros, twice) masks on the members they mention;
-    `twice` marks a member filling two positions, as in `p & p`.
+    Literal 2j says that member j is true, 2j + 1 that it is false.  One
+    pass over the members fills the tables from each opcode's clauses
+    (`_SLOTS`).  A two-literal clause a | b of a member's rule (`_RULES`) is
+    kept as the implications ~a -> b and ~b -> a, and every literal's
+    closure under them as a pair of masks (true, false), built once.  The
+    longer clauses are kept as (ones, zeros, twice) masks on the members
+    they mention; `twice` marks a member filling two positions, as in `p & p`.
 
     Each implication joins a member's literal to an operand's, and no rule
     gives a literal both an implication in from an operand and one out to
@@ -82,8 +81,9 @@ class LabelSpace:
         self.program = program = compile(theta)
         code, nodes = program.code, program.nodes
         sizes, texts = render_nodes(program)
-        self.nodes = sorted((i for i, (op, _, _) in enumerate(code)
-                             if op != NOT), key=lambda i: (sizes[i], texts[i]))
+        order = list(zip(sizes, texts)).__getitem__
+        self.nodes = sorted([i for i, (op, _, _) in enumerate(code)
+                             if op != NOT], key=order)
         self.positives = [nodes[i] for i in self.nodes]
         self.size = size = len(self.nodes)
 
@@ -95,41 +95,62 @@ class LabelSpace:
         for i, (op, a, _) in enumerate(code):
             if op == NOT:
                 lit_of[i] = lit_of[a] ^ 1
-        ops = [code[i][0] for i in self.nodes]
-        args = [code[i][1:1 + _ARITY[op]] for i, op in zip(self.nodes, ops)]
 
-        # operands as (positive index, polarity), and the clauses of each
-        # positive's rule, all kept as (ones, zeros) masks for checking
-        # complete labels
-        self.ops, self.operands = ops, []
+        # each opcode's clauses (`_SLOTS`) read over the literals c, x, y,
+        # ..., ~y, ~x, ~c of the member c and its operands x, y; every
+        # clause is kept as (ones, zeros) masks for checking complete labels
+        self.ops, self.operands = ops, operands = [], []
+        self.dia_list, self.box_list = dias, boxes = [], []
+        self._bottoms = bottoms = []
         self._clause_masks = masks = []
-        succ: list[list[int]] = [[] for _ in range(2 * size)]
         self._long = long = [[] for _ in range(size)]
+        succ: list[list[int]] = [[] for _ in range(2 * size)]
         down = [False] * (2 * size)  # literals implying an operand's
-        for j, op in enumerate(ops):
-            lits = [2 * j, *[lit_of[i] for i in args[j]]]
-            self.operands.append(tuple([(x >> 1, not x & 1) for x in lits[1:]]))
-            lits += [x ^ 1 for x in reversed(lits)]
+        decisions = watched = 0
+        for j, i in enumerate(self.nodes):
+            op, a, b = code[i]
+            ops.append(op)
+            c = 2 * j
+            if op == VAR or op == BOT:
+                operands.append(())
+                lits = (c, c + 1)
+                if op == BOT:
+                    bottoms.append(c + 1)
+                else:
+                    decisions |= 1 << j
+            elif op == DIA or op == BOX:
+                x = lit_of[a]
+                operands.append(((x >> 1, not x & 1),))
+                lits = (c, x, x ^ 1, c + 1)
+                (dias if op == DIA else boxes).append(j)
+                decisions |= 1 << j
+            else:
+                x, y = lit_of[a], lit_of[b]
+                operands.append(((x >> 1, not x & 1), (y >> 1, not y & 1)))
+                lits = (c, x, y, y ^ 1, x ^ 1, c + 1)
+            mine = []  # the longer clauses, each over all of c, x, y
             for slots in _SLOTS.get(op, ()):
-                clause = [lits[k] for k in slots]
                 ones = zeros = twice = 0
-                for x in clause:
-                    bit = 1 << (x >> 1)
+                for k in slots:
+                    bit = 1 << (lits[k] >> 1)
                     twice |= (ones | zeros) & bit
-                    if x & 1:
+                    if lits[k] & 1:
                         zeros |= bit
                     else:
                         ones |= bit
                 masks.append((ones, zeros))
-                if len(clause) == 2:
-                    x, y = clause
+                if len(slots) == 2:
+                    x, y = lits[slots[0]], lits[slots[1]]
                     succ[x ^ 1].append(y)
                     succ[y ^ 1].append(x)
                     # the larger is the member's literal c: ~c implies down
                     down[max(x, y) ^ 1] = True
-                elif len(clause) > 2:
-                    for idx in {x >> 1 for x in clause}:
-                        long[idx].append((ones, zeros, twice))
+                elif len(slots) > 2:
+                    mine.append((ones, zeros, twice))
+            if mine:
+                for idx in {j, lits[1] >> 1, lits[2] >> 1}:
+                    long[idx] += mine
+                    watched |= 1 << idx
 
         # each literal's closure after those of the literals it implies
         self._closure = closure = [None] * (2 * size)
@@ -141,12 +162,7 @@ class LabelSpace:
                 t |= yt
                 f |= yf
             closure[x] = t, f
-        self._watched = sum(1 << j for j in range(size) if long[j])
-        self.dia_list = [j for j, op in enumerate(ops) if op == DIA]
-        self.box_list = [j for j, op in enumerate(ops) if op == BOX]
-        self._bottoms = [2 * j + 1 for j, op in enumerate(ops) if op == BOT]
-        self._decisions = sum(1 << j for j, op in enumerate(ops)
-                              if op in (VAR, DIA, BOX))
+        self._watched, self._decisions = watched, decisions
         self._vec_cache: dict[int, tuple[int, int, int, int]] = {}
 
     @classmethod
@@ -384,10 +400,10 @@ def glue_reachable(m: Mosaic, pool: Iterable[Mosaic]) -> set[Mosaic]:
 @dataclass
 class SolverStats:
     """Counters of one decide_sat call.  Per root: roots_tried.  Per glue
-    graph built (one per root key): glue_graphs, labels_built (labels kept
-    by the key's filter), label_classes (middle- and edge-class
-    representatives), arcs (between edge classes) and components.  Of the
-    answer: pool_size and crown_n."""
+    graph built (one per root key): glue_graphs, labels_built (the labels
+    in the classes the key's filter keeps), label_classes (middle- and
+    edge-class representatives), arcs (between edge classes) and
+    components.  Of the answer: pool_size and crown_n."""
 
     roots_tried: int = 0
     labels_built: int = 0
@@ -420,11 +436,13 @@ def decide_sat(theta: Formula, budget: int = 20_000_000) -> SatResult:
     glue graph of coherent tiles below each, for a connected family
     supplying every diamond and every refuted box of the root.  Which labels
     sit below a root depends only on its key (true diamonds, true boxes), so
-    labels are enumerated once under the constraints all roots share and
-    filtered per key, and each key's glue graph is built once.  A tile sees
-    its labels only through their modal vectors, so the graph runs over
-    classes of equal vectors, each represented by its least label: the
-    tiles found are those a search over every label finds first.
+    labels are enumerated once under the constraints all roots share, and
+    each key's glue graph is built once.  A tile sees its labels only
+    through their modal vectors, so the labels are grouped once into
+    classes of equal vectors, each represented by its least label, and
+    each key filters that table: the tiles found are those a search over
+    every label finds first.  Where a component places each witness does
+    not depend on the root, so a key's roots share those placements.
 
     Satisfiability somewhere coincides with satisfiability at a root: the
     submodel generated by any crown world pulls back to the root of a small
@@ -447,6 +465,11 @@ def decide_sat(theta: Formula, budget: int = 20_000_000) -> SatResult:
         box_all &= bt
     below = space.enumerate_labels(must=_below_must(space, dia_any, box_all),
                                    budget=steps)
+    # the labels below by modal vector: [least label, count], in ascending
+    # order of the least label
+    classes: dict[tuple[int, int, int, int], list[int]] = {}
+    for lab in below:
+        classes.setdefault(space.vectors(lab), [lab, 0])[1] += 1
     graphs: dict[tuple[int, int], _GlueGraph] = {}
     for rho in roots:
         stats.roots_tried += 1
@@ -454,9 +477,9 @@ def decide_sat(theta: Formula, budget: int = 20_000_000) -> SatResult:
         key = (dt, bt)
         graph = graphs.get(key)
         if graph is None:
-            graph = graphs[key] = _glue_graph(space, below, key, stats, steps)
-        for members in graph.comps:
-            got = _try_component(space, rho, graph, members, stats)
+            graph = graphs[key] = _glue_graph(classes, key, stats, steps)
+        for cid in range(len(graph.comps)):
+            got = _try_component(space, rho, graph, cid, stats)
             if got is not None:
                 return got
     return SatResult(False, stats=stats)
@@ -492,44 +515,44 @@ class _GlueGraph(NamedTuple):
     arc_mid: dict[tuple[int, int], int]
     adj: dict[int, set[int]]
     comps: list[list[int]]
+    placed: dict  # (component, requirement) -> its witness's arc, or None
 
 
-def _glue_graph(space: LabelSpace, below: list[int], key: tuple[int, int],
-                stats: SolverStats, steps: StepBudget) -> _GlueGraph:
+def _glue_graph(classes: dict[tuple[int, int, int, int], list[int]],
+                key: tuple[int, int], stats: SolverStats, steps: StepBudget
+                ) -> _GlueGraph:
     """Glue graph of the roots with this key: edge classes as nodes, an arc
-    where some middle class makes a coherent tile."""
-    ones = zeros = 0
-    for idx, pol, v in _below_must(space, *key):
-        if v == pol:
-            ones |= 1 << idx
-        else:
-            zeros |= 1 << idx
-    labels = [lab for lab in below if lab & ones == ones and not lab & zeros]
+    where some middle class makes a coherent tile.  The key's constraints
+    (`_below_must`) only read vector bits, true boxes setting bt and bc and
+    missing diamonds clearing dt and dc, so the search's class table is
+    filtered whole classes at a time."""
+    dia_true, box_true = key
+    middles, mvecs, edges, vecs = [], [], [], []
+    for vec, (lab, count) in classes.items():
+        dt, dc, bt, bc = vec
+        if box_true & ~(bt & bc) or (dt | dc) & ~dia_true:
+            continue
+        stats.labels_built += count
+        middles.append(lab)
+        mvecs.append(vec)
+        # a Hintikka label has dc <= dt and bt <= bc, and an edge sees only
+        # itself (edge_ok): so edge vectors have dt == dc and bt == bc, and
+        # each edge class is one class of the table
+        if dt == dc and bt == bc:
+            edges.append(lab)
+            vecs.append(vec)
     stats.glue_graphs += 1
-    stats.labels_built += len(labels)
-
-    # middles are classed by their whole modal vector, edges by the bodies
-    # they supply
-    middle_of: dict = {}
-    for lab in labels:
-        middle_of.setdefault(space.vectors(lab), lab)
-    middles = list(middle_of.values())
-    edge_of: dict = {}
-    for (_, dc, _, bc), m in middle_of.items():
-        if space.edge_ok(m):
-            edge_of.setdefault((dc, bc), m)
-    edges = list(edge_of.values())
     stats.label_classes += len(middles) + len(edges)
-
-    vecs = [space.vectors(x) for x in edges]
 
     # arc (xi, yi) exists when some middle makes (rho, m, X, Y) coherent;
     # keep the least such middle per arc
     arc_mid: dict[tuple[int, int], int] = {}
     adj: dict[int, set[int]] = {i: set() for i in range(len(edges))}
-    for m in middles:
-        dt_m, dc_m, bt_m, bc_m = space.vectors(m)
-        pc = [i for i, x in enumerate(edges) if space.pair_ok(m, x)]
+    for m, (dt_m, dc_m, bt_m, bc_m) in zip(middles, mvecs):
+        # pair_ok(m, x): x's true diamond bodies are m's diamonds, m's boxes
+        # hold in x
+        pc = [i for i, (_, dc, _, bc) in enumerate(vecs)
+              if not dc & ~dt_m and not bt_m & ~bc]
         steps.spend(len(pc) * len(pc) + len(edges), "glue-graph arcs")
         for xi in pc:
             # diamonds of m and refuted boxes of m that neither m nor X
@@ -563,14 +586,48 @@ def _glue_graph(space: LabelSpace, below: list[int], key: tuple[int, int],
                     stack.append(w)
         comps.append(sorted(members))
     stats.components += len(comps)
-    return _GlueGraph(middles, edges, arc_mid, adj, comps)
+    return _GlueGraph(middles, edges, arc_mid, adj, comps, {})
+
+
+def _arc(graph: _GlueGraph, xi: int, yi: int) -> tuple[int, int, int]:
+    """(xi, yi, m) with the arc's least middle m, stored under either
+    direction."""
+    m = graph.arc_mid.get((xi, yi))
+    return xi, yi, graph.arc_mid[(yi, xi)] if m is None else m
+
+
+def _place(space: LabelSpace, graph: _GlueGraph, members: list[int],
+           req: tuple[int, int, int]) -> Optional[tuple[int, int, int]]:
+    """The arc placing req's witness in the component, whatever the root:
+    the first member edge meeting req, linked to its least neighbour, else
+    the least (m, xi, yi) with m meeting req and a coherent tile; or None."""
+    slot, bit, want = req
+    edges = graph.edges
+
+    def meets(label: int) -> bool:
+        return space.vectors(label)[slot] >> bit & 1 == want
+
+    for xi in members:
+        if meets(edges[xi]):
+            return _arc(graph, xi, min(graph.adj[xi]))
+    for m in graph.middles:
+        if not meets(m):
+            continue
+        for xi in members:
+            if not space.pair_ok(m, edges[xi]):
+                continue
+            for yi in members:
+                if (space.pair_ok(m, edges[yi])
+                        and space.middle_ok(m, edges[xi], edges[yi])):
+                    return xi, yi, m
+    return None
 
 
 def _try_component(space: LabelSpace, rho: int, graph: _GlueGraph,
-                   members: list[int], stats: SolverStats
-                   ) -> Optional[SatResult]:
+                   cid: int, stats: SolverStats) -> Optional[SatResult]:
     dt_r, dc_r, bt_r, bc_r = space.vectors(rho)
     edges, arc_mid, adj = graph.edges, graph.arc_mid, graph.adj
+    members = graph.comps[cid]
 
     chosen: set[tuple[int, int, int]] = set()
 
@@ -579,44 +636,24 @@ def _try_component(space: LabelSpace, rho: int, graph: _GlueGraph,
         chosen.add((yi, xi, m))  # mirrored tile keeps the walk balanced
 
     def link(xi: int, yi: int):
-        # the arc's least middle, stored under one of its two directions
-        add_arc(xi, yi, arc_mid[(xi, yi)] if (xi, yi) in arc_mid
-                else arc_mid[(yi, xi)])
+        add_arc(*_arc(graph, xi, yi))
 
     # every diamond and every refuted box of the root needs a placed witness
     # (a label whose vector slot has the bit at the wanted value); the root
-    # label itself counts, then component edge labels, then middles
+    # label itself counts, then component edge labels, then middles.  The
+    # placements depend on the component alone, so the key's roots share them
     reqs = [(1, d, 1) for d in range(len(space.dia_list))
             if dt_r >> d & 1 and not dc_r >> d & 1]
     reqs += [(3, b, 0) for b in range(len(space.box_list))
              if bc_r >> b & 1 and not bt_r >> b & 1]
-
-    def meets(label: int, req: tuple[int, int, int]) -> bool:
-        slot, bit, want = req
-        return space.vectors(label)[slot] >> bit & 1 == want
-
-    def find_middle(req) -> bool:
-        # least (m, xi, yi) with m meeting req and a coherent tile inside
-        # the component
-        for m in graph.middles:
-            if not meets(m, req):
-                continue
-            for xi in members:
-                if not space.pair_ok(m, edges[xi]):
-                    continue
-                for yi in members:
-                    if (space.pair_ok(m, edges[yi])
-                            and space.middle_ok(m, edges[xi], edges[yi])):
-                        add_arc(xi, yi, m)
-                        return True
-        return False
-
     for req in reqs:
-        xi = next((xi for xi in members if meets(edges[xi], req)), None)
-        if xi is not None:
-            link(xi, min(adj[xi]))
-        elif not find_middle(req):
+        if (cid, req) in graph.placed:
+            arc = graph.placed[(cid, req)]
+        else:
+            arc = graph.placed[(cid, req)] = _place(space, graph, members, req)
+        if arc is None:
             return None
+        add_arc(*arc)
 
     if not chosen:
         loops = [xi for xi in members if (xi, xi) in arc_mid]

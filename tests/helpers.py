@@ -15,11 +15,12 @@ from polyplane.errors import BudgetExceededError, VerificationError
 from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, And,
                                Bottom, Box, Diamond, Formula, Iff, Implies,
                                Not, Or, Var, children, compile, modal_depth,
-                               pretty)
+                               pretty, render_nodes)
 from polyplane.geometry import Line, Scene
 from polyplane.kripke import Frame, WorldMap, find_subreduction, program_masks
-from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, SatResult,
-                              SolverStats, StepBudget, extract_model)
+from polyplane.mosaic import (_RULES, LabelSpace, Mosaic, MosaicError,
+                              SatResult, SolverStats, StepBudget,
+                              extract_model)
 
 UNARY = (Not, Box, Diamond)
 BINARY = (And, Or, Implies, Iff)
@@ -847,6 +848,84 @@ def reference_enumerate_labels(space: LabelSpace,
                 stack.append((nxt, k + 1))
     out.sort()
     return out
+
+
+# The table building LabelSpace.__init__ replaced by one pass over the
+# members, kept as its reference: the member order and literals first, then
+# every rule clause expanded from its positions, then each table read off
+# the opcodes.
+
+_REFERENCE_ARITY = {VAR: 0, BOT: 0, NOT: 1, DIA: 1, BOX: 1, AND: 2, OR: 2,
+                    IMP: 2, IFF: 2}
+
+
+def reference_label_tables(theta: Formula) -> dict:
+    """The tables of LabelSpace(theta), by attribute name."""
+    program = compile(theta)
+    code = program.code
+    sizes, texts = render_nodes(program)
+    nodes = sorted((i for i, (op, _, _) in enumerate(code) if op != NOT),
+                   key=lambda i: (sizes[i], texts[i]))
+    size = len(nodes)
+    lit_of = [0] * len(code)
+    for j, i in enumerate(nodes):
+        lit_of[i] = 2 * j
+    for i, (op, a, _) in enumerate(code):
+        if op == NOT:
+            lit_of[i] = lit_of[a] ^ 1
+    ops = [code[i][0] for i in nodes]
+    args = [code[i][1:1 + _REFERENCE_ARITY[op]] for i, op in zip(nodes, ops)]
+    slots_of = {op: [[~"cxy".index(t[1]) if t[0] == "-" else "cxy".index(t)
+                      for t in clause.split()] for clause in rule]
+                for op, rule in _RULES.items()}
+
+    operands, masks = [], []
+    succ: list[list[int]] = [[] for _ in range(2 * size)]
+    long: list[list] = [[] for _ in range(size)]
+    down = [False] * (2 * size)
+    for j, op in enumerate(ops):
+        lits = [2 * j, *[lit_of[i] for i in args[j]]]
+        operands.append(tuple([(x >> 1, not x & 1) for x in lits[1:]]))
+        lits += [x ^ 1 for x in reversed(lits)]
+        for slots in slots_of.get(op, ()):
+            clause = [lits[k] for k in slots]
+            ones = zeros = twice = 0
+            for x in clause:
+                bit = 1 << (x >> 1)
+                twice |= (ones | zeros) & bit
+                if x & 1:
+                    zeros |= bit
+                else:
+                    ones |= bit
+            masks.append((ones, zeros))
+            if len(clause) == 2:
+                x, y = clause
+                succ[x ^ 1].append(y)
+                succ[y ^ 1].append(x)
+                down[max(x, y) ^ 1] = True
+            elif len(clause) > 2:
+                for idx in {x >> 1 for x in clause}:
+                    long[idx].append((ones, zeros, twice))
+
+    closure: list = [None] * (2 * size)
+    for x in ([x for x in range(2 * size - 1, -1, -1) if not down[x]]
+              + [x for x in range(2 * size) if down[x]]):
+        t, f = (0, 1 << (x >> 1)) if x & 1 else (1 << (x >> 1), 0)
+        for y in succ[x]:
+            yt, yf = closure[y]
+            t |= yt
+            f |= yf
+        closure[x] = t, f
+    return {
+        "nodes": nodes, "_lit_of": lit_of, "ops": ops, "operands": operands,
+        "_clause_masks": masks, "_long": long, "_closure": closure,
+        "_watched": sum(1 << j for j in range(size) if long[j]),
+        "dia_list": [j for j, op in enumerate(ops) if op == DIA],
+        "box_list": [j for j, op in enumerate(ops) if op == BOX],
+        "_bottoms": [2 * j + 1 for j, op in enumerate(ops) if op == BOT],
+        "_decisions": sum(1 << j for j, op in enumerate(ops)
+                          if op in (VAR, DIA, BOX)),
+    }
 
 
 # ---------------------------------------------------------------------------

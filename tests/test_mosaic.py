@@ -12,12 +12,14 @@ from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, OR, And, Box,
                                Diamond, Not, Var, ast_size, closure, conj,
                                parse, pretty)
 from polyplane.kripke import Model, eval_formula, program_masks
-from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, StepBudget,
-                              check_path, decide_sat, extract_model,
-                              glue_reachable, is_coherent, mirror, valid)
+from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, SolverStats,
+                              StepBudget, check_path, decide_sat,
+                              extract_model, glue_reachable, is_coherent,
+                              mirror, valid)
 
 from helpers import (all_formulas, formulas, random_formula,
-                     reference_decide_sat, reference_enumerate_labels)
+                     reference_decide_sat, reference_enumerate_labels,
+                     reference_label_tables)
 
 
 def label_of(space, formulas):
@@ -500,11 +502,14 @@ def test_enumeration_matches_sweep_reference(f, data):
 
 # operands filling two positions of one clause, the unit clause of F, and
 # subformulas shared between operands
-@pytest.mark.parametrize("text", [
+FIXED_SHAPES = [
     "p & p", "p | p", "p -> p", "p <-> p", "p <-> ~p", "~p <-> p",
     "<>p -> <>p", "[]p & ~[]p", "F", "~F", "F <-> F", "p & F",
     "(<>p & q) | (q -> <>p)", "[](p & q) <-> (<>(p & q) & ~(p & q))",
-    "(p <-> q) & (q <-> p) & ~(p <-> ~q)"])
+    "(p <-> q) & (q <-> p) & ~(p <-> ~q)"]
+
+
+@pytest.mark.parametrize("text", FIXED_SHAPES)
 def test_enumeration_matches_sweep_reference_on_fixed_shapes(text):
     space = LabelSpace.for_formula(parse(text))
     for must in [[], *([(j, pol, v)] for j in range(space.size)
@@ -522,10 +527,13 @@ def tower(k, ops):
     return f
 
 
-@pytest.mark.parametrize("k,ops", [
+DEEP_TOWERS = [
     (100, (Box, Diamond, Not)), (100, (Diamond, Box, Not)),
     (75, (Box, Not, Diamond, Not)), (150, (Box, Not)), (300, (Diamond,)),
-    (300, (Box,))])
+    (300, (Box,))]
+
+
+@pytest.mark.parametrize("k,ops", DEEP_TOWERS)
 def test_enumeration_matches_sweep_reference_on_deep_towers(k, ops):
     # every decision but the five lowest and five highest is pinned to its
     # truth at one world of a crown model, so the search stays small while
@@ -541,6 +549,29 @@ def test_enumeration_matches_sweep_reference_on_deep_towers(k, ops):
                       for j, i in enumerate(space.nodes) if 5 <= j < top - 4])
     for must in musts:
         agrees_with_sweep_reference(space, must)
+
+
+def agrees_with_table_reference(f):
+    space, want = LabelSpace.for_formula(f), reference_label_tables(f)
+    masks = want.pop("_clause_masks")
+    assert sorted(space._clause_masks) == sorted(masks)
+    assert {name: getattr(space, name) for name in want} == want
+
+
+@settings(max_examples=300)
+@given(formulas(max_size=14))
+def test_label_tables_match_reference(f):
+    agrees_with_table_reference(f)
+
+
+@pytest.mark.parametrize("text", FIXED_SHAPES)
+def test_label_tables_match_reference_on_fixed_shapes(text):
+    agrees_with_table_reference(parse(text))
+
+
+@pytest.mark.parametrize("k,ops", DEEP_TOWERS)
+def test_label_tables_match_reference_on_deep_towers(k, ops):
+    agrees_with_table_reference(tower(k, ops))
 
 
 def by_size_and_text(members):
@@ -569,3 +600,37 @@ def test_deep_diamond_budget_out_is_pinned():
     with pytest.raises(BudgetExceededError,
                        match=r"\(500499 of 500000 steps\)"):
         decide_sat(parse("<>" * 500 + "p"), budget=500_000)
+
+
+# -- exact answers, counters and budget-outs of two random formulas
+
+DEEP_SAT = ("<>[]<>([]q & p & []<>([]<>q | ((F <-> r) -> []s) -> ~<>p "
+            "| (~r <-> ~r)))")
+WIDE_UNSAT = ("~((<>(s -> r) & <>p | ~(<>p & r & ~(F -> q))) "
+              "& []<>[](F -> r & <>~[]q))")
+
+
+def test_many_keys_sat_is_pinned():
+    # 377 roots under 64 keys before one places every witness
+    res = decide_sat(parse(DEEP_SAT))
+    assert (res.sat, res.n, res.world, res.root_label) == (True, 7, 0, 5722720)
+    assert len(res.mosaics) == 7
+    assert res.stats == SolverStats(
+        roots_tried=377, labels_built=7816, arcs=540, pool_size=7,
+        components=64, crown_n=7, glue_graphs=64, label_classes=4064)
+
+
+def test_many_keys_unsat_is_pinned():
+    res = decide_sat(parse(WIDE_UNSAT))
+    assert not res.sat and res.mosaics is None
+    assert res.stats == SolverStats(
+        roots_tried=180, labels_built=1344, arcs=300, components=24,
+        glue_graphs=36, label_classes=968)
+
+
+@pytest.mark.parametrize("budget,used", [(100_000, 100_005),
+                                         (120_000, 120_002)])
+def test_many_keys_budget_out_is_pinned(budget, used):
+    with pytest.raises(BudgetExceededError,
+                       match=rf"glue-graph arcs \({used} of {budget} steps\)$"):
+        decide_sat(parse(DEEP_SAT), budget=budget)
