@@ -7,7 +7,6 @@ points see their odd neighbours and odd-indexed points are maximal.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -16,7 +15,7 @@ from .axioms import classify_frame
 from .errors import BudgetExceededError, StepBudget, VerificationError
 from .formula import BOX, DIA, Formula, compile
 from .kripke import (Frame, Model, WorldMap, _closed_walk, _evaluate,
-                     _lane_index_bits, _shortest_path, is_p_morphism,
+                     _even_degrees, _lane_index_bits, is_p_morphism,
                      program_masks)
 
 
@@ -96,28 +95,15 @@ def reduce_to_crown(g: Frame, budget: int = 2_000_000) -> CrownReduction:
         raise VerificationError(
             "a middle world without one or two successors survived classification")
     # each middle is an edge between its least and greatest successor;
-    # doubling the edges on paths between odd-degree endpoints makes every
-    # degree even.  adj[a][b] is the least middle with successors a and b.
-    ends = {u: (succs[u][0], succs[u][-1]) for u in g1}
-    degree = Counter(x for u in g1 for x in ends[u])
-    adj: dict[int, dict[int, int]] = {x: {} for x in degree}
-    for u in g1:
-        a, b = ends[u]
-        adj[a].setdefault(b, u)
-        adj[b].setdefault(a, u)
-    edges = list(g1)
-    odd = sorted(x for x in degree if degree[x] % 2)
-    for a, b in zip(odd[::2], odd[1::2]):
-        # no path means a disconnected graph, which the walk reports
-        path = _shortest_path(adj, [a], {b}) or []
-        edges += [adj[x][y] for x, y in zip(path, path[1:])]
-    out: dict[int, list] = {x: [] for x in degree}
-    for i, u in enumerate(edges):
-        a, b = ends[u]
-        out[a].append((b, (u, i)))
-        out[b].append((a, (u, i)))
+    # adj[a][b] is the least middle with successors a and b
+    edges = [(succs[u][0], succs[u][-1], u) for u in g1]
+    adj: dict[int, dict[int, int]] = {}
+    for a, b, u in edges:
+        adj.setdefault(a, {}).setdefault(b, u)
+        adj.setdefault(b, {}).setdefault(a, u)
+    _even_degrees(edges, adj)
     try:
-        walk = _closed_walk(out, succs[g1[0]][0])
+        walk = _closed_walk(edges, succs[g1[0]][0])
     except ValueError:
         raise VerificationError(
             "upper part disconnected despite classification") from None
@@ -125,7 +111,7 @@ def reduce_to_crown(g: Frame, budget: int = 2_000_000) -> CrownReduction:
     n = len(walk)
     cr = crown(n)
     mapping = {0: root}
-    for i, (x, (u, _)) in enumerate(walk):
+    for i, (x, u) in enumerate(walk):
         mapping[2 * i + 1] = x
         mapping[2 * i + 2] = u
     wm = WorldMap(mapping)

@@ -415,7 +415,9 @@ def realize_crown_model(model: Model, witness: int,
                         formula: Optional[Formula] = None) -> Realization:
     """Realize a crown model as a scene of concurrent rational lines through
     the origin, with the valuation pulled back along the composite
-    cells -> crown(2L) -> crown(m) map.
+    cells -> crown(2L) -> crown(m) map.  L lines give crown(2L), so an even
+    m takes m/2 lines and the wrap is the identity; an odd m takes m lines
+    (at least 2).
 
     Truth of any formula at the distinguished cell then equals truth at the
     witness world; when `formula` is given this is verified directly.
@@ -425,7 +427,7 @@ def realize_crown_model(model: Model, witness: int,
         raise ValueError("model frame is not a crown")
     if not 0 <= witness < model.frame.n:
         raise ValueError("witness world out of range")
-    L = max(2, m)
+    L = max(2, m // 2 if m % 2 == 0 else m)
     lines = [Line.make(-k, 1, 0) for k in range(L)]
     scene = build_arrangement(lines)
     iso = concurrent_crown_map(scene)

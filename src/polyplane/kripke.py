@@ -616,40 +616,60 @@ def delta(frame: Frame, worlds: Iterable[int]) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # Walks and paths on plain graphs
 
-def _closed_walk(out: dict, start) -> list:
-    """Closed walk from `start` that uses every key in `out` exactly once.
+def _closed_walk(edges: Sequence[tuple], start) -> list:
+    """Closed walk from `start` that crosses every undirected edge
+    `(a, b, label)` of the list exactly once, in either direction.
 
-    `out[v]` lists the darts `(head, key)` leaving v, and every head is a
-    key of `out`.  Darts that share a key form one undirected edge, walked
-    once in either direction.  Hierholzer's algorithm takes the least
-    unused `(head, key)` first.  The walk comes
-    back as `[(v, key), ...]`: each entry leaves v along key towards the
-    next entry's v, and the last one returns to `start`.  Raises ValueError
-    when some key is left unused or the darts taken do not close up.
+    Hierholzer's algorithm takes the least unused `(other end, label,
+    index)` first.  The walk comes back as `[(v, label), ...]`: each entry
+    leaves v along its edge towards the next entry's v, and the last one
+    returns to `start`.  Raises ValueError when some edge is left unused or
+    the edges taken do not close up.
     """
-    darts = {v: sorted(ds, reverse=True) for v, ds in out.items()}
-    used = set()
+    darts: dict = {start: []}
+    for i, (a, b, label) in enumerate(edges):
+        darts.setdefault(a, []).append((b, label, i))
+        darts.setdefault(b, []).append((a, label, i))
+    for ds in darts.values():
+        ds.sort(reverse=True)
+    used = [False] * len(edges)
     stack = [(start, None)]
     steps = []
     while stack:
         v, via = stack[-1]
         ds = darts[v]
-        while ds and ds[-1][1] in used:
+        while ds and used[ds[-1][2]]:
             ds.pop()
         if ds:
-            head, key = ds.pop()
-            used.add(key)
-            stack.append((head, key))
+            head, label, i = ds.pop()
+            used[i] = True
+            stack.append((head, label))
         else:
             stack.pop()
             if stack:
                 steps.append((stack[-1][0], via, v))
     steps.reverse()
-    if any(key not in used for ds in out.values() for _, key in ds):
-        raise ValueError("closed walk misses a dart")
+    if not all(used):
+        raise ValueError("closed walk misses an edge")
     if any(a[2] != b[0] for a, b in zip(steps, steps[1:] + steps[:1])):
         raise ValueError("walk does not close")
-    return [(v, key) for v, key, _ in steps]
+    return [(v, label) for v, label, _ in steps]
+
+
+def _even_degrees(edges: list, adj: dict) -> None:
+    """Append to the undirected edges `(a, b, label)` the edges
+    `(x, y, adj[x][y])` of a shortest `adj`-path between each pair of
+    odd-degree nodes, paired in ascending order, so that every degree is
+    even: Edmonds and Johnson's Chinese-postman doubling ("Matching, Euler
+    tours and the Chinese postman", 1973) with the pairs taken in order.  A
+    pair with no path adds nothing, and the walk then reports it."""
+    odd: set = set()
+    for a, b, _ in edges:
+        odd ^= {a} ^ {b}
+    ends = sorted(odd)
+    for a, b in zip(ends[::2], ends[1::2]):
+        path = _shortest_path(adj, [a], {b}) or []
+        edges += [(x, y, adj[x][y]) for x, y in zip(path, path[1:])]
 
 
 def _shortest_path(adj: dict, sources: Iterable, targets) -> Optional[list]:

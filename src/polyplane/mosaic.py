@@ -19,8 +19,8 @@ from .crown import crown
 from .errors import StepBudget
 from .formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, Formula,
                       Not, compile, negation_text, pretty, render_nodes)
-from .kripke import (Model, _closed_walk, _mask_worlds, _shortest_path,
-                     program_masks)
+from .kripke import (Model, _closed_walk, _even_degrees, _mask_worlds,
+                     _shortest_path, program_masks)
 
 
 class MosaicError(RuntimeError):
@@ -403,7 +403,8 @@ class SolverStats:
     graph built (one per root key): glue_graphs, labels_built (the labels
     in the classes the key's filter keeps), label_classes (middle- and
     edge-class representatives), arcs (between edge classes) and
-    components.  Of the answer: pool_size and crown_n."""
+    components.  Of the answer: pool_size (the tiles, counted with
+    multiplicity, so equal to crown_n) and crown_n."""
 
     roots_tried: int = 0
     labels_built: int = 0
@@ -442,14 +443,16 @@ def decide_sat(theta: Formula, budget: int = 20_000_000) -> SatResult:
     classes of equal vectors, each represented by its least label, and
     each key filters that table: the tiles found are those a search over
     every label finds first.  Where a component places each witness does
-    not depend on the root, so a key's roots share those placements.
+    not depend on the root, so a key's roots share those placements.  The
+    chosen tiles, once each, are joined and their degrees evened by shortest
+    paths (`_even_degrees`), and one closed walk lays out the crown.
 
     Satisfiability somewhere coincides with satisfiability at a root: the
     submodel generated by any crown world pulls back to the root of a small
     crown along a total p-morphism (a constant map for an endpoint, the
     two-teeth cover for a middle), so the search over roots holding theta
-    is complete and the witness is always world 0.  Enumeration and arc
-    building spend from one step budget.
+    is complete and the witness is always world 0.  Enumeration, arc
+    building and witness placement spend from one step budget.
     """
     space = LabelSpace.for_formula(theta)
     stats = SolverStats()
@@ -479,7 +482,7 @@ def decide_sat(theta: Formula, budget: int = 20_000_000) -> SatResult:
         if graph is None:
             graph = graphs[key] = _glue_graph(classes, key, stats, steps)
         for cid in range(len(graph.comps)):
-            got = _try_component(space, rho, graph, cid, stats)
+            got = _try_component(space, rho, graph, cid, stats, steps)
             if got is not None:
                 return got
     return SatResult(False, stats=stats)
@@ -512,8 +515,7 @@ def _below_must(space: LabelSpace, dia_true: int, box_true: int
 class _GlueGraph(NamedTuple):
     middles: list[int]                # class representatives, ascending
     edges: list[int]                  # edge-class representatives, ascending
-    arc_mid: dict[tuple[int, int], int]
-    adj: dict[int, set[int]]
+    arcs: dict[int, dict[int, int]]   # arcs[xi][yi]: the arc's least middle
     comps: list[list[int]]
     placed: dict  # (component, requirement) -> its witness's arc, or None
 
@@ -545,9 +547,9 @@ def _glue_graph(classes: dict[tuple[int, int, int, int], list[int]],
     stats.label_classes += len(middles) + len(edges)
 
     # arc (xi, yi) exists when some middle makes (rho, m, X, Y) coherent;
-    # keep the least such middle per arc
-    arc_mid: dict[tuple[int, int], int] = {}
-    adj: dict[int, set[int]] = {i: set() for i in range(len(edges))}
+    # the test is symmetric in xi and yi, so both directions keep the same
+    # least middle
+    arcs: dict[int, dict[int, int]] = {i: {} for i in range(len(edges))}
     for m, (dt_m, dc_m, bt_m, bc_m) in zip(middles, mvecs):
         # pair_ok(m, x): x's true diamond bodies are m's diamonds, m's boxes
         # hold in x
@@ -559,20 +561,17 @@ def _glue_graph(classes: dict[tuple[int, int, int, int], list[int]],
             # witnesses: Y must
             rd = dt_m & ~(dc_m | vecs[xi][1])
             rb = bc_m & vecs[xi][3] & ~bt_m
+            near = arcs[xi]
             for yi in pc:
-                if (xi, yi) in arc_mid:
+                if yi in near or rd & ~vecs[yi][1] or rb & vecs[yi][3]:
                     continue
-                if rd & ~vecs[yi][1] or rb & vecs[yi][3]:
-                    continue
-                arc_mid[(xi, yi)] = m
-                adj[xi].add(yi)
-                adj[yi].add(xi)
-    stats.arcs += len(arc_mid)
+                near[yi] = arcs[yi][xi] = m
+    stats.arcs += sum(map(len, arcs.values()))
 
     comp_of: dict[int, int] = {}
     comps: list[list[int]] = []
-    for start in sorted(adj):
-        if start in comp_of or not adj[start]:
+    for start, near in arcs.items():
+        if start in comp_of or not near:
             continue
         cid = len(comps)
         stack, members = [start], []
@@ -580,63 +579,60 @@ def _glue_graph(classes: dict[tuple[int, int, int, int], list[int]],
         while stack:
             v = stack.pop()
             members.append(v)
-            for w in adj[v]:
+            for w in arcs[v]:
                 if w not in comp_of:
                     comp_of[w] = cid
                     stack.append(w)
         comps.append(sorted(members))
     stats.components += len(comps)
-    return _GlueGraph(middles, edges, arc_mid, adj, comps, {})
-
-
-def _arc(graph: _GlueGraph, xi: int, yi: int) -> tuple[int, int, int]:
-    """(xi, yi, m) with the arc's least middle m, stored under either
-    direction."""
-    m = graph.arc_mid.get((xi, yi))
-    return xi, yi, graph.arc_mid[(yi, xi)] if m is None else m
+    return _GlueGraph(middles, edges, arcs, comps, {})
 
 
 def _place(space: LabelSpace, graph: _GlueGraph, members: list[int],
-           req: tuple[int, int, int]) -> Optional[tuple[int, int, int]]:
+           req: tuple[int, int, int], steps: StepBudget
+           ) -> Optional[tuple[int, int, int]]:
     """The arc placing req's witness in the component, whatever the root:
     the first member edge meeting req, linked to its least neighbour, else
-    the least (m, xi, yi) with m meeting req and a coherent tile; or None."""
+    the least (m, xi, yi) with m meeting req and a coherent tile; or None.
+    Each pair_ok test spends one step."""
     slot, bit, want = req
-    edges = graph.edges
+    edges, arcs = graph.edges, graph.arcs
 
     def meets(label: int) -> bool:
         return space.vectors(label)[slot] >> bit & 1 == want
 
+    def fits(m: int, xi: int) -> bool:
+        steps.spend(1, "witness placement")
+        return space.pair_ok(m, edges[xi])
+
     for xi in members:
         if meets(edges[xi]):
-            return _arc(graph, xi, min(graph.adj[xi]))
+            yi = min(arcs[xi])
+            return xi, yi, arcs[xi][yi]
     for m in graph.middles:
         if not meets(m):
             continue
         for xi in members:
-            if not space.pair_ok(m, edges[xi]):
+            if not fits(m, xi):
                 continue
             for yi in members:
-                if (space.pair_ok(m, edges[yi])
-                        and space.middle_ok(m, edges[xi], edges[yi])):
+                if fits(m, yi) and space.middle_ok(m, edges[xi], edges[yi]):
                     return xi, yi, m
     return None
 
 
 def _try_component(space: LabelSpace, rho: int, graph: _GlueGraph,
-                   cid: int, stats: SolverStats) -> Optional[SatResult]:
+                   cid: int, stats: SolverStats, steps: StepBudget
+                   ) -> Optional[SatResult]:
     dt_r, dc_r, bt_r, bc_r = space.vectors(rho)
-    edges, arc_mid, adj = graph.edges, graph.arc_mid, graph.adj
+    edges, arcs = graph.edges, graph.arcs
     members = graph.comps[cid]
 
+    # each tile once, edge classes ascending: a walk crosses it either way
     chosen: set[tuple[int, int, int]] = set()
 
     def add_arc(xi: int, yi: int, m: int):
-        chosen.add((xi, yi, m))
-        chosen.add((yi, xi, m))  # mirrored tile keeps the walk balanced
-
-    def link(xi: int, yi: int):
-        add_arc(*_arc(graph, xi, yi))
+        chosen.add((min(xi, yi), max(xi, yi), m))
 
     # every diamond and every refuted box of the root needs a placed witness
     # (a label whose vector slot has the bit at the wanted value); the root
@@ -647,38 +643,34 @@ def _try_component(space: LabelSpace, rho: int, graph: _GlueGraph,
     reqs += [(3, b, 0) for b in range(len(space.box_list))
              if bc_r >> b & 1 and not bt_r >> b & 1]
     for req in reqs:
-        if (cid, req) in graph.placed:
-            arc = graph.placed[(cid, req)]
-        else:
-            arc = graph.placed[(cid, req)] = _place(space, graph, members, req)
+        if (cid, req) not in graph.placed:
+            graph.placed[(cid, req)] = _place(space, graph, members, req, steps)
+        arc = graph.placed[(cid, req)]
         if arc is None:
             return None
         add_arc(*arc)
 
     if not chosen:
-        loops = [xi for xi in members if (xi, xi) in arc_mid]
-        if loops:
-            link(loops[0], loops[0])
-        else:
-            member_set = set(members)
-            link(*min(k for k in arc_mid if k[0] in member_set))
+        # the first loop, else the least arc of the component
+        xi = next((x for x in members if x in arcs[x]), members[0])
+        yi = xi if xi in arcs[xi] else min(arcs[xi])
+        add_arc(xi, yi, arcs[xi][yi])
 
-    # connect the chosen arcs through the component so one closed walk
-    # covers them all
-    nodes = sorted({t[0] for t in chosen} | {t[1] for t in chosen})
-    connected = {nodes[0]}
-    missing = set(nodes) - connected
-    while missing:
-        path = _shortest_path(adj, sorted(connected), missing)
+    # connect the chosen arcs through the component, then even the degrees,
+    # so one closed walk covers them all
+    nodes = {x for arc in chosen for x in arc[:2]}
+    connected = {min(nodes)}
+    while nodes - connected:
+        path = _shortest_path(arcs, sorted(connected), nodes - connected)
         if path is None:
             raise MosaicError("component lost connectivity")
         for u, v in zip(path, path[1:]):
-            link(u, v)
+            add_arc(u, v, arcs[u][v])
         connected |= set(path)
-        missing = set(nodes) - connected
+    tiles = sorted(chosen)
+    _even_degrees(tiles, arcs)
 
-    pool = tuple(Mosaic(rho, m, edges[xi], edges[yi])
-                 for (xi, yi, m) in sorted(chosen))
+    pool = tuple(Mosaic(rho, m, edges[xi], edges[yi]) for xi, yi, m in tiles)
     n, model, witness = extract_model(pool, space, rho)
     stats.pool_size = len(pool)
     stats.crown_n = n
@@ -692,14 +684,16 @@ def extract_model(pool: Iterable[Mosaic], space: LabelSpace,
                   root_label: Optional[int] = None) -> tuple[int, Model, int]:
     """Assemble a crown model from a saturated family of coherent mosaics.
 
-    The pool is closed under mirroring, and a closed walk visiting every
-    tile once (edge labels as nodes, tiles as arcs) lays the tiles around
-    the crown cycle; a pool whose glue graph is disconnected has no such
-    walk.  Every closure member is re-verified at every world against its
-    label before returning.  The witness is the first world holding
+    The pool is a multiset of tiles, and a closed walk crossing every tile
+    once, in either direction (edge labels as nodes, tiles as edges), lays
+    the tiles around the crown cycle: coherence is symmetric in the two
+    edges, so a tile crossed backwards is its mirror.  A pool with an
+    odd-degree edge label, or whose glue graph is disconnected, has no
+    such walk.  Every closure member is re-verified at every world against
+    its label before returning.  The witness is the first world holding
     `space.theta`; a pool where no world holds it raises MosaicError.
     """
-    tiles = sorted(set(pool))
+    tiles = sorted(pool)
     if not tiles:
         raise MosaicError("empty mosaic pool")
     roots = {t.root for t in tiles}
@@ -709,26 +703,23 @@ def extract_model(pool: Iterable[Mosaic], space: LabelSpace,
         root_label = tiles[0].root
     elif root_label not in roots:
         raise MosaicError("root label not used by the pool")
-    for t in tiles:
+    for t in dict.fromkeys(tiles):
         if not is_coherent(t, space):
             raise MosaicError(f"incoherent mosaic in pool: {t}")
-    tiles = sorted(set(tiles) | {mirror(t) for t in tiles})
 
-    out: dict[int, list[tuple[int, Mosaic]]] = {}
-    for t in tiles:
-        out.setdefault(t.edge0, []).append((t.edge1, t))
     try:
-        walk = _closed_walk(out, min(out))
+        walk = _closed_walk([(t.edge0, t.edge1, t) for t in tiles],
+                            min(min(t.edge0, t.edge1) for t in tiles))
     except ValueError as e:
         raise MosaicError(f"pool does not glue into a single cycle: {e}") from None
-    order = [t for _, t in walk]
 
-    n = len(order)
+    n = len(walk)
     world_labels = [root_label]
-    for t in order:
-        world_labels.append(t.edge0)
+    for edge, t in walk:
+        world_labels.append(edge)
         world_labels.append(t.middle)
-    # world 2i+1 carries edge0 of tile i, world 2i+2 its middle; column i
+    # world 2i+1 carries the edge step i leaves, world 2i+2 its tile's
+    # middle; column i
     # holds the worlds whose labels make positive member i true
     cols = [0] * space.size
     for w, lab in enumerate(world_labels):

@@ -17,7 +17,8 @@ from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, And,
                                Not, Or, Var, children, compile, modal_depth,
                                pretty, render_nodes)
 from polyplane.geometry import Line, Scene
-from polyplane.kripke import Frame, WorldMap, find_subreduction, program_masks
+from polyplane.kripke import (Frame, WorldMap, _even_degrees, find_subreduction,
+                              program_masks)
 from polyplane.mosaic import (_RULES, LabelSpace, Mosaic, MosaicError,
                               SatResult, SolverStats, StepBudget,
                               extract_model)
@@ -556,8 +557,8 @@ def _reference_try_component(space: LabelSpace, rho: int, edges: list[int],
     chosen: set[tuple[int, int, int]] = set()
 
     def add_arc(xi: int, yi: int, m: int):
-        chosen.add((xi, yi, m))
-        chosen.add((yi, xi, m))  # mirrored tile keeps the walk balanced
+        # once, either way round: the walk may cross a tile backwards
+        chosen.add((min(xi, yi), max(xi, yi), m))
 
     def place_edge(xi: int):
         yi = min(adj[xi])
@@ -669,8 +670,11 @@ def _reference_try_component(space: LabelSpace, rho: int, edges: list[int],
         connected |= set(path)
         missing = set(nodes) - connected
 
-    pool = tuple(Mosaic(rho, m, edges[xi], edges[yi])
-                 for (xi, yi, m) in sorted(chosen))
+    # the library's degree evening, so that models can be compared
+    tiles = sorted(chosen)
+    _even_degrees(tiles, {x: {y: arc_mid[(x, y)] for y in adj[x]}
+                          for x in adj})
+    pool = tuple(Mosaic(rho, m, edges[xi], edges[yi]) for xi, yi, m in tiles)
     n, model, witness = extract_model(pool, space, rho)
     stats.pool_size = len(pool)
     stats.crown_n = n

@@ -88,18 +88,19 @@ def test_cell_of_unknown_characters_is_usage_error(tmp_path, capsys):
     assert captured.err == "error: --cell takes one of the characters +, 0, - per line\n"
 
 
-def test_realize_crown_fifteen_model(tmp_path, capsys):
-    # all eight sign patterns of p, q, r as endpoints: crown(15), 15 lines
+def test_realize_eight_pattern_model(tmp_path, capsys):
+    # all eight sign patterns of p, q, r as endpoints: crown(12), whose
+    # even cycle takes 6 concurrent lines
     theta = " & ".join(f"<>[]({a}p & {b}q & {c}r)"
                        for a in ("", "~") for b in ("", "~") for c in ("", "~"))
     m = tmp_path / "model.json"
     assert run(["sat", theta, "--model-out", str(m)]) == 0
-    assert capsys.readouterr().out == "SAT on crown(15) at world 0\n"
+    assert capsys.readouterr().out == "SAT on crown(12) at world 0\n"
     assert run(["realize", "--model", str(m), "--svg", str(tmp_path / "fig.svg")]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert len(data["lines"]) == 15 and data["cell"] == "0" * 15
+    assert len(data["lines"]) == 6 and data["cell"] == "0" * 6
     scene, val = scene_from_dict(data)
-    assert eval_scene(scene, val, (0,) * 15, parse(theta))
+    assert eval_scene(scene, val, (0,) * 6, parse(theta))
 
 
 def test_realize_command(tmp_path, capsys):
@@ -166,24 +167,21 @@ def test_outputs_byte_stable(tmp_path, capsys):
     run(["sat", "<>[]q & <>[]~q & <>(p & <>~p & ~<>[]q)", "--model-out",
          str(out), "--trace"])
     got = capsys.readouterr()
-    assert got.out == "SAT on crown(7) at world 0\n"
-    assert out.read_text() == (
-        '{"rel":[[0,1],[0,2],[0,3],[0,4],[0,5],[0,6],[0,7],[0,8],[0,9],'
-        '[0,10],[0,11],[0,12],[0,13],[0,14],[2,1],[2,3],[4,3],[4,5],[6,5],'
-        '[6,7],[8,7],[8,9],[10,9],[10,11],[12,11],[12,13],[14,1],[14,13]],'
-        '"root":0,"val":{"p":[1,2,3,4,5,6,7,10,11,12],"q":[1,3,7,10,12]},'
-        '"worlds":15}\n')
-    # seven tiles, 5,266 bytes of trace
-    assert got.err.count("\nmosaic ") == 6
-    assert hashlib.sha256(got.err.encode()).hexdigest() == (
-        "a5939274be46967ebfde154711ecf24c20ac3280bafc40fec03ea61383e770b5")
-    run(["sat", "<>(p & <>~p)", "--model-out", str(out), "--trace"])
-    got = capsys.readouterr()
     assert got.out == "SAT on crown(4) at world 0\n"
     assert out.read_text() == (
         '{"rel":[[0,1],[0,2],[0,3],[0,4],[0,5],[0,6],[0,7],[0,8],[2,1],'
         '[2,3],[4,3],[4,5],[6,5],[6,7],[8,1],[8,7]],"root":0,'
-        '"val":{"p":[1,5,6,8]},"worlds":9}\n')
+        '"val":{"p":[1,2,3,4,5,6],"q":[1,3,6]},"worlds":9}\n')
+    # four tiles, 3,011 bytes of trace
+    assert got.err.count("\nmosaic ") == 3
+    assert hashlib.sha256(got.err.encode()).hexdigest() == (
+        "d7b7768c98140f95fc580488ed38d2bbecb8d74d7f2dd0a40d3771cb38122c5b")
+    run(["sat", "<>(p & <>~p)", "--model-out", str(out), "--trace"])
+    got = capsys.readouterr()
+    assert got.out == "SAT on crown(2) at world 0\n"
+    assert out.read_text() == (
+        '{"rel":[[0,1],[0,2],[0,3],[0,4],[2,1],[2,3],[4,1],[4,3]],"root":0,'
+        '"val":{"p":[1,4]},"worlds":5}\n')
     assert got.err == (
         'mosaic [["<>(p & <>~p)", "<>~p", "~(p & <>~p)", "~p"], '
         '["<>~p", "~(p & <>~p)", "~<>(p & <>~p)", "~p"], '
@@ -192,15 +190,7 @@ def test_outputs_byte_stable(tmp_path, capsys):
         'mosaic [["<>(p & <>~p)", "<>~p", "~(p & <>~p)", "~p"], '
         '["<>(p & <>~p)", "<>~p", "p", "p & <>~p"], '
         '["p", "~(p & <>~p)", "~<>(p & <>~p)", "~<>~p"], '
-        '["<>~p", "~(p & <>~p)", "~<>(p & <>~p)", "~p"]]\n'
-        'mosaic [["<>(p & <>~p)", "<>~p", "~(p & <>~p)", "~p"], '
-        '["<>~p", "~(p & <>~p)", "~<>(p & <>~p)", "~p"], '
-        '["<>~p", "~(p & <>~p)", "~<>(p & <>~p)", "~p"], '
-        '["p", "~(p & <>~p)", "~<>(p & <>~p)", "~<>~p"]]\n'
-        'mosaic [["<>(p & <>~p)", "<>~p", "~(p & <>~p)", "~p"], '
-        '["<>(p & <>~p)", "<>~p", "p", "p & <>~p"], '
-        '["<>~p", "~(p & <>~p)", "~<>(p & <>~p)", "~p"], '
-        '["p", "~(p & <>~p)", "~<>(p & <>~p)", "~<>~p"]]\n')
+        '["<>~p", "~(p & <>~p)", "~<>(p & <>~p)", "~p"]]\n')
 
 
 def test_axioms_command(capsys):

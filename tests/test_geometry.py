@@ -357,6 +357,27 @@ def test_realize_crown_one_uses_wrap():
     assert wm.is_onto(crown(1))
 
 
+@pytest.mark.parametrize("m,lines", [(30, 15), (48, 24)])
+def test_realize_even_crown_on_half_the_lines(m, lines):
+    # L concurrent lines give crown(2L), so an even crown(m) needs m/2
+    # lines; crown(30) and crown(48) fit under the line cap
+    model = Model(crown(m), {"p": {1, 2, 3, m + 1}, "q": set(range(2, 2 * m, 4))})
+    f = parse("<>[]p & <>(q & <>~p) & ~[]q")
+    for witness in (0, 2, m + 1):
+        real = realize_crown_model(model, witness, formula=f)
+        assert len(real.scene.lines) == lines
+        assert real.cell_world[real.scene.index[real.cell]] == witness
+        assert eval_scene(real.scene, real.val, real.cell, f) \
+            == eval_formula(model, witness, f)
+    assert eval_formula(model, 0, f)
+
+
+def test_realize_odd_crown_over_the_line_cap():
+    # an odd crown(m) still takes m lines
+    with pytest.raises(ValueError, match="more than 24 lines"):
+        realize_crown_model(Model(crown(25), {}), 0)
+
+
 def test_realize_nonroot_witness():
     model = Model(crown(2), {"p": {2}})
     real = realize_crown_model(model, 2, formula=parse("p & <>~p"))

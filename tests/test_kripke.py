@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,8 +10,9 @@ from polyplane.errors import BudgetExceededError
 from polyplane.formula import (And, Bottom, Box, Diamond, Iff, Implies, Not,
                                Or, Var, conj, parse, substitute, variables)
 from polyplane.kripke import (Frame, Model, ValidityReport, WorldMap,
-                              _closed_walk, _shortest_path, closure_set, delta,
-                              eval_formula, find_subreduction, frame_from_dict,
+                              _closed_walk, _even_degrees, _shortest_path,
+                              closure_set, delta, eval_formula,
+                              find_subreduction, frame_from_dict,
                               frame_to_dict, interior_set, is_p_morphism,
                               jankov_fine, model_from_dict, model_to_dict,
                               sat_on_frame, sigma_bisimilar, truth_mask,
@@ -629,31 +631,50 @@ def test_deep_formula_evaluates_without_recursion():
         reference_sampled(point, Var("p"), 20, 0)
 
 
-def test_closed_walk_directed_keys():
-    # the least dart first: 0 -a-> 1 -b-> 0 closes early, and the walk
-    # splices 1 -c-> 2 -d-> 1 in where it left 1
-    out = {0: [(1, "a")], 1: [(2, "c"), (0, "b")], 2: [(1, "d")]}
-    assert _closed_walk(out, 0) == [(0, "a"), (1, "c"), (2, "d"), (1, "b")]
-    out = {0: [(2, "c"), (1, "a")], 1: [(0, "b")], 2: [(0, "d")]}
-    assert _closed_walk(out, 0) == [(0, "a"), (1, "b"), (0, "c"), (2, "d")]
+def test_closed_walk_least_edge_first():
+    # the least (other end, label) first: 0 -a- 1 -b- 0 closes early, and
+    # the walk splices 1 -c- 2 -d- 1 in where it left 1
+    edges = [(0, 1, "a"), (1, 0, "b"), (1, 2, "c"), (2, 1, "d")]
+    assert _closed_walk(edges, 0) == [(0, "a"), (1, "c"), (2, "d"), (1, "b")]
+    # an edge is crossed whichever way round it is listed: from 0, a and b
+    # are walked from their second end; from 2, whose least other end is
+    # 0, c is
+    edges = [(1, 0, "a"), (0, 2, "c"), (2, 1, "b")]
+    assert _closed_walk(edges, 0) == [(0, "a"), (1, "b"), (2, "c")]
+    assert _closed_walk(edges, 2) == [(2, "c"), (0, "a"), (1, "b")]
 
 
 def test_closed_walk_shared_keys_and_loop():
-    # two parallel undirected edges x, y between 0 and 1 and a loop z at 1;
-    # each key is walked once, whichever dart of it is taken
-    out = {0: [(1, "x"), (1, "y")],
-           1: [(0, "x"), (0, "y"), (1, "z"), (1, "z")]}
-    assert _closed_walk(out, 0) == [(0, "x"), (1, "z"), (1, "y")]
-    assert _closed_walk(out, 1) == [(1, "x"), (0, "y"), (1, "z")]
+    # two parallel edges sharing the label x between 0 and 1 and a loop z
+    # at 1; each edge is walked once, so x comes up twice
+    edges = [(0, 1, "x"), (1, 0, "x"), (1, 1, "z")]
+    assert _closed_walk(edges, 0) == [(0, "x"), (1, "z"), (1, "x")]
+    assert _closed_walk(edges, 1) == [(1, "x"), (0, "x"), (1, "z")]
 
 
 def test_closed_walk_raises_when_it_misses_or_stays_open():
-    out = {0: [(1, "a")], 1: [(0, "a")], 2: [(2, "b")]}
     with pytest.raises(ValueError, match="misses"):
-        _closed_walk(out, 0)
+        _closed_walk([(0, 1, "a"), (1, 0, "a"), (2, 2, "b")], 0)
     with pytest.raises(ValueError, match="does not close"):
-        _closed_walk({0: [(1, "a")], 1: []}, 0)
-    assert _closed_walk({0: []}, 0) == []
+        _closed_walk([(0, 1, "a")], 0)
+    assert _closed_walk([], 0) == []
+
+
+def test_even_degrees_pairs_odd_nodes_in_order():
+    # a star on centre 0 with leaves 1..4; adj also has a direct arc e
+    # between 3 and 4 that the star does not use
+    star = [(0, 1, "a"), (0, 2, "b"), (0, 3, "c"), (0, 4, "d")]
+    adj = {0: {1: "a", 2: "b", 3: "c", 4: "d"}, 1: {0: "a"}, 2: {0: "b"},
+           3: {0: "c", 4: "e"}, 4: {0: "d", 3: "e"}}
+    edges = list(star)
+    assert _even_degrees(edges, adj) is None
+    # 1 pairs with 2 through the centre, 3 with 4 along the direct arc
+    assert edges == star + [(1, 0, "a"), (0, 2, "b"), (3, 4, "e")]
+    degree = Counter(x for a, b, _ in edges for x in (a, b))
+    assert all(d % 2 == 0 for d in degree.values())
+    assert len(_closed_walk(edges, 0)) == len(edges)
+    # even degrees already: nothing is added
+    assert _even_degrees(edges, adj) is None and len(edges) == 7
 
 
 def test_shortest_path_tie_breaking():

@@ -191,14 +191,19 @@ def test_extract_single_tile_self_glue_gives_crown_one():
 
 
 def test_extract_mirrors_close_the_cycle():
+    # a tile with two different edges has two odd-degree edge labels: alone
+    # it has no closed walk, and a second copy, either way round, closes it
     space = LabelSpace.for_formula(parse("<>p"))
     l_both = label_of(space, {parse("p"), parse("<>p")})
     l_none = label_of(space, {})
     tile = Mosaic(l_both, l_both, l_both, l_none)
     assert is_coherent(tile, space)
-    n, model, witness = extract_model([tile], space)
+    with pytest.raises(MosaicError, match="single cycle"):
+        extract_model([tile], space)
+    n, model, witness = extract_model([tile, tile], space)
     assert n == 2
     assert eval_formula(model, 0, parse("<>p"))
+    assert extract_model([tile, mirror(tile)], space) == (n, model, witness)
 
 
 def test_extract_rejects_mixed_roots():
@@ -613,11 +618,11 @@ WIDE_UNSAT = ("~((<>(s -> r) & <>p | ~(<>p & r & ~(F -> q))) "
 def test_many_keys_sat_is_pinned():
     # 377 roots under 64 keys before one places every witness
     res = decide_sat(parse(DEEP_SAT))
-    assert (res.sat, res.n, res.world, res.root_label) == (True, 7, 0, 5722720)
-    assert len(res.mosaics) == 7
+    assert (res.sat, res.n, res.world, res.root_label) == (True, 6, 0, 5722720)
+    assert len(res.mosaics) == 6
     assert res.stats == SolverStats(
-        roots_tried=377, labels_built=7816, arcs=540, pool_size=7,
-        components=64, crown_n=7, glue_graphs=64, label_classes=4064)
+        roots_tried=377, labels_built=7816, arcs=540, pool_size=6,
+        components=64, crown_n=6, glue_graphs=64, label_classes=4064)
 
 
 def test_many_keys_unsat_is_pinned():
@@ -629,8 +634,35 @@ def test_many_keys_unsat_is_pinned():
 
 
 @pytest.mark.parametrize("budget,used", [(100_000, 100_005),
-                                         (120_000, 120_002)])
+                                         (120_000, 120_008)])
 def test_many_keys_budget_out_is_pinned(budget, used):
     with pytest.raises(BudgetExceededError,
                        match=rf"glue-graph arcs \({used} of {budget} steps\)$"):
         decide_sat(parse(DEEP_SAT), budget=budget)
+
+
+def test_many_keys_placement_budget_out_is_pinned():
+    # witness placement spends one step per pair_ok test; this key's
+    # placements start at step 119,730 and take 98 steps
+    with pytest.raises(BudgetExceededError,
+                       match=r"witness placement \(119751 of 119750 steps\)$"):
+        decide_sat(parse(DEEP_SAT), budget=119_750)
+
+
+# -- endpoint formulas: one <>[] per atom pattern of p, q, r
+
+# pattern a makes the i-th of p, q, r true when bit i of a is set
+ENDPOINTS = ["<>[](~p & ~q & ~r)", "<>[](p & ~q & ~r)", "<>[](~p & q & ~r)",
+             "<>[](p & q & ~r)", "<>[](~p & ~q & r)", "<>[](p & ~q & r)",
+             "<>[](~p & q & r)", "<>[](p & q & r)"]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_endpoint_crowns_are_pinned(k):
+    # k endpoints, one per pattern, each tile used once and the odd-degree
+    # edge classes paired: crown(k + ceil(k/2))
+    theta = parse(" & ".join(ENDPOINTS[:k]))
+    res = decide_sat(theta)
+    assert res.sat and res.n == k + ceil(k / 2)
+    assert len(res.mosaics) == res.stats.pool_size == res.n
+    assert eval_formula(res.model, res.world, theta)

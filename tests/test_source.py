@@ -90,6 +90,30 @@ def test_one_opcode_dispatch():
     assert found == {"kripke.py:_evaluate"}
 
 
+def _calls(name):
+    """file:function of every call in src to a function of this name."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func, node in _functions(tree):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == name
+                    or isinstance(node.func, ast.Attribute)
+                    and node.func.attr == name):
+                found.add(f"{path.name}:{func}")
+    return found
+
+
+def test_one_walk_site():
+    # crown cycles are laid out by one closed walk over edges whose degrees
+    # one postman doubling made even; no tile is added mirrored
+    assert _calls("_closed_walk") == {"crown.py:reduce_to_crown",
+                                      "mosaic.py:extract_model"}
+    assert _calls("_even_degrees") == {"crown.py:reduce_to_crown",
+                                       "mosaic.py:_try_component"}
+    assert _calls("mirror") == set()
+
+
 def test_one_budget_error_site():
     # searches spend from one StepBudget, whose spend is the only place a
     # budget runs out; the two up-front size guards refuse before any work
