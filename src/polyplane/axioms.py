@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import StepBudget, VerificationError
+from .errors import StepBudget
 from .formula import And, Box, Diamond, Formula, Implies, Not, Var, conj
-from .kripke import Frame, WorldMap, _mask_worlds, is_p_morphism, jankov_fine
+from .kripke import (Frame, WorldMap, _mask_worlds, _onto_p_morphism,
+                     jankov_fine)
 
 
 @dataclass(frozen=True)
@@ -129,10 +130,7 @@ def classify_frame(frame: Frame, budget: int = 2_000_000) -> Verdict:
         return Verdict(True)
     refuted_id, mapping = found
     target = next(ff.frame for ff in forbidden_frames() if ff.id == refuted_id)
-    wm = WorldMap(mapping)
-    if not (is_p_morphism(wm, frame, target) and wm.is_onto(target)):
-        raise VerificationError(
-            f"{refuted_id} witness is not an onto p-morphism")
+    wm = _onto_p_morphism(mapping, frame, target, f"{refuted_id} witness")
     return Verdict(False, refuted_id, wm)
 
 

@@ -15,7 +15,7 @@ from .axioms import classify_frame
 from .errors import BudgetExceededError, StepBudget, VerificationError
 from .formula import BOX, DIA, Formula, compile
 from .kripke import (Frame, Model, WorldMap, _closed_walk, _evaluate,
-                     _even_degrees, _lane_index_bits, is_p_morphism,
+                     _even_degrees, _lane_index_bits, _onto_p_morphism,
                      program_masks)
 
 
@@ -114,9 +114,7 @@ def reduce_to_crown(g: Frame, budget: int = 2_000_000) -> CrownReduction:
     for i, (x, u) in enumerate(walk):
         mapping[2 * i + 1] = x
         mapping[2 * i + 2] = u
-    wm = WorldMap(mapping)
-    if not (is_p_morphism(wm, cr, g) and wm.is_onto(g)):
-        raise VerificationError("crown walk map is not an onto p-morphism")
+    wm = _onto_p_morphism(mapping, cr, g, "crown walk map")
     if n <= 2 and len(set(mapping.values())) == len(mapping) == g.n:
         # the map is an isomorphism, so g embeds as the whole crown
         return CrownReduction(n, wm, embedded=True,
@@ -128,26 +126,22 @@ def _reduce_shallow(g: Frame, root: int, g1: list[int]) -> CrownReduction:
     # no depth-3 part: g embeds as a generated subframe of crown(1) or
     # crown(2), and a total onto map exists from the same crown
     if len(g1) == 0:
-        wm = WorldMap({0: root, 1: root, 2: root})
-        red = CrownReduction(1, wm, embedded=True, embedding={root: 1})
+        n, mapping, emb = 1, {0: root, 1: root, 2: root}, {root: 1}
     elif len(g1) == 1:
         a = g1[0]
-        wm = WorldMap({0: root, 1: a, 2: a})
-        red = CrownReduction(1, wm, embedded=True, embedding={root: 2, a: 1})
+        n, mapping, emb = 1, {0: root, 1: a, 2: a}, {root: 2, a: 1}
     elif len(g1) == 2:
         a, b = g1
-        wm = WorldMap({0: root, 1: a, 2: root, 3: b, 4: root})
-        red = CrownReduction(2, wm, embedded=True, embedding={root: 2, a: 1, b: 3})
+        n, mapping = 2, {0: root, 1: a, 2: root, 3: b, 4: root}
+        emb = {root: 2, a: 1, b: 3}
     else:
         raise VerificationError(
             "three incomparable successors survived classification")
-    cr = crown(red.n)
-    if not (is_p_morphism(red.world_map, cr, g) and red.world_map.is_onto(g)):
-        raise VerificationError("shallow crown map is not an onto p-morphism")
-    emb = red.embedding
+    cr = crown(n)
+    wm = _onto_p_morphism(mapping, cr, g, "shallow crown map")
     if not all(g.sees(x, y) == cr.sees(emb[x], emb[y]) for x in emb for y in emb):
         raise VerificationError("shallow frame does not embed in its crown")
-    return red
+    return CrownReduction(n, wm, embedded=True, embedding=emb)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from typing import Iterable, Optional, Sequence
 from .crown import crown
 from .errors import VerificationError
 from .formula import Formula, compile
-from .kripke import (Frame, Model, WorldMap, _evaluate, _ints, _worlds_mask,
-                     closure_set, delta as frame_delta, eval_formula,
-                     interior_set, is_p_morphism)
+from .kripke import (Frame, Model, WorldMap, _evaluate, _ints, _mask_worlds,
+                     _onto_p_morphism, _worlds_mask, closure_set,
+                     delta as frame_delta, eval_formula, interior_set)
 
 Point = tuple[Fraction, Fraction]
 SignVector = tuple[int, ...]
@@ -226,18 +226,25 @@ def _add_edge(out: dict, rows: list[tuple[int, int, int]], signs: list[int],
         out[above] = (x + dx, y + dy, d)
 
 
-def scene_frame(scene: Scene) -> Frame:
-    """Specialization order of the cells: a cell sees the cells whose
-    closure it lies in, i.e. it agrees with them wherever it is off the
-    lines.  One bitmask per (line, sign) holds the cells with that sign on
-    that line, so a cell's row is the AND of its masks over the lines it is
-    off.  The rows are already reflexive and transitive, which
-    `Frame.from_rows` checks, and a root is a cell that sees every cell."""
-    full = (1 << len(scene.cells)) - 1
+def _sign_masks(scene: Scene) -> list[list[int]]:
+    """For each line, the bitmasks of the cells below it, on it and above
+    it, indexed by sign + 1."""
     masks = [[0, 0, 0] for _ in scene.lines]
     for k, cell in enumerate(scene.cells):
         for i, s in enumerate(cell):
             masks[i][s + 1] |= 1 << k
+    return masks
+
+
+def scene_frame(scene: Scene) -> Frame:
+    """Specialization order of the cells: a cell sees the cells whose
+    closure it lies in, i.e. it agrees with them wherever it is off the
+    lines.  So a cell's row is the AND of its sign masks (`_sign_masks`)
+    over the lines it is off.  The rows are already reflexive and
+    transitive, which `Frame.from_rows` checks, and a root is a cell that
+    sees every cell."""
+    full = (1 << len(scene.cells)) - 1
+    masks = _sign_masks(scene)
     rows = []
     for cell in scene.cells:
         row = full
@@ -254,8 +261,8 @@ _REL_SIGNS = {"<": {-1}, "<=": {-1, 0}, "=": {0}, ">=": {0, 1}, ">": {1}}
 def compile_polygon(scene: Scene, dnf: Iterable[Iterable[tuple[int, str]]]
                     ) -> CellSet:
     """Cells of the polygon described by a disjunction of conjunctions of
-    (line index, relation) constraints; pure sign logic."""
-    out = set()
+    (line index, relation) constraints: a constraint holds on the (disjoint)
+    sign masks its relation allows."""
     clauses = [list(cl) for cl in dnf]
     for clause in clauses:
         for i, rel in clause:
@@ -263,17 +270,14 @@ def compile_polygon(scene: Scene, dnf: Iterable[Iterable[tuple[int, str]]]
                 raise ValueError(f"line index {i} out of range")
             if rel not in _REL_SIGNS:
                 raise ValueError(f"unknown relation {rel!r}")
-    for cell in scene.cells:
-        for clause in clauses:
-            ok = True
-            for i, rel in clause:
-                if cell[i] not in _REL_SIGNS[rel]:
-                    ok = False
-                    break
-            if ok:
-                out.add(cell)
-                break
-    return frozenset(out)
+    masks = _sign_masks(scene)
+    got = 0
+    for clause in clauses:
+        m = (1 << len(scene.cells)) - 1
+        for i, rel in clause:
+            m &= sum(masks[i][s + 1] for s in _REL_SIGNS[rel])
+        got |= m
+    return frozenset(scene.cells[k] for k in _mask_worlds(got))
 
 
 def cells_to_dnf(scene: Scene, cells: Iterable[SignVector]) -> list[list[tuple[int, str]]]:
@@ -377,10 +381,9 @@ def concurrent_crown_map(scene: Scene) -> dict[int, int]:
     out = {index[vertex]: 0}
     for j in range(m):
         out[index[around[(p + j) % m]]] = 2 + j if j < m - 1 else 1
-    # the map is one-to-one onto the worlds, so it is an isomorphism iff it
-    # is a p-morphism
-    if not is_p_morphism(WorldMap(out), scene.frame, crown(m // 2)):
-        raise VerificationError(f"cell map is not an isomorphism onto crown({m // 2})")
+    # the map is one-to-one onto the worlds, so as an onto p-morphism it is
+    # an isomorphism
+    _onto_p_morphism(out, scene.frame, crown(m // 2), f"cell map onto crown({m // 2})")
     return out
 
 
@@ -392,12 +395,8 @@ def wrap_map(big: int, small: int) -> WorldMap:
     mapping = {0: 0}
     for i in range(1, 2 * big + 1):
         mapping[i] = (i - 1) % (2 * small) + 1
-    wm = WorldMap(mapping)
-    if not is_p_morphism(wm, crown(big), crown(small)):
-        raise VerificationError(f"wrap crown({big}) -> crown({small}) is not a p-morphism")
-    if not wm.is_onto(crown(small)):
-        raise VerificationError(f"wrap crown({big}) -> crown({small}) is not onto")
-    return wm
+    return _onto_p_morphism(mapping, crown(big), crown(small),
+                            f"wrap crown({big}) -> crown({small})")
 
 
 @dataclass(frozen=True)

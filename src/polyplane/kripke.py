@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
-from .errors import BudgetExceededError, StepBudget
+from .errors import BudgetExceededError, StepBudget, VerificationError
 from .formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, And, Box,
                       Diamond, Formula, Implies, Not, Program, Var, compile,
                       conj, disj)
@@ -36,13 +36,16 @@ def _transitive_pass(rows: list[int]) -> Optional[int]:
     return grew
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Frame:
-    """Reflexive-transitive frame over worlds 0..n-1.
-
-    The input relation is reflexive-transitively closed at construction.
+    """Reflexive-transitive frame over worlds 0..n-1, equal and hashed by
+    (n, rows, root).  The input relation is reflexive-transitively closed at
+    construction; the predecessor and successor tables on first read.
     """
 
-    __slots__ = ("n", "rows", "root", "_preds", "_succs")
+    n: int
+    rows: tuple[int, ...]
+    root: Optional[int]
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = (),
                  root: Optional[int] = None):
@@ -79,52 +82,41 @@ class Frame:
 
     def _store(self, rows: list[int], root: Optional[int]) -> None:
         """Keep closed rows and the root, after checking that the root sees
-        every world, and work out each world's predecessors."""
+        every world."""
         n = len(rows)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", tuple(rows))
         if root is not None:
             if not 0 <= root < n:
                 raise ValueError(f"root {root} out of range")
             if rows[root] != (1 << n) - 1:
                 raise ValueError(f"world {root} does not see every world")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "root", root)
-        preds = [0] * n
-        for x in range(n):
-            m = rows[x]
+
+    def __repr__(self):
+        return f"Frame(n={self.n}, pairs={sorted(self.strict_pairs())}, root={self.root})"
+
+    @cached_property
+    def _preds(self) -> tuple[int, ...]:
+        """Bitmask of each world's predecessors."""
+        preds = [0] * self.n
+        for x, m in enumerate(self.rows):
             while m:
                 y = (m & -m).bit_length() - 1
                 m &= m - 1
                 preds[y] |= 1 << x
-        object.__setattr__(self, "_preds", tuple(preds))
+        return tuple(preds)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Frame is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, Frame) and self.n == other.n
-                and self.rows == other.rows and self.root == other.root)
-
-    def __hash__(self):
-        return hash((self.n, self.rows, self.root))
-
-    def __repr__(self):
-        return f"Frame(n={self.n}, pairs={sorted(self.strict_pairs())}, root={self.root})"
+    @cached_property
+    def _succs(self) -> tuple[tuple[int, ...], ...]:
+        """Each world's successors, ascending."""
+        return tuple(map(_mask_worlds, self.rows))
 
     def sees(self, x: int, y: int) -> bool:
         return bool(self.rows[x] >> y & 1)
 
     def successors(self, x: int) -> tuple[int, ...]:
         return _mask_worlds(self.rows[x])
-
-    def _successor_tuples(self) -> tuple[tuple[int, ...], ...]:
-        """Every world's successors, worked out on the first call only."""
-        try:
-            return self._succs
-        except AttributeError:
-            succs = tuple(map(_mask_worlds, self.rows))
-            object.__setattr__(self, "_succs", succs)
-            return succs
 
     def predecessors(self, y: int) -> tuple[int, ...]:
         return _mask_worlds(self._preds[y])
@@ -138,10 +130,7 @@ class Frame:
     def find_root(self) -> Optional[int]:
         """Least world that sees every world, or None."""
         full = (1 << self.n) - 1
-        for x in range(self.n):
-            if self.rows[x] == full:
-                return x
-        return None
+        return next((x for x, row in enumerate(self.rows) if row == full), None)
 
     def rooted(self) -> "Frame":
         """Same frame with root filled in; raises if no world sees everything."""
@@ -194,8 +183,8 @@ def _evaluate(frame: Frame, prog: Program, columns: list,
 
     One lane (lanes=None): a value is the bitmask of worlds where the node
     holds, and columns[j] is that mask for variable prog.names[j].  A
-    diamond holds at the worlds whose row in `Frame.rows` meets its
-    operand, a box at the worlds whose row lies inside it.
+    diamond is the closure of its operand, a box its interior (`_closure`,
+    `_interior`).
 
     Many lanes: a value is a list of n `lanes`-bit blocks, one per world;
     bit k of block w is the truth at world w under valuation k, and
@@ -216,7 +205,7 @@ def _evaluate(frame: Frame, prog: Program, columns: list,
     else:
         full = (1 << lanes) - 1
         top, bottom = [full] * n, [0] * n
-        succs = frame._successor_tuples()
+        succs = frame._succs
     vals: list = []
     for op, a, b in prog.code:
         if op == VAR:
@@ -228,10 +217,8 @@ def _evaluate(frame: Frame, prog: Program, columns: list,
             if lanes is not None:
                 join = or_ if op == DIA else and_
                 v = [reduce(join, [x[u] for u in s]) for s in succs]
-            elif op == DIA:
-                v = sum([1 << w for w, row in enumerate(rows) if row & x])
             else:
-                v = sum([1 << w for w, row in enumerate(rows) if row & x == row])
+                v = _closure(rows, x) if op == DIA else _interior(rows, x)
             if beyond is not None:
                 some, every = beyond
                 if op == DIA and some >> a & 1:
@@ -447,9 +434,6 @@ class WorldMap:
     def __getitem__(self, w: int) -> int:
         return self.mapping[w]
 
-    def __eq__(self, other):
-        return isinstance(other, WorldMap) and self.mapping == other.mapping
-
     def is_onto(self, target: Frame) -> bool:
         return set(self.mapping.values()) == set(range(target.n))
 
@@ -469,6 +453,17 @@ def is_p_morphism(f: WorldMap, source: Frame, target: Frame) -> bool:
         if _worlds_mask(dom[y] for y in _mask_worlds(row)) != target.rows[fx]:
             return False
     return True
+
+
+def _onto_p_morphism(mapping: dict[int, int], source: Frame, target: Frame,
+                     what: str) -> WorldMap:
+    """The mapping as a WorldMap, once it is checked to be an onto
+    p-morphism from source to target; a VerificationError naming `what`
+    otherwise."""
+    wm = WorldMap(mapping)
+    if not (is_p_morphism(wm, source, target) and wm.is_onto(target)):
+        raise VerificationError(f"{what} is not an onto p-morphism")
+    return wm
 
 
 def find_subreduction(source: Frame, target: Frame,
@@ -592,25 +587,42 @@ def sigma_bisimilar(m1: Model, w1: int, m2: Model, w2: int,
 # ---------------------------------------------------------------------------
 # Closure / interior / external boundary on frames
 
+def _closure(rows: Sequence[int], mask: int) -> int:
+    """The worlds whose row meets the mask: a world is close to a set iff it
+    sees into it, so diamond is closure (McKinsey and Tarski, 1944)."""
+    return sum([1 << w for w, row in enumerate(rows) if row & mask])
+
+
+def _interior(rows: Sequence[int], mask: int) -> int:
+    """The worlds whose row lies inside the mask."""
+    return sum([1 << w for w, row in enumerate(rows) if row & mask == row])
+
+
+def _frame_mask(frame: Frame, worlds: Iterable[int]) -> int:
+    """Bitmask of worlds of the frame; any other world is a ValueError."""
+    m = 0
+    for w in worlds:
+        if not 0 <= w < frame.n:
+            raise ValueError(f"world {w} out of range")
+        m |= 1 << w
+    return m
+
+
 def closure_set(frame: Frame, worlds: Iterable[int]) -> frozenset[int]:
-    """Topological closure under the specialization order: a point is close
-    to a set iff it sees into it, so closure adds all predecessors."""
-    m = _worlds_mask(worlds)
-    out = m
-    for w in _mask_worlds(m):
-        out |= frame._preds[w]
-    return frozenset(_mask_worlds(out))
+    """Topological closure under the specialization order: the worlds that
+    see into the set, which are the worlds where its diamond holds."""
+    return frozenset(_mask_worlds(_closure(frame.rows, _frame_mask(frame, worlds))))
 
 
 def interior_set(frame: Frame, worlds: Iterable[int]) -> frozenset[int]:
-    full = frozenset(range(frame.n))
-    return full - closure_set(frame, full - frozenset(worlds))
+    """The worlds that see only into the set, where its box holds."""
+    return frozenset(_mask_worlds(_interior(frame.rows, _frame_mask(frame, worlds))))
 
 
 def delta(frame: Frame, worlds: Iterable[int]) -> frozenset[int]:
     """External boundary: closure minus the set itself."""
-    ws = frozenset(worlds)
-    return closure_set(frame, ws) - ws
+    m = _frame_mask(frame, worlds)
+    return frozenset(_mask_worlds(_closure(frame.rows, m) & ~m))
 
 
 # ---------------------------------------------------------------------------

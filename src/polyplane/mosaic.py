@@ -256,10 +256,9 @@ class LabelSpace:
         its lowest open decision, keeping each child whose propagation finds
         no conflict, and searches False first.  A node with no open decision
         is a leaf whose label is its true mask; one with a member still
-        undecided raises MosaicError.  With a budget, every search node
-        entered spends one step per positive member, as when each node swept
-        every member, so budget errors read the same however a node
-        propagates."""
+        undecided raises MosaicError.  Every search node entered spends one
+        step per positive member from the budget (by default a fresh one of
+        `decide_sat`'s size), as when each node swept every member."""
         # from nothing, only false constants and the constrained members
         # derive anything
         root = self._propagate(0, 0, self._bottoms + [
@@ -267,10 +266,11 @@ class LabelSpace:
         out: list[int] = []
         decisions, full = self._decisions, (1 << self.size) - 1
         stack = [] if root is None else [root]
+        if budget is None:
+            budget = StepBudget(20_000_000, "mosaic search")
         while stack:
             t, f = stack.pop()
-            if budget is not None:
-                budget.spend(self.size, "label enumeration")
+            budget.spend(self.size, "label enumeration")
             undecided = decisions & ~(t | f)
             if not undecided:
                 if t | f != full:
@@ -349,17 +349,12 @@ def is_coherent(m: Mosaic, space: LabelSpace) -> bool:
     """All coherence conditions: labels are Hintikka sets, diamonds and
     boxes agree along every pair of the reflexive-transitive mosaic order,
     and middle/edge witnesses exist."""
-    for lab in m:
-        if not space.is_hintikka(lab):
-            return False
-    if not (space.pair_ok(m.root, m.middle) and space.pair_ok(m.root, m.edge0)
-            and space.pair_ok(m.root, m.edge1)
-            and space.pair_ok(m.middle, m.edge0)
-            and space.pair_ok(m.middle, m.edge1)):
-        return False
-    if not (space.edge_ok(m.edge0) and space.edge_ok(m.edge1)):
-        return False
-    return space.middle_ok(m.middle, m.edge0, m.edge1)
+    r, mid, e0, e1 = m
+    return (all(map(space.is_hintikka, m))
+            and all(space.pair_ok(a, b) for a, b in
+                    ((r, mid), (r, e0), (r, e1), (mid, e0), (mid, e1)))
+            and space.edge_ok(e0) and space.edge_ok(e1)
+            and space.middle_ok(mid, e0, e1))
 
 
 def check_path(m: Mosaic, m2: Mosaic, pool: Iterable[Mosaic], depth: int) -> bool:
@@ -690,8 +685,10 @@ def extract_model(pool: Iterable[Mosaic], space: LabelSpace,
     edges, so a tile crossed backwards is its mirror.  A pool with an
     odd-degree edge label, or whose glue graph is disconnected, has no
     such walk.  Every closure member is re-verified at every world against
-    its label before returning.  The witness is the first world holding
-    `space.theta`; a pool where no world holds it raises MosaicError.
+    its label before returning, which an incoherent tile fails; only a label
+    beyond the closure set is refused up front.  The witness is the first
+    world holding `space.theta`; a pool where no world holds it raises
+    MosaicError.
     """
     tiles = sorted(pool)
     if not tiles:
@@ -703,9 +700,6 @@ def extract_model(pool: Iterable[Mosaic], space: LabelSpace,
         root_label = tiles[0].root
     elif root_label not in roots:
         raise MosaicError("root label not used by the pool")
-    for t in dict.fromkeys(tiles):
-        if not is_coherent(t, space):
-            raise MosaicError(f"incoherent mosaic in pool: {t}")
 
     try:
         walk = _closed_walk([(t.edge0, t.edge1, t) for t in tiles],
@@ -718,9 +712,11 @@ def extract_model(pool: Iterable[Mosaic], space: LabelSpace,
     for edge, t in walk:
         world_labels.append(edge)
         world_labels.append(t.middle)
+    if any(lab >> space.size for lab in world_labels):
+        raise MosaicError("a label has bits beyond the closure set")
     # world 2i+1 carries the edge step i leaves, world 2i+2 its tile's
-    # middle; column i
-    # holds the worlds whose labels make positive member i true
+    # middle; column i holds the worlds whose labels make positive member i
+    # true
     cols = [0] * space.size
     for w, lab in enumerate(world_labels):
         while lab:

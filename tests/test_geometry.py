@@ -234,6 +234,28 @@ def test_eval_scene_matches_reference_on_twelve_lines():
         eval_scene(s, {"p": frozenset({foreign})}, s.cells[0], parse("p"))
 
 
+def test_eval_scene_builds_no_predecessor_table():
+    # one-lane evaluation reads the rows alone
+    s = build_arrangement(TWELVE_LINES)
+    assert eval_scene(s, {"p": frozenset(s.cells[:40])}, s.cells[0],
+                      parse("[]<>p -> <>[]p"))
+    assert "_preds" not in vars(s.frame) and "_succs" not in vars(s.frame)
+
+
+def test_compile_polygon_matches_per_cell_reference():
+    rng = random.Random(23)
+    s = build_arrangement(TWELVE_LINES)
+    rels = {"<": {-1}, "<=": {-1, 0}, "=": {0}, ">=": {0, 1}, ">": {1}}
+    for _ in range(60):
+        dnf = [[(rng.randrange(12), rng.choice(sorted(rels)))
+                for _ in range(rng.randint(0, 4))]
+               for _ in range(rng.randint(0, 3))]
+        want = frozenset(c for c in s.cells
+                         if any(all(c[i] in rels[rel] for i, rel in clause)
+                                for clause in dnf))
+        assert compile_polygon(s, dnf) == want, dnf
+
+
 def test_eval_scene_checks_names_the_formula_lacks():
     s = build_arrangement([(1, 0, 0)])
     val = {"p": frozenset({(1,)}), "q": frozenset({(0, 0)})}

@@ -4,11 +4,12 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polyplane import kripke
-from polyplane.crown import crown
-from polyplane.errors import BudgetExceededError
+from polyplane import axioms, kripke
+from polyplane.crown import crown, reduce_to_crown
+from polyplane.errors import BudgetExceededError, VerificationError
 from polyplane.formula import (And, Bottom, Box, Diamond, Iff, Implies, Not,
                                Or, Var, conj, parse, substitute, variables)
+from polyplane.geometry import build_arrangement, concurrent_crown_map, wrap_map
 from polyplane.kripke import (Frame, Model, ValidityReport, WorldMap,
                               _closed_walk, _even_degrees, _shortest_path,
                               closure_set, delta, eval_formula,
@@ -292,6 +293,88 @@ def test_closure_interior_delta_fixtures():
     assert closure_set(c2, {1}) == {0, 1, 2, 4}
     assert delta(c2, {1}) == {0, 2, 4}
     assert interior_set(c2, {0, 1, 2}) == {1}
+
+
+@st.composite
+def rooted_frames(draw, max_n=7):
+    fr = draw(frames(max_n))
+    return Frame(fr.n, fr.pairs() + [(0, x) for x in range(fr.n)], root=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rooted_frames(), st.data())
+def test_closure_interior_delta_match_their_definitions(fr, data):
+    # closure: the worlds that see into the set; interior: the worlds that
+    # see only into it; and <>p, []p take those values where p is the set
+    ws = frozenset(data.draw(st.sets(st.integers(0, fr.n - 1))))
+    cl = frozenset(x for x in range(fr.n) if any(fr.sees(x, y) for y in ws))
+    inner = frozenset(x for x in range(fr.n)
+                      if all(y in ws for y in range(fr.n) if fr.sees(x, y)))
+    assert closure_set(fr, ws) == cl
+    assert interior_set(fr, ws) == inner
+    assert delta(fr, ws) == cl - ws
+    model = Model(fr, {"p": ws})
+    assert truth_mask(model, parse("<>p")) == sum(1 << x for x in cl)
+    assert truth_mask(model, parse("[]p")) == sum(1 << x for x in inner)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rooted_frames())
+def test_frame_tables_equality_and_hash(fr):
+    assert fr._preds == tuple(sum(1 << x for x in range(fr.n) if fr.sees(x, y))
+                              for y in range(fr.n))
+    assert fr._succs == tuple(fr.successors(x) for x in range(fr.n))
+    same = Frame.from_rows(fr.rows, root=fr.root)
+    assert Frame(fr.n, fr.pairs(), root=fr.root) == same
+    assert hash(fr) == hash(same) == hash((fr.n, fr.rows, fr.root))
+    assert same != Frame.from_rows(fr.rows)
+
+
+def test_frame_tables_are_built_on_first_read():
+    fr = crown(3)
+    fresh = Frame(fr.n, fr.pairs(), root=0)
+    assert "_preds" not in vars(fresh) and "_succs" not in vars(fresh)
+    assert fresh.predecessors(1) == (0, 1, 2, 6)
+    assert "_preds" in vars(fresh) and "_succs" not in vars(fresh)
+
+
+def test_frame_attributes_cannot_be_assigned():
+    fr = Frame(2, [(0, 1)], root=0)
+    for name in ("n", "rows", "root", "other"):
+        with pytest.raises(AttributeError):
+            setattr(fr, name, 1)
+    assert fr == Frame(2, [(0, 1)], root=0)
+
+
+@pytest.mark.parametrize("op", [closure_set, interior_set, delta])
+@pytest.mark.parametrize("world", [5, -1])
+def test_closure_operators_refuse_foreign_worlds(op, world):
+    with pytest.raises(ValueError, match=f"world {world} out of range"):
+        op(crown(2), {0, world})
+
+
+@pytest.mark.parametrize("call, what", [
+    pytest.param(lambda: axioms.classify_frame(Frame(2, [(0, 1), (1, 0)], root=0)),
+                 "B1 witness", id="classify_frame"),
+    pytest.param(lambda: reduce_to_crown(crown(2)), "crown walk map",
+                 id="reduce_to_crown"),
+    pytest.param(lambda: reduce_to_crown(Frame(3, [(0, 1), (0, 2)], root=0)),
+                 "shallow crown map", id="_reduce_shallow"),
+    pytest.param(lambda: concurrent_crown_map(
+        build_arrangement([(1, 0, 0), (0, 1, 0)])),
+        r"cell map onto crown\(4\)", id="concurrent_crown_map"),
+    pytest.param(lambda: wrap_map(4, 2), r"wrap crown\(4\) -> crown\(2\)",
+                 id="wrap_map"),
+])
+@pytest.mark.parametrize("owner, check", [
+    pytest.param(kripke, "is_p_morphism", id="p-morphism"),
+    pytest.param(WorldMap, "is_onto", id="onto")])
+def test_every_returned_map_is_checked(monkeypatch, call, what, owner, check):
+    # a map failing either half of the check is refused, naming the map
+    monkeypatch.setattr(owner, check, lambda *args: False)
+    with pytest.raises(VerificationError,
+                       match=f"^{what} is not an onto p-morphism$"):
+        call()
 
 
 def test_delta_cubed_empty_on_crowns():

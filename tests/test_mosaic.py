@@ -239,6 +239,25 @@ def test_extract_verifies_truth_lemma():
         extract_model([bogus], space)
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_extract_refuses_labels_beyond_the_closure_set(bad):
+    # "p" has one positive member, so a label is 0 or 1
+    space = LabelSpace.for_formula(parse("p"))
+    with pytest.raises(MosaicError, match="bits beyond the closure set"):
+        extract_model([Mosaic(1, bad, 1, 1)], space)
+
+
+def test_extract_catches_an_incoherent_tile_by_the_truth_lemma():
+    # p true at the root but false at the middle below it breaks []p
+    space = LabelSpace.for_formula(parse("[]p"))
+    l_all = label_of(space, {parse("p"), parse("[]p")})
+    l_none = label_of(space, {})
+    tile = Mosaic(l_all, l_none, l_all, l_all)
+    assert not is_coherent(tile, space)
+    with pytest.raises(MosaicError, match="truth lemma fails"):
+        extract_model([tile], space)
+
+
 def test_small_model_bound():
     # extracted crown size stays within the coherent-tile count + 1
     rng = random.Random(37)
@@ -427,6 +446,15 @@ def test_enumeration_spends_from_the_budget():
     assert budget.used >= len(labels)
     with pytest.raises(BudgetExceededError, match="label enumeration"):
         space.enumerate_labels(budget=StepBudget(budget.used - 1))
+
+
+def test_enumeration_without_a_budget_still_runs_out():
+    # 2^41 labels: the default budget is decide_sat's
+    space = LabelSpace(conj([Var(f"p{i}") for i in range(41)]))
+    with pytest.raises(BudgetExceededError,
+                       match=r"^mosaic search budget exhausted in label "
+                             r"enumeration \(\d+ of 20000000 steps\)$"):
+        space.enumerate_labels()
 
 
 def test_enumeration_rechecks_complete_labels(monkeypatch):

@@ -114,6 +114,25 @@ def test_one_walk_site():
     assert _calls("mirror") == set()
 
 
+def test_one_morphism_check_site():
+    # every map a function returns is checked by one routine, which raises
+    # VerificationError naming the map
+    assert _calls("is_p_morphism") == {"kripke.py:_onto_p_morphism"}
+    assert _calls("is_onto") == {"kripke.py:_onto_p_morphism"}
+
+
+def test_predecessor_table_readers():
+    # Frame._preds is built on first read, so the evaluator and every
+    # closure operator must work from the rows alone
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func, node in _functions(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_preds":
+                found.add(f"{path.name}:{func}")
+    assert found == {"kripke.py:predecessors", "axioms.py:_find_forbidden"}
+
+
 def test_one_budget_error_site():
     # searches spend from one StepBudget, whose spend is the only place a
     # budget runs out; the two up-front size guards refuse before any work
