@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Iterable, Optional, Sequence
 
 from .crown import crown
@@ -79,10 +79,11 @@ class Scene:
     """Arrangement of distinct lines; cells are exactly the realizable sign
     vectors, each with a rational witness attaining it.
 
-    The specialization frame (`frame`) and the cell -> index map (`index`)
-    are built on first use and kept with the scene, so every query on one
-    scene reads the same ones.  `scene_frame(scene)` builds a fresh frame on
-    each call."""
+    The specialization frame (`frame`), the cell -> index map (`index`) and
+    the sign masks that polygons compile from (`sign_masks`) are built on
+    first use and kept with the scene, so every query on one scene reads
+    the same ones.  `scene_frame(scene)` builds a fresh frame, from fresh
+    sign masks, on each call."""
 
     lines: tuple[Line, ...]
     cells: tuple[SignVector, ...]
@@ -95,6 +96,10 @@ class Scene:
     @cached_property
     def index(self) -> dict[SignVector, int]:
         return {c: i for i, c in enumerate(self.cells)}
+
+    @cached_property
+    def sign_masks(self) -> list[list[int]]:
+        return _sign_masks(self)
 
     def signs_of(self, p: Point) -> SignVector:
         return tuple(l.sign_at(p) for l in self.lines)
@@ -262,7 +267,7 @@ def compile_polygon(scene: Scene, dnf: Iterable[Iterable[tuple[int, str]]]
                     ) -> CellSet:
     """Cells of the polygon described by a disjunction of conjunctions of
     (line index, relation) constraints: a constraint holds on the (disjoint)
-    sign masks its relation allows."""
+    sign masks its relation allows, read from the scene's `sign_masks`."""
     clauses = [list(cl) for cl in dnf]
     for clause in clauses:
         for i, rel in clause:
@@ -270,7 +275,7 @@ def compile_polygon(scene: Scene, dnf: Iterable[Iterable[tuple[int, str]]]
                 raise ValueError(f"line index {i} out of range")
             if rel not in _REL_SIGNS:
                 raise ValueError(f"unknown relation {rel!r}")
-    masks = _sign_masks(scene)
+    masks = scene.sign_masks
     got = 0
     for clause in clauses:
         m = (1 << len(scene.cells)) - 1
@@ -459,7 +464,19 @@ def scene_to_dict(scene: Scene, val: Optional[dict[str, CellSet]] = None) -> dic
     return d
 
 
+def _finite(field: str, values: Iterable) -> None:
+    """A ValueError naming the field if a value is a JSON boolean, which
+    would read as 0 or 1, or a number that is not finite, which no rational
+    equals (a JSON 1e400 reads as inf)."""
+    for v in values:
+        if isinstance(v, bool) or isinstance(v, float) and not isfinite(v):
+            shown = "a boolean" if isinstance(v, bool) else repr(v)
+            raise ValueError(f'"{field}" holds {shown} where a finite number '
+                             f'is needed')
+
+
 def scene_from_dict(d: dict) -> tuple[Scene, dict[str, CellSet]]:
+    _finite("lines", [v for row in d["lines"] for v in row])
     lines = [Line.make(Fraction(a), Fraction(b), Fraction(c))
              for a, b, c in d["lines"]]
     scene = build_arrangement(lines)

@@ -177,7 +177,8 @@ class Model:
 
 def _evaluate(frame: Frame, prog: Program, columns: list,
               lanes: Optional[int] = None,
-              beyond: Optional[tuple[int, int]] = None) -> list:
+              beyond: Optional[tuple[int, int]] = None,
+              reuse: Optional[tuple[list, int]] = None) -> list:
     """Value of every node of prog on the frame, under one valuation or
     under `lanes` valuations at once.
 
@@ -196,6 +197,13 @@ def _evaluate(frame: Frame, prog: Program, columns: list,
     node i holds at one of them, bit i of `every` that it holds at all of
     them, under every valuation.  The crown oracle evaluates one world this
     way, one lane per atom pattern, with its strict successors as `beyond`.
+
+    `reuse`, with many lanes, is a pair (before, stale): what this function
+    returned for other columns, and a bitmask of worlds that holds every
+    world seeing a world whose blocks differ between those columns and
+    these.  A node's block at a world depends only on the blocks of the
+    worlds it sees, so only the stale worlds are computed; the lists of
+    `before` take their new blocks in place and are returned again.
     """
     n = frame.n
     if lanes is None:
@@ -206,6 +214,10 @@ def _evaluate(frame: Frame, prog: Program, columns: list,
         full = (1 << lanes) - 1
         top, bottom = [full] * n, [0] * n
         succs = frame._succs
+        if reuse is not None:
+            before, stale = reuse
+            worlds = _mask_worlds(stale)
+            succs = [succs[w] for w in worlds]
     vals: list = []
     for op, a, b in prog.code:
         if op == VAR:
@@ -238,17 +250,24 @@ def _evaluate(frame: Frame, prog: Program, columns: list,
             elif op == IFF:
                 v = full ^ x ^ vals[b]
         else:
-            x = vals[a]
+            x, y = vals[a], vals[b]
+            if reuse is not None:
+                x, y = [x[w] for w in worlds], [y[w] for w in worlds]
             if op == NOT:
                 v = [full ^ p for p in x]
             elif op == AND:
-                v = [p & q for p, q in zip(x, vals[b])]
+                v = [p & q for p, q in zip(x, y)]
             elif op == OR:
-                v = [p | q for p, q in zip(x, vals[b])]
+                v = [p | q for p, q in zip(x, y)]
             elif op == IMP:
-                v = [(full ^ p) | q for p, q in zip(x, vals[b])]
+                v = [(full ^ p) | q for p, q in zip(x, y)]
             elif op == IFF:
-                v = [full ^ p ^ q for p, q in zip(x, vals[b])]
+                v = [full ^ p ^ q for p, q in zip(x, y)]
+        if reuse is not None and op != VAR and op != BOT:
+            # v holds the stale worlds' blocks only
+            v, part = before[len(vals)], v
+            for w, block in zip(worlds, part):
+                v[w] = block
         vals.append(v)
     return vals
 
@@ -313,13 +332,22 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
     Both modes evaluate up to 2^16 valuations at once, as one lane each:
     every variable's column is built directly as one block per world (see
     `_evaluate`).  Sampled mode makes a chunk's draws with one
-    `getrandbits(width * lanes * k)`, width = 32 * ceil(n / 32): CPython
+    `getrandbits(32 * words * lanes * k)`, words = ceil(n / 32): CPython
     fills a draw with 32-bit words from the low end and keeps the top bits
-    of the last one, so the wide draw holds the n-bit draws in turn, one
-    per width-bit field, and leaves the generator where they would.  Bit w
-    of a draw is bit w of its field below the last word, and bit
-    w + width - n of it in the last word.  Each world's lane block is a
-    strided slice of the wide draw's binary text.
+    of the last one, so the wide draw holds the n-bit draws in turn, `words`
+    32-bit words each, and leaves the generator where they would.  Bit w
+    of a draw is bit w of its words below the last word, and bit
+    w + 32 * words - n of them in the last word.  For each variable and
+    word of a draw, a strided slice gathers that word across the lanes;
+    five delta swaps transpose each 32 x 32 tile of the gathered words
+    (Warren, Hacker's Delight, 2nd ed., 7-3), after which every world's
+    lane block is one strided slice again.
+
+    Exhaustive mode reuses a chunk's values in the next: only the high
+    valuation bits change between chunks, and only the worlds that see a
+    world with a changed bit are evaluated again (`_evaluate`'s `reuse`).
+    The others passed under the previous chunk's valuations, so the
+    first-failure scan reads the re-evaluated worlds alone.
 
     Both modes report the first failing valuation in their order
     (`checked` is its position + 1) with the least world where phi fails
@@ -341,33 +369,64 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
             raise ValueError(f"samples must be a non-negative int, not {samples!r}")
         rng = random.Random(seed)
         total = samples
-        width = -(-n // 32) * 32
-        # where world w's bit sits in each draw's field, counted from the
-        # field's top bit as the text shows it
-        offsets = [width - 1 - (w if w < width - 32 else w + width - n)
-                   for w in range(n)]
+        words = -(-n // 32)
+        # (word, bit) of the draw that world w reads
+        places = [divmod(w if w < 32 * words - 32 else w + 32 * words - n, 32)
+                  for w in range(n)]
+        # in a tile of 32 gathered words, bit 32r + c is bit c of word r;
+        # swap b exchanges bit b of r and c, moving bit 32r + c up by
+        # 31 * 2^b where bit b of c is set and bit b of r is clear: its mask
+        # is 2^b words of the columns with bit b set, then 2^b zero words,
+        # repeated through every tile of the widest chunk
+        tiles = -(-min(total, _CHUNK) // 32)
+        swaps = [(31 << b, int.from_bytes(
+            (row.to_bytes(4, "little") * (1 << b) + bytes(4 << b))
+            * (16 >> b) * tiles, "little"))
+            for b, row in enumerate(_lane_index_bits(32))]
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    worlds = (1 << n) - 1
+    vals = None
     for base in range(0, total, _CHUNK):
         lanes = min(_CHUNK, total - base)
+        ones = (1 << lanes) - 1
+        stale = worlds
         if exhaustive:
-            ones = (1 << lanes) - 1
             blocks = periodic + [ones * (base >> b & 1)
                                  for b in range(len(periodic), n * k)]
             columns = [blocks[j * n:(j + 1) * n] for j in range(k)]
+            if base:
+                # the valuation bits that differ from the previous chunk's
+                changed = _mask_worlds(base ^ (base - _CHUNK))
+                stale = _closure(frame.rows, _worlds_mask(b % n for b in changed))
         else:
-            # the text runs from the last draw down to the first: draw
-            # i*k + j starts at index (lanes*k - i*k - j - 1) * width, so a
-            # slice of stride k * width from the last lane's draw of
-            # variable j reads one world's bits, lane lanes-1 first
-            bits = width * lanes * k
-            text = format(rng.getrandbits(bits), f"0{bits}b")
-            stride = k * width
-            columns = [[int(text[(k - j - 1) * width + o::stride], 2)
-                        for o in offsets] for j in range(k)]
-        hit = _first_failure(frame, prog, columns, lanes)
-        if hit is not None:
-            lane, world = hit
+            size = 4 * words * lanes * k
+            draws = rng.getrandbits(8 * size).to_bytes(size, "little")
+            draws = memoryview(draws).cast("I")
+            tile_bytes = 128 * -(-lanes // 32)
+            columns = []
+            for j in range(k):
+                transposed = []
+                for q in range(words):
+                    x = int.from_bytes(draws[j * words + q::k * words], "little")
+                    for d, mask in swaps:
+                        t = (x ^ x >> d) & mask
+                        x ^= t ^ t << d
+                    transposed.append(
+                        memoryview(x.to_bytes(tile_bytes, "little")).cast("I"))
+                columns.append([int.from_bytes(transposed[q][b::32], "little")
+                                for q, b in places])
+        if stale == worlds:
+            vals = None  # a full pass: let the last chunk's values go first
+        vals = _evaluate(frame, prog, columns, lanes,
+                         reuse=None if vals is None else (vals, stale))
+        # a world outside `stale` kept the blocks it passed with last chunk
+        root = vals[prog.root]
+        fail = {w: ones ^ root[w] for w in _mask_worlds(stale)}
+        failing = reduce(or_, fail.values())  # lanes that fail at some world
+        if failing:
+            lane = (failing & -failing).bit_length() - 1
+            world = next(w for w, block in fail.items() if block >> lane & 1)
             val = {name: frozenset(w for w, block in enumerate(column)
                                    if block >> lane & 1)
                    for name, column in zip(names, columns)}
@@ -388,20 +447,6 @@ def _lane_index_bits(lanes: int) -> list[int]:
             width *= 2
         out.append(value)
     return out
-
-
-def _first_failure(frame: Frame, prog: Program, columns: list[list[int]],
-                   lanes: int) -> Optional[tuple[int, int]]:
-    """(least lane, least world in it) where the root of prog is false."""
-    full = (1 << lanes) - 1
-    root = _evaluate(frame, prog, columns, lanes)[prog.root]
-    fail = [full ^ block for block in root]
-    failing = reduce(or_, fail)  # lanes that fail at some world
-    if not failing:
-        return None
-    lane = (failing & -failing).bit_length() - 1
-    world = next(w for w, block in enumerate(fail) if block >> lane & 1)
-    return lane, world
 
 
 def sat_on_frame(frame: Frame, phi: Formula, budget: int = 1 << 24):

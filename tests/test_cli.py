@@ -1,10 +1,11 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from polyplane.cli import run
-from polyplane.geometry import eval_scene, scene_from_dict
+from polyplane.geometry import Line, eval_scene, scene_from_dict
 from polyplane.kripke import model_from_dict, eval_formula
 from polyplane.formula import parse
 
@@ -321,6 +322,40 @@ def test_world_limit_is_inclusive():
     from polyplane.kripke import MAX_WORLDS, frame_from_dict
 
     assert frame_from_dict({"worlds": MAX_WORLDS}).n == MAX_WORLDS
+
+
+@pytest.mark.parametrize("text,shown", [
+    ('{"lines": [[true, 0, 0]]}', "a boolean"),
+    ('{"lines": [["1", false, "0"]]}', "a boolean"),
+    ('{"lines": [[1e400, 0, 0]]}', "inf"),
+    ('{"lines": [[0, 1, -Infinity]]}', "-inf"),
+    ('{"lines": [[NaN, 1, 0]]}', "nan"),
+], ids=["true", "false", "1e400", "infinity", "nan"])
+def test_scene_lines_refuse_booleans_and_non_finite_numbers(tmp_path, capsys,
+                                                            text, shown):
+    # JSON true would read as 1, and 1e400 reads as inf, which no rational
+    # equals; both are refused by field name, never a traceback or exit 1
+    f = tmp_path / "scene.json"
+    f.write_text(text)
+    assert run(["eval-scene", str(f), "p", "--cell", "+"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f'error: "lines" holds {shown} where a finite '
+                            f'number is needed\n')
+
+
+def test_scene_lines_take_integers_finite_numbers_and_fractions(tmp_path,
+                                                                capsys):
+    f = tmp_path / "scene.json"
+    f.write_text('{"lines": [[2, 0, -1.0], ["0", "1/2", "-1/4"]],'
+                 ' "val": {"p": {"dnf": [[[0, ">"]]]}}}')
+    assert run(["eval-scene", str(f), "<>p", "--cell", "00"]) == 0
+    assert run(["eval-scene", str(f), "p", "--cell", "+0"]) == 0
+    assert run(["eval-scene", str(f), "p", "--cell=-+"]) == 1
+    assert capsys.readouterr().out == "true\ntrue\nfalse\n"
+    scene, _ = scene_from_dict(json.loads(f.read_text()))
+    assert scene.lines == (Line.make(1, 0, Fraction(-1, 2)),
+                           Line.make(0, 1, Fraction(-1, 2)))
 
 
 @pytest.mark.parametrize("command,data,message", [

@@ -256,6 +256,28 @@ def test_compile_polygon_matches_per_cell_reference():
         assert compile_polygon(s, dnf) == want, dnf
 
 
+def test_scene_file_builds_sign_masks_once(monkeypatch):
+    # three valuation names compile against one set of sign masks, kept
+    # with the scene; scene_frame still builds its frame from fresh ones
+    built = []
+    sign_masks = geometry._sign_masks
+    monkeypatch.setattr(geometry, "_sign_masks",
+                        lambda scene: built.append(scene) or sign_masks(scene))
+    dnfs = {"p": [[[0, ">"], [3, "<="]]], "q": [[[5, "="]], [[1, "<"]]],
+            "r": [[[11, ">="], [2, ">"], [7, "<"]]]}
+    scene, val = scene_from_dict({
+        "lines": [[str(c) for c in line] for line in TWELVE_LINES],
+        "val": {name: {"dnf": dnf} for name, dnf in dnfs.items()}})
+    assert built == [scene]
+    rels = {"<": {-1}, "<=": {-1, 0}, "=": {0}, ">=": {0, 1}, ">": {1}}
+    for name, dnf in dnfs.items():
+        assert val[name] == frozenset(
+            c for c in scene.cells
+            if any(all(c[i] in rels[rel] for i, rel in clause) for clause in dnf))
+    scene_frame(scene)
+    assert built == [scene, scene]
+
+
 def test_eval_scene_checks_names_the_formula_lacks():
     s = build_arrangement([(1, 0, 0)])
     val = {"p": frozenset({(1,)}), "q": frozenset({(0, 0)})}

@@ -630,6 +630,51 @@ def test_sampled_first_failure_in_a_later_chunk(n, seed, first, monkeypatch):
         reference_sampled(chain(n), phi, 29, seed)
 
 
+@pytest.mark.parametrize("samples", [1, 31, 32, 33, 1000])
+@pytest.mark.parametrize("n", [33, 70])
+def test_sampled_draws_at_tile_and_word_edges(n, samples):
+    # 1, 31, 32 and 33 lanes fill a tile of 32 lanes partly, exactly or one
+    # past it, and 1,000 take 32 tiles; a draw of 33 or 70 bits spans two
+    # or three 32-bit words; without variables nothing is drawn.  On the
+    # chain, [](p0 & ... & p5) fails at the top world one draw in 64, so
+    # with 1,000 lanes these seeds first fail at samples 1 to 172
+    rare = Not(Box(conj([Var(f"p{j}") for j in range(6)])))
+    for seed, phi in enumerate([parse("F"), parse("~F"), rare, rare, rare]):
+        got = valid_on_frame(chain(n), phi, mode="sampled", samples=samples,
+                             seed=seed)
+        assert (got.valid, got.checked, got.counterexample, got.world) == \
+            reference_sampled(chain(n), phi, samples, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames(max_n=4), formulas, st.integers(3, 6), st.integers(0, 100),
+       st.integers(0, 1 << 32))
+# on the 2-chain with 8 lanes a chunk, bit 3 is q at world 1.  The second
+# chunk raises it, and the first example fails there only at world 0,
+# which must be re-evaluated as a world that sees a change.  The third
+# chunk lowers it and raises r at world 0, and the second example fails
+# there only by world 0 seeing q false at world 1, which must be
+# re-evaluated although no bit of it is set
+@example(chain(2), parse("~(~q & <>q & ~p)"), 3, 0, 0)
+@example(chain(2), parse("~(r & q & <>~q & ~p)"), 3, 0, 0)
+def test_small_chunks_match_reference(frame, phi, chunk_bits, samples, seed):
+    # with 8 to 64 lanes a chunk, every exhaustive chunk after the first
+    # re-evaluates only the worlds that see a changed valuation bit.  No
+    # valuation with r empty refutes <>r -> phi, and r takes the highest
+    # bits, so its first failure, when there is one, lies in a later chunk
+    late = Implies(Diamond(Var("r")), phi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kripke, "_CHUNK", 1 << chunk_bits)
+        for psi in (phi, late):
+            rep = valid_on_frame(frame, psi)
+            assert (rep.valid, rep.checked, rep.counterexample, rep.world) == \
+                reference_exhaustive(frame, psi)
+        rep = valid_on_frame(frame, phi, mode="sampled", samples=samples,
+                             seed=seed)
+        assert (rep.valid, rep.checked, rep.counterexample, rep.world) == \
+            reference_sampled(frame, phi, samples, seed)
+
+
 def test_sampled_reports_pinned():
     # any change to which draw bit gives which world shows here
     phi = parse("<>~p | <>~q | r")

@@ -90,8 +90,9 @@ def test_one_opcode_dispatch():
     assert found == {"kripke.py:_evaluate"}
 
 
-def _calls(name):
-    """file:function of every call in src to a function of this name."""
+def _calls(name, where=lambda call: True):
+    """file:function of every call in src to a function of this name, of
+    those calls that `where` accepts."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -99,7 +100,7 @@ def _calls(name):
             if isinstance(node, ast.Call) and (
                     isinstance(node.func, ast.Name) and node.func.id == name
                     or isinstance(node.func, ast.Attribute)
-                    and node.func.attr == name):
+                    and node.func.attr == name) and where(node):
                 found.add(f"{path.name}:{func}")
     return found
 
@@ -112,6 +113,17 @@ def test_one_walk_site():
     assert _calls("_even_degrees") == {"crown.py:reduce_to_crown",
                                        "mosaic.py:_try_component"}
     assert _calls("mirror") == set()
+
+
+def test_one_reuse_site():
+    # only frame validity hands _evaluate the previous chunk's values: it
+    # alone knows which worlds' blocks changed, and the crown oracle's and
+    # the one-lane evaluations stay full passes
+    def passes_reuse(call):
+        return len(call.args) > 5 or any(kw.arg in ("reuse", None)
+                                         for kw in call.keywords)
+
+    assert _calls("_evaluate", passes_reuse) == {"kripke.py:valid_on_frame"}
 
 
 def test_one_morphism_check_site():
