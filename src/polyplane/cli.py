@@ -116,9 +116,11 @@ def _cmd_jankov(args) -> int:
 def _cmd_eval_scene(args) -> int:
     scene, val = _load(args.scene, geo.scene_from_dict)
     signs = {"+": 1, "0": 0, "-": -1}
-    if any(ch not in signs for ch in args.cell):
+    # argparse drops a value of exactly "--", taken as the end of options
+    text = "--" if args.cell == [] else args.cell
+    if any(ch not in signs for ch in text):
         raise ValueError("--cell takes one of the characters +, 0, - per line")
-    cell = tuple(signs[ch] for ch in args.cell)
+    cell = tuple(signs[ch] for ch in text)
     if len(cell) != len(scene.lines):
         raise ValueError("cell signature length does not match the line count")
     ok = geo.eval_scene(scene, val, cell, parse(args.formula))
@@ -251,10 +253,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="print the axioms")
     p.set_defaults(fn=_cmd_axioms)
+    for p in (ap, *sub.choices.values()):  # one line, no usage line
+        p.error = lambda message: ap.exit(
+            2, "error: " + message.replace("\n", "\\n") + "\n")
     return ap
 
 
 def run(argv: list[str]) -> int:
+    # attached, a cell signature such as -+ is not read as an option
+    if "--cell" in argv[:-1]:
+        i = argv.index("--cell")
+        argv = [*argv[:i], f"--cell={argv[i + 1]}", *argv[i + 2:]]
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
@@ -262,23 +271,19 @@ def run(argv: list[str]) -> int:
     try:
         return args.fn(args)
     except ParseError as e:
-        print(f"syntax error: {e}", file=sys.stderr)
-        return 2
+        code, text = 2, f"syntax error: {e}"
     except BudgetExceededError as e:
-        print(f"budget exhausted: {e}", file=sys.stderr)
-        return 4
+        code, text = 4, f"budget exhausted: {e}"
     except RecursionError:
-        print("error: formula nested too deeply", file=sys.stderr)
-        return 2
+        code, text = 2, "error: formula nested too deeply"
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 2
+        code, text = 2, "error: out of memory"
     except (mo.MosaicError, VerificationError) as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 2
+        code, text = 2, f"internal error: {e}"
     except (ValueError, KeyError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        code, text = 2, f"error: {e}"
+    print(text.replace("\n", "\\n"), file=sys.stderr)
+    return code
 
 
 def main() -> int:

@@ -15,8 +15,8 @@ from .axioms import classify_frame
 from .errors import BudgetExceededError, StepBudget, VerificationError
 from .formula import BOX, DIA, Formula, compile
 from .kripke import (Frame, Model, WorldMap, _closed_walk, _evaluate,
-                     _even_degrees, _lane_index_bits, _onto_p_morphism,
-                     program_masks)
+                     _even_degrees, _lane_index_bits, _mask_worlds,
+                     _onto_p_morphism, program_masks)
 
 
 @lru_cache(maxsize=64)
@@ -198,12 +198,9 @@ class _CrownTables:
         # make `beyond` true somewhere / everywhere
         sigs = [0] * self.npat
         vals = _evaluate(_POINT, self.prog, self._columns, self.npat, beyond)
-        for i, [lanes] in enumerate(vals):
-            if self.tracked >> i & 1:
-                while lanes:
-                    low = lanes & -lanes
-                    sigs[low.bit_length() - 1] |= 1 << i
-                    lanes ^= low
+        for i in _mask_worlds(self.tracked):
+            for a in _mask_worlds(vals[i][0]):
+                sigs[a] |= 1 << i
         return sigs
 
     def mid(self, left: int, right: int, steps: StepBudget

@@ -80,10 +80,9 @@ class Scene:
     vectors, each with a rational witness attaining it.
 
     The specialization frame (`frame`), the cell -> index map (`index`) and
-    the sign masks that polygons compile from (`sign_masks`) are built on
-    first use and kept with the scene, so every query on one scene reads
-    the same ones.  `scene_frame(scene)` builds a fresh frame, from fresh
-    sign masks, on each call."""
+    the sign masks the frame and polygons are built from (`sign_masks`) are
+    built on first use and kept with the scene, so every query on one scene
+    reads the same ones; `scene_frame(scene)` builds a fresh frame."""
 
     lines: tuple[Line, ...]
     cells: tuple[SignVector, ...]
@@ -99,7 +98,12 @@ class Scene:
 
     @cached_property
     def sign_masks(self) -> list[list[int]]:
-        return _sign_masks(self)
+        """Per line, the cells below, on and above it, by sign + 1."""
+        masks = [[0, 0, 0] for _ in self.lines]
+        for k, cell in enumerate(self.cells):
+            for i, s in enumerate(cell):
+                masks[i][s + 1] |= 1 << k
+        return masks
 
     def signs_of(self, p: Point) -> SignVector:
         return tuple(l.sign_at(p) for l in self.lines)
@@ -231,25 +235,15 @@ def _add_edge(out: dict, rows: list[tuple[int, int, int]], signs: list[int],
         out[above] = (x + dx, y + dy, d)
 
 
-def _sign_masks(scene: Scene) -> list[list[int]]:
-    """For each line, the bitmasks of the cells below it, on it and above
-    it, indexed by sign + 1."""
-    masks = [[0, 0, 0] for _ in scene.lines]
-    for k, cell in enumerate(scene.cells):
-        for i, s in enumerate(cell):
-            masks[i][s + 1] |= 1 << k
-    return masks
-
-
 def scene_frame(scene: Scene) -> Frame:
     """Specialization order of the cells: a cell sees the cells whose
     closure it lies in, i.e. it agrees with them wherever it is off the
-    lines.  So a cell's row is the AND of its sign masks (`_sign_masks`)
+    lines.  So a cell's row is the AND of its sign masks (`sign_masks`)
     over the lines it is off.  The rows are already reflexive and
     transitive, which `Frame.from_rows` checks, and a root is a cell that
     sees every cell."""
     full = (1 << len(scene.cells)) - 1
-    masks = _sign_masks(scene)
+    masks = scene.sign_masks
     rows = []
     for cell in scene.cells:
         row = full

@@ -116,7 +116,7 @@ class Frame:
         return bool(self.rows[x] >> y & 1)
 
     def successors(self, x: int) -> tuple[int, ...]:
-        return _mask_worlds(self.rows[x])
+        return self._succs[x]
 
     def predecessors(self, y: int) -> tuple[int, ...]:
         return _mask_worlds(self._preds[y])
@@ -729,31 +729,33 @@ def _even_degrees(edges: list, adj: dict) -> None:
         edges += [(x, y, adj[x][y]) for x, y in zip(path, path[1:])]
 
 
-def _shortest_path(adj: dict, sources: Iterable, targets) -> Optional[list]:
-    """Shortest path from one of `sources` to any of `targets` (a set
-    disjoint from the sources), or None.
-
-    Breadth-first from the sources in the order given, neighbours in
-    sorted order; the first target reached ends the search, so ties go to
-    the earlier source and the lesser neighbour.
-    """
-    frontier = list(sources)
-    prev = dict.fromkeys(frontier)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in sorted(adj[v]):
-                if w in prev:
-                    continue
+def _breadth_first(adj: dict, sources: Iterable, targets=()) -> dict:
+    """Predecessor of each node reached breadth-first from `sources` (None
+    for a source), neighbours in sorted order; the first node of `targets`
+    reached ends the search as the map's last key."""
+    queue = list(sources)
+    prev = dict.fromkeys(queue)
+    for v in queue:
+        for w in sorted(adj[v]):
+            if w not in prev:
                 prev[w] = v
                 if w in targets:
-                    path = [w]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    return path[::-1]
-                nxt.append(w)
-        frontier = nxt
-    return None
+                    return prev
+                queue.append(w)
+    return prev
+
+
+def _shortest_path(adj: dict, sources: Iterable, targets) -> Optional[list]:
+    """Shortest path from one of `sources` to any of `targets` (a set
+    disjoint from the sources), or None; ties go to the earlier source and
+    the lesser neighbour."""
+    prev = _breadth_first(adj, sources, targets)
+    path = [next(reversed(prev), None)]
+    if path[0] not in targets:
+        return None
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return path[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from .crown import crown
 from .errors import StepBudget
 from .formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, Formula,
                       Not, compile, negation_text, pretty, render_nodes)
-from .kripke import (Model, _closed_walk, _even_degrees, _mask_worlds,
-                     _shortest_path, program_masks)
+from .kripke import (Model, _breadth_first, _closed_walk, _even_degrees,
+                     _mask_worlds, _shortest_path, program_masks)
 
 
 class MosaicError(RuntimeError):
@@ -97,12 +97,10 @@ class LabelSpace:
                 lit_of[i] = lit_of[a] ^ 1
 
         # each opcode's clauses (`_SLOTS`) read over the literals c, x, y,
-        # ..., ~y, ~x, ~c of the member c and its operands x, y; every
-        # clause is kept as (ones, zeros) masks for checking complete labels
+        # ..., ~y, ~x, ~c of the member c and its operands x, y
         self.ops, self.operands = ops, operands = [], []
         self.dia_list, self.box_list = dias, boxes = [], []
         self._bottoms = bottoms = []
-        self._clause_masks = masks = []
         self._long = long = [[] for _ in range(size)]
         succ: list[list[int]] = [[] for _ in range(2 * size)]
         down = [False] * (2 * size)  # literals implying an operand's
@@ -130,15 +128,6 @@ class LabelSpace:
                 lits = (c, x, y, y ^ 1, x ^ 1, c + 1)
             mine = []  # the longer clauses, each over all of c, x, y
             for slots in _SLOTS.get(op, ()):
-                ones = zeros = twice = 0
-                for k in slots:
-                    bit = 1 << (lits[k] >> 1)
-                    twice |= (ones | zeros) & bit
-                    if lits[k] & 1:
-                        zeros |= bit
-                    else:
-                        ones |= bit
-                masks.append((ones, zeros))
                 if len(slots) == 2:
                     x, y = lits[slots[0]], lits[slots[1]]
                     succ[x ^ 1].append(y)
@@ -146,6 +135,14 @@ class LabelSpace:
                     # the larger is the member's literal c: ~c implies down
                     down[max(x, y) ^ 1] = True
                 elif len(slots) > 2:
+                    ones = zeros = twice = 0
+                    for k in slots:
+                        bit = 1 << (lits[k] >> 1)
+                        twice |= (ones | zeros) & bit
+                        if lits[k] & 1:
+                            zeros |= bit
+                        else:
+                            ones |= bit
                     mine.append((ones, zeros, twice))
             if mine:
                 for idx in {j, lits[1] >> 1, lits[2] >> 1}:
@@ -287,10 +284,11 @@ class LabelSpace:
         return out
 
     def is_hintikka(self, label: int) -> bool:
-        if label >> self.size:
-            return False
-        return all(label & ones or ~label & zeros
-                   for ones, zeros in self._clause_masks)
+        """No bit beyond the closure set, and no conflict from setting all
+        its literals, which assigns every clause (`_propagate`)."""
+        lits = [2 * j + (not label >> j & 1) for j in range(self.size)]
+        return (not label >> self.size
+                and self._propagate(0, 0, self._bottoms + lits) is not None)
 
     # -- per-label modal vectors ------------------------------------------
 
@@ -563,22 +561,13 @@ def _glue_graph(classes: dict[tuple[int, int, int, int], list[int]],
                 near[yi] = arcs[yi][xi] = m
     stats.arcs += sum(map(len, arcs.values()))
 
-    comp_of: dict[int, int] = {}
+    # the components of the edge classes with an arc, by least member
     comps: list[list[int]] = []
+    seen: set[int] = set()
     for start, near in arcs.items():
-        if start in comp_of or not near:
-            continue
-        cid = len(comps)
-        stack, members = [start], []
-        comp_of[start] = cid
-        while stack:
-            v = stack.pop()
-            members.append(v)
-            for w in arcs[v]:
-                if w not in comp_of:
-                    comp_of[w] = cid
-                    stack.append(w)
-        comps.append(sorted(members))
+        if near and start not in seen:
+            comps.append(sorted(_breadth_first(arcs, [start])))
+            seen.update(comps[-1])
     stats.components += len(comps)
     return _GlueGraph(middles, edges, arcs, comps, {})
 
@@ -719,10 +708,8 @@ def extract_model(pool: Iterable[Mosaic], space: LabelSpace,
     # true
     cols = [0] * space.size
     for w, lab in enumerate(world_labels):
-        while lab:
-            low = lab & -lab
-            cols[low.bit_length() - 1] |= 1 << w
-            lab ^= low
+        for i in _mask_worlds(lab):
+            cols[i] |= 1 << w
     model = Model(crown(n), {f.name: frozenset(_mask_worlds(cols[i]))
                              for i, f in enumerate(space.positives)
                              if space.ops[i] == VAR})

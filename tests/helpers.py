@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Optional
 
@@ -103,12 +104,19 @@ def formula_pool() -> list[Formula]:
 # ---------------------------------------------------------------------------
 # Reference semantics
 
+@lru_cache(maxsize=64)
+def reference_successors(frame: Frame) -> tuple[tuple[int, ...], ...]:
+    """Each world's successors, pair by pair from Frame.sees; built once
+    per frame, as reference_truth runs once per valuation."""
+    return tuple(tuple(v for v in range(frame.n) if frame.sees(w, v))
+                 for w in range(frame.n))
+
+
 def reference_truth(frame: Frame, val: dict, phi: Formula) -> frozenset[int]:
     """Worlds where phi holds, decided world by world straight from the S4
     clauses; shares no evaluation code with polyplane.kripke, so tests can
     hold the bit-sliced evaluator against it."""
-    succ = {w: [v for v in range(frame.n) if frame.sees(w, v)]
-            for w in range(frame.n)}
+    succ = reference_successors(frame)
     memo: dict = {}
 
     def holds(w: int, f: Formula) -> bool:

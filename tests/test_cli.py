@@ -1,13 +1,24 @@
 import hashlib
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from polyplane.axioms import forbidden_frames
 from polyplane.cli import run
+from polyplane.crown import crown
 from polyplane.geometry import Line, eval_scene, scene_from_dict
-from polyplane.kripke import model_from_dict, eval_formula
-from polyplane.formula import parse
+from polyplane.kripke import (Model, frame_to_dict, model_from_dict,
+                              model_to_dict, eval_formula)
+from polyplane.formula import parse, pretty
+
+from helpers import formulas
 
 
 def test_sat_exit_codes(capsys):
@@ -39,12 +50,56 @@ def test_valid_section_six_pair(capsys):
     capsys.readouterr()
 
 
-def test_usage_and_parse_errors(capsys):
-    assert run(["sat", "p ->"]) == 2
-    assert run(["nonsense"]) == 2
-    assert run([]) == 2
-    assert run(["sat", "p", "--strict-middle"]) == 2
-    capsys.readouterr()
+def test_usage_and_parse_errors(tmp_path, capsys):
+    # argparse's errors come without its usage line, like every other error
+    s = tmp_path / "scene.json"
+    s.write_text(json.dumps({"lines": [["1", "0", "0"]]}))
+    for argv, err in [
+            (["sat", "p ->"], "syntax error: unexpected 'end of input' at "
+             "line 1, column 5 (expected: identifier, T, F, ~, [], <>, ()"),
+            (["nonsense"], "error: argument command: invalid choice: "
+             "'nonsense' (choose from 'sat', 'valid', 'classify-frame', "
+             "'reduce', 'jankov', 'eval-scene', 'realize', 'fuzz', 'axioms')"),
+            ([], "error: the following arguments are required: command"),
+            (["sat"], "error: the following arguments are required: formula"),
+            (["sat", "p", "--strict-middle"],
+             "error: unrecognized arguments: --strict-middle"),
+            (["eval-scene", str(s), "p", "--cell"],
+             "error: argument --cell: expected one argument"),
+            # a line break in an argument is shown escaped
+            (["sat", "p", "q\nr"], "error: unrecognized arguments: q\\nr")]:
+        assert run(argv) == 2, argv
+        assert capsys.readouterr() == ("", err + "\n"), argv
+
+
+def test_help_is_on_stdout(capsys):
+    for argv in (["--help"], ["eval-scene", "-h"]):
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: polyplane") and err == ""
+
+
+@pytest.mark.parametrize("cell,codes", [("-+", [0, 0, 1]), ("--", [1, 1, 0]),
+                                        ("-0-", [0, 0, 1])],
+                         ids=["-+", "--", "-0-"])
+def test_cell_signatures_may_start_with_a_minus(tmp_path, capsys, cell, codes):
+    # each answers as its attached form, which argparse never took for an
+    # option; p holds where y >= 0, and the open cell -- sees only itself.
+    # A signature of the wrong length is still refused
+    s = tmp_path / "scene.json"
+    s.write_text(json.dumps({"lines": [["1", "0", "0"], ["0", "1", "0"],
+                                       ["1", "1", "0"]][:len(cell)],
+                             "val": {"p": {"dnf": [[[1, ">="]]]}}}))
+    got = []
+    for argv in (["--cell", cell], [f"--cell={cell}"]):
+        for phi in ("p", "<>p", "[]~p"):
+            got.append((run(["eval-scene", str(s), phi, *argv]),
+                        capsys.readouterr()))
+    assert got[:3] == got[3:]
+    assert [code for code, _ in got] == codes * 2
+    assert run(["eval-scene", str(s), "p", "--cell", cell + "+"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: cell signature length does not match the line count\n")
 
 
 def test_classify_exit_codes(tmp_path, capsys):
@@ -409,3 +464,150 @@ def test_input_of_the_wrong_shape_is_one_line_error(tmp_path, capsys, command,
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract as a property: whatever the arguments and input
+# files, run returns 0 to 4 without raising, and a usage or input error
+# (exit 2) prints nothing on stdout and one line on stderr
+
+JUNK_ATOMS = st.one_of(
+    st.booleans(), st.none(), st.integers(-3, 3),
+    st.sampled_from([-10**12, 10**12, 4097, 2**63]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "0", "x", "1/0", "-1/3", "\u00e9", "\n"]))
+JUNK = st.one_of(
+    JUNK_ATOMS, st.lists(JUNK_ATOMS, max_size=3),
+    st.dictionaries(st.sampled_from(["worlds", "rel", "root", "val", "lines",
+                                     "dnf"]), JUNK_ATOMS, max_size=2),
+    st.integers(1, 60).map(lambda k: json.loads("[" * k + "]" * k)))
+
+
+def near(valid):
+    """A value of the valid strategy, or about one time in eight a wrong
+    one."""
+    return st.integers(0, 7).flatmap(lambda k: JUNK if k == 3 else valid)
+
+
+WORLD = near(st.integers(-1, 5))
+VAL = near(st.dictionaries(st.sampled_from(["p", "q"]),
+                           near(st.lists(WORLD, max_size=4)), max_size=2))
+NEAR_FRAMES = st.fixed_dictionaries(
+    {"worlds": near(st.integers(-1, 6))},
+    optional={"rel": near(st.lists(near(st.lists(WORLD, min_size=2,
+                                                 max_size=2)), max_size=6)),
+              "root": WORLD, "val": VAL})
+FRAMES = st.one_of(NEAR_FRAMES, st.sampled_from(
+    [frame_to_dict(crown(n)) for n in (1, 2)]
+    + [frame_to_dict(ff.frame) for ff in forbidden_frames()]))
+MODELS = st.one_of(NEAR_FRAMES, st.integers(1, 2).flatmap(
+    lambda n: st.dictionaries(st.sampled_from(["p", "q"]), st.frozensets(
+        st.integers(0, 2 * n), max_size=3), max_size=2).map(
+        lambda val: model_to_dict(Model(crown(n), val)))))
+COEF = near(st.one_of(st.integers(-2, 2), st.floats(-2, 2),
+                      st.sampled_from(["1/2", "-1/3", "0", "1/0", "2.5"])))
+CONSTRAINT = near(st.tuples(near(st.integers(-1, 4)), near(st.sampled_from(
+    ["<", "<=", "=", ">=", ">", "!"]))).map(list))
+SCENES = st.fixed_dictionaries(
+    {"lines": near(st.lists(near(st.lists(COEF, min_size=3, max_size=3)),
+                            max_size=4))},
+    optional={"val": near(st.dictionaries(
+        st.sampled_from(["p", "q"]), near(st.fixed_dictionaries(
+            {"dnf": near(st.lists(near(st.lists(CONSTRAINT, max_size=3)),
+                                  max_size=2))})), max_size=2))})
+RAW = st.sampled_from([b"", b"\xff\xfe{}", b'{"worlds": 2', b"[" * 100_000,
+                       b'{"worlds": "\xe9"}', b'{"lines": [[1, 0, 0]]'])
+
+
+def contents(shape):
+    """Bytes of an input file: mostly JSON of the shape the command reads,
+    else JSON of any shape, or bytes that are not JSON or not UTF-8."""
+    data = st.one_of(shape, shape, shape, FRAMES, MODELS, SCENES, JUNK)
+    return st.one_of(data.map(lambda v: json.dumps(v).encode()), RAW)
+
+
+TEXTS = st.one_of(formulas(max_size=6).map(pretty),
+                  st.text("pq()&|~<>[]-FT \n", max_size=10))
+NUMBERS = st.one_of(st.integers(-2, 3).map(str),
+                    st.sampled_from(["x", "", "1.5", "-", "--"]))
+CELLS = st.one_of(st.text("+0-", max_size=4), st.text("+0-x", max_size=4))
+# "IN" stands for the input file, "OUT" for a file to write, "MISSING" for
+# a path in a directory that does not exist
+IN = st.sampled_from(["IN"] * 7 + ["MISSING"])
+OUT = st.sampled_from(["OUT"] * 3 + ["MISSING"])
+# each subcommand's positionals and options with strategies for their
+# values (None for a switch), and the shape of its input file
+COMMANDS = {
+    "sat": ([TEXTS], {"--model-out": OUT, "--trace": None, "--oracle": NUMBERS},
+            JUNK),
+    "valid": ([TEXTS], {"--model-out": OUT}, JUNK),
+    "classify-frame": ([IN], {}, FRAMES),
+    "reduce": ([IN], {}, FRAMES),
+    "jankov": ([IN], {}, FRAMES),
+    "eval-scene": ([IN, TEXTS], {"--cell": CELLS}, SCENES),
+    "realize": ([], {"--model": IN, "--world": NUMBERS, "--svg": OUT}, MODELS),
+    "fuzz": ([], {"--max-size": NUMBERS, "--max-crown": NUMBERS,
+                  "--seed": NUMBERS, "--count": NUMBERS}, JUNK),
+    "axioms": ([], {}, JUNK),
+}
+REQUIRED = {"--cell", "--model"}
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, input file bytes): a subcommand (or none, or an unknown one)
+    with most of its positionals and required options, some of its other
+    options, and now and then a stray token."""
+    name = draw(st.sampled_from([*COMMANDS, *COMMANDS, "nonsense", None]))
+    positionals, options, shape = COMMANDS.get(name, ([], {}, JUNK))
+    argv = [] if name is None else [name]
+    # hypothesis draws the ends of a range more often than the middle, so
+    # an argument is left out on a value from the middle
+    for value in positionals:
+        if draw(st.integers(0, 15)) != 7:
+            argv.append(draw(value))
+    for flag, value in options.items():
+        keep = (draw(st.integers(0, 15)) != 7 if flag in REQUIRED
+                else draw(st.booleans()))
+        if keep:
+            argv += [flag] if value is None else [flag, draw(value)]
+    if draw(st.integers(0, 7)) in (2, 5):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.one_of(
+            st.sampled_from(["--bogus", "-x", "--help", "--", "--cell"]),
+            st.text("-pq \n", min_size=1, max_size=4))))
+    return argv, draw(contents(shape))
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+@settings(max_examples=500)
+@given(command_lines(), st.sampled_from(["input.json", "in\nput"]))
+# argparse printed its usage line before the error; a line break in an
+# argument, or in the name of a malformed input file, split the error line
+@example(([], b""), "input.json")
+@example((["sat", "p", "q\nr"], b""), "input.json")
+@example((["classify-frame", "IN"], b"[1, 2]"), "in\nput")
+def test_exit_code_contract(cli_dir, command, name):
+    # a fresh directory each time: new files are quick to write, while
+    # overwriting one is slow on some file systems
+    argv, content = command
+    where = Path(tempfile.mkdtemp(dir=cli_dir))
+    path = where / name
+    path.write_bytes(content)
+    paths = {"IN": str(path), "OUT": str(where / "out"),
+             "MISSING": str(where / "missing" / name)}
+    code, out, err = run_captured([paths.get(a, a) for a in argv])
+    assert code in range(5)
+    if code == 2:
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n"), err

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -258,11 +259,12 @@ def test_compile_polygon_matches_per_cell_reference():
 
 def test_scene_file_builds_sign_masks_once(monkeypatch):
     # three valuation names compile against one set of sign masks, kept
-    # with the scene; scene_frame still builds its frame from fresh ones
+    # with the scene, and scene_frame builds its frame from the same ones
     built = []
-    sign_masks = geometry._sign_masks
-    monkeypatch.setattr(geometry, "_sign_masks",
-                        lambda scene: built.append(scene) or sign_masks(scene))
+    build = geometry.Scene.sign_masks.func
+    counted = cached_property(lambda scene: built.append(scene) or build(scene))
+    counted.__set_name__(geometry.Scene, "sign_masks")
+    monkeypatch.setattr(geometry.Scene, "sign_masks", counted)
     dnfs = {"p": [[[0, ">"], [3, "<="]]], "q": [[[5, "="]], [[1, "<"]]],
             "r": [[[11, ">="], [2, ">"], [7, "<"]]]}
     scene, val = scene_from_dict({
@@ -274,8 +276,8 @@ def test_scene_file_builds_sign_masks_once(monkeypatch):
         assert val[name] == frozenset(
             c for c in scene.cells
             if any(all(c[i] in rels[rel] for i, rel in clause) for clause in dnf))
-    scene_frame(scene)
-    assert built == [scene, scene]
+    assert scene_frame(scene) == scene.frame
+    assert built == [scene]
 
 
 def test_eval_scene_checks_names_the_formula_lacks():

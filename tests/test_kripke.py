@@ -636,10 +636,14 @@ def test_sampled_draws_at_tile_and_word_edges(n, samples):
     # 1, 31, 32 and 33 lanes fill a tile of 32 lanes partly, exactly or one
     # past it, and 1,000 take 32 tiles; a draw of 33 or 70 bits spans two
     # or three 32-bit words; without variables nothing is drawn.  On the
-    # chain, [](p0 & ... & p5) fails at the top world one draw in 64, so
-    # with 1,000 lanes these seeds first fail at samples 1 to 172
-    rare = Not(Box(conj([Var(f"p{j}") for j in range(6)])))
-    for seed, phi in enumerate([parse("F"), parse("~F"), rare, rare, rare]):
+    # chain, ~[](p0 & ... & p5) fails at the top world one draw in 64, so
+    # with 1,000 lanes seeds 2 to 4 first fail at samples 1 to 172; with
+    # p0 to p9 one draw in 1,024, and seed 4 first fails at sample 999 of
+    # 70 worlds, in the last tile, and never on 33
+    rare, rarer = (Not(Box(conj([Var(f"p{j}") for j in range(k)])))
+                   for k in (6, 10))
+    for seed, phi in [(0, parse("F")), (1, parse("~F")), (2, rare), (3, rare),
+                      (4, rare), (4, rarer)]:
         got = valid_on_frame(chain(n), phi, mode="sampled", samples=samples,
                              seed=seed)
         assert (got.valid, got.checked, got.counterexample, got.world) == \

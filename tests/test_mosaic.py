@@ -566,29 +566,40 @@ DEEP_TOWERS = [
     (300, (Box,))]
 
 
+def pinned_musts(space, worlds):
+    """For each of the worlds of a crown(2) model, every decision but the
+    five lowest and five highest pinned to its truth there: the search
+    stays small while propagation runs along a whole tower."""
+    masks = program_masks(Model(crown(2), {"p": {1, 2}}), space.program)
+    top = space.size - 1
+    return [[(j, True, bool(masks[i] >> w & 1))
+             for j, i in enumerate(space.nodes) if 5 <= j < top - 4]
+            for w in worlds]
+
+
 @pytest.mark.parametrize("k,ops", DEEP_TOWERS)
 def test_enumeration_matches_sweep_reference_on_deep_towers(k, ops):
-    # every decision but the five lowest and five highest is pinned to its
-    # truth at one world of a crown model, so the search stays small while
-    # propagation runs along the whole tower; one-operator towers have few
-    # labels and are also enumerated unpinned
+    # one-operator towers have few labels and are also enumerated unpinned
     space = LabelSpace.for_formula(tower(k, ops))
-    masks = program_masks(Model(crown(2), {"p": {1, 2}}), space.program)
     top = space.size - 1
     musts = [[], [(top, True, True)], [(top, False, True), (0, True, True)]
              ] if len(ops) == 1 else []
-    for w in range(5):
-        musts.append([(j, True, bool(masks[i] >> w & 1))
-                      for j, i in enumerate(space.nodes) if 5 <= j < top - 4])
-    for must in musts:
+    for must in musts + pinned_musts(space, range(5)):
         agrees_with_sweep_reference(space, must)
 
 
-def agrees_with_table_reference(f):
+def agrees_with_table_reference(f, musts=((),)):
+    # is_hintikka reads the search's tables, so it is held against the
+    # reference's clause masks on every label enumerated under the musts,
+    # and on each label with one bit flipped, up to one past the closure set
     space, want = LabelSpace.for_formula(f), reference_label_tables(f)
     masks = want.pop("_clause_masks")
-    assert sorted(space._clause_masks) == sorted(masks)
     assert {name: getattr(space, name) for name in want} == want
+    labels = {lab for must in musts for lab in space.enumerate_labels(must)}
+    for lab in labels:
+        for x in [lab] + [lab ^ 1 << j for j in range(space.size + 1)]:
+            assert space.is_hintikka(x) == (not x >> space.size and all(
+                x & ones or ~x & zeros for ones, zeros in masks)), x
 
 
 @settings(max_examples=300)
@@ -604,7 +615,10 @@ def test_label_tables_match_reference_on_fixed_shapes(text):
 
 @pytest.mark.parametrize("k,ops", DEEP_TOWERS)
 def test_label_tables_match_reference_on_deep_towers(k, ops):
-    agrees_with_table_reference(tower(k, ops))
+    # the labels pinned at the root and at a middle
+    f = tower(k, ops)
+    agrees_with_table_reference(f, pinned_musts(LabelSpace.for_formula(f),
+                                                 (0, 2)))
 
 
 def by_size_and_text(members):

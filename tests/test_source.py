@@ -115,6 +115,89 @@ def test_one_walk_site():
     assert _calls("mirror") == set()
 
 
+def test_one_breadth_first_search():
+    # shortest paths and glue-graph components read the predecessor map of
+    # one breadth-first search
+    assert _calls("_breadth_first") == {"kripke.py:_shortest_path",
+                                        "mosaic.py:_glue_graph"}
+
+
+def _set_bit_walks():
+    """file:function of every loop `while m:` that takes the lowest set bit
+    `m & -m` and clears it (`m &= m - 1`, or `m ^= low`)."""
+    def lowest(node, name):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+                and ast.unparse(node.left) == name
+                and ast.unparse(node.right) == f"-{name}")
+
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func, node in _functions(tree):
+            if not (isinstance(node, ast.While) and isinstance(node.test, ast.Name)):
+                continue
+            m = node.test.id
+            inner = list(ast.walk(node))
+            clears = any(
+                isinstance(sub, ast.AugAssign) and ast.unparse(sub.target) == m
+                and (isinstance(sub.op, ast.BitAnd)
+                     and ast.unparse(sub.value) == f"{m} - 1"
+                     or isinstance(sub.op, ast.BitXor)) for sub in inner)
+            if clears and any(lowest(sub, m) for sub in inner):
+                found.add(f"{path.name}:{func}")
+    return found
+
+
+def test_one_set_bit_walk():
+    # set bits are listed by _mask_worlds; three hot loops keep the walk
+    # inline, where a call per row or per propagation round measured slower
+    assert _set_bit_walks() == {"kripke.py:_mask_worlds",
+                                "kripke.py:_transitive_pass",
+                                "kripke.py:_preds", "mosaic.py:_propagate"}
+
+
+def test_successors_read_the_cached_table():
+    # Frame.successors hands out the table built once per frame
+    tree = ast.parse((SRC / "kripke.py").read_text())
+    [node] = [node for func, node in _functions(tree)
+              if func == "successors" and isinstance(node, ast.Return)]
+    assert ast.unparse(node.value) == "self._succs[x]"
+
+
+def test_sign_masks_built_once_per_scene():
+    # cells are ORed into per-line sign masks only in Scene.sign_masks; the
+    # specialization frame and polygons read that property
+    built, read = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func, node in _functions(tree):
+            if (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitOr)
+                    and isinstance(node.target, ast.Subscript)
+                    and isinstance(node.target.value, ast.Subscript)):
+                built.add(f"{path.name}:{func}")
+            if isinstance(node, ast.Attribute) and node.attr == "sign_masks":
+                read.add(f"{path.name}:{func}")
+    assert built == {"geometry.py:sign_masks"}
+    assert read == {"geometry.py:scene_frame", "geometry.py:compile_polygon"}
+
+
+def test_label_space_keeps_clauses_once():
+    # a member's clauses live as implication closures (_closure) and long
+    # clauses (_long), which is_hintikka reads too; no third table of them
+    tree = ast.parse((SRC / "mosaic.py").read_text())
+    [cls] = [node for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name == "LabelSpace"]
+    [init] = [node for node in cls.body
+              if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+    stored = {node.attr for node in ast.walk(init)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    assert stored == {"theta", "program", "nodes", "positives", "size",
+                      "_lit_of", "ops", "operands", "dia_list", "box_list",
+                      "_bottoms", "_long", "_closure", "_watched",
+                      "_decisions", "_vec_cache"}
+
+
 def test_one_reuse_site():
     # only frame validity hands _evaluate the previous chunk's values: it
     # alone knows which worlds' blocks changed, and the crown oracle's and
