@@ -36,6 +36,11 @@ class ForbiddenFrame:
     frame: Frame
 
 
+# closed rows of B1..B5, world 0 the root: bit y of row x says x sees y
+_FORBIDDEN_ROWS = {"B1": (3, 3), "B2": (7, 7, 4), "B3": (15, 2, 4, 8),
+                   "B4": (15, 14, 12, 8), "B5": (15, 6, 4, 8)}
+
+
 def forbidden_frames() -> list[ForbiddenFrame]:
     """The five minimal frames a valid frame must not subreduce to.
 
@@ -45,14 +50,8 @@ def forbidden_frames() -> list[ForbiddenFrame]:
     B4  reflexive-transitive 4-chain
     B5  root seeing a 2-chain and, separately, a maximal point
     """
-    b1 = Frame(2, [(0, 1), (1, 0)], root=0)
-    b2 = Frame(3, [(0, 1), (1, 0), (0, 2), (1, 2)], root=0)
-    b3 = Frame(4, [(0, 1), (0, 2), (0, 3)], root=0)
-    b4 = Frame(4, [(0, 1), (1, 2), (2, 3)], root=0)
-    b5 = Frame(4, [(0, 1), (1, 2), (0, 3)], root=0)
-    return [ForbiddenFrame("B1", b1), ForbiddenFrame("B2", b2),
-            ForbiddenFrame("B3", b3), ForbiddenFrame("B4", b4),
-            ForbiddenFrame("B5", b5)]
+    return [ForbiddenFrame(i, Frame.from_rows(rows, root=0))
+            for i, rows in _FORBIDDEN_ROWS.items()]
 
 
 def xi() -> Formula:
@@ -129,7 +128,7 @@ def classify_frame(frame: Frame, budget: int = 2_000_000) -> Verdict:
     if found is None:
         return Verdict(True)
     refuted_id, mapping = found
-    target = next(ff.frame for ff in forbidden_frames() if ff.id == refuted_id)
+    target = Frame.from_rows(_FORBIDDEN_ROWS[refuted_id], root=0)
     wm = _onto_p_morphism(mapping, frame, target, f"{refuted_id} witness")
     return Verdict(False, refuted_id, wm)
 

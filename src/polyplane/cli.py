@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success / SAT / validates; 1 UNSAT / invalid / disagreement;
-2 usage or syntax errors, a formula nested too deeply to process
-("error: formula nested too deeply"), an input too large for the available
-memory ("error: out of memory"), or an answer that failed its own re-check
-("internal error: ..."); 3 a frame is refuted; 4 a search budget ran out.
-Every error is one line on stderr, never a traceback.
+2 usage or syntax errors, a formula ("error: formula nested too deeply") or
+an input file nested too deeply to process, an input too large for the
+available memory ("error: out of memory"), or an answer that failed its
+own re-check ("internal error: ..."); 3 a frame is refuted; 4 a search
+budget ran out.  Every error is one line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ from .formula import (And, Bottom, Box, Diamond, Formula, Iff, Implies, Not,
 
 
 def _load(path: str, convert: Callable):
-    """convert applied to the JSON read from path; data of the wrong shape
-    for it is a ValueError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    """convert applied to the JSON read from path; data nested too deeply
+    or of the wrong shape for it is a ValueError naming the file."""
     try:
-        return convert(data)
+        with open(path, "r", encoding="utf-8") as fh:
+            return convert(json.load(fh))
+    except RecursionError:
+        raise ValueError(f"input in {path} nested too deeply") from None
     except (TypeError, AttributeError, ZeroDivisionError) as e:
         raise ValueError(f"malformed input in {path}: {e}") from None
 
@@ -260,10 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    # attached, a cell signature such as -+ is not read as an option
-    if "--cell" in argv[:-1]:
-        i = argv.index("--cell")
-        argv = [*argv[:i], f"--cell={argv[i + 1]}", *argv[i + 2:]]
+    # attached, a cell signature such as -+ is not read as an option;
+    # argparse takes --c, --ce and --cel for --cell as well
+    i = next((i for i, a in enumerate(argv[:-1])
+              if len(a) > 2 and "--cell".startswith(a)), None)
+    if i is not None:
+        argv = [*argv[:i], f"{argv[i]}={argv[i + 1]}", *argv[i + 2:]]
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:

@@ -57,11 +57,11 @@ class CrownReduction:
 
 def _stratify(g: Frame):
     # middles are the worlds that only the root and they themselves see
-    root = g.root
-    g1 = [x for x in range(g.n)
-          if x != root and set(g.predecessors(x)) == {root, x}]
-    g1set = set(g1)
-    g2 = [x for x in range(g.n) if x != root and x not in g1set]
+    root, seen = g.root, 0
+    for y, row in enumerate(g.rows):
+        seen |= 0 if y == root else row & ~(1 << y)
+    g1 = [x for x in range(g.n) if x != root and not seen >> x & 1]
+    g2 = [x for x in range(g.n) if x != root and seen >> x & 1]
     return root, g1, g2
 
 

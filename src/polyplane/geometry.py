@@ -11,6 +11,7 @@ geometrically.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -289,13 +290,10 @@ def cells_to_dnf(scene: Scene, cells: Iterable[SignVector]) -> list[list[tuple[i
 def _cell_ids(scene: Scene, cells: Iterable[SignVector]) -> list[int]:
     """Indices of the cells in the scene; a cell of another scene is a
     ValueError."""
-    index = scene.index
-    ids = []
-    for c in cells:
-        if c not in index:
-            raise ValueError(f"cell {c} does not belong to the scene")
-        ids.append(index[c])
-    return ids
+    try:
+        return list(map(scene.index.__getitem__, cells))
+    except KeyError as e:
+        raise ValueError(f"cell {e.args[0]} does not belong to the scene") from None
 
 
 def eval_scene(scene: Scene, val: dict[str, CellSet], cell: SignVector,
@@ -458,19 +456,24 @@ def scene_to_dict(scene: Scene, val: Optional[dict[str, CellSet]] = None) -> dic
     return d
 
 
-def _finite(field: str, values: Iterable) -> None:
+def _coefficients(field: str, values: Iterable) -> None:
     """A ValueError naming the field if a value is a JSON boolean, which
-    would read as 0 or 1, or a number that is not finite, which no rational
-    equals (a JSON 1e400 reads as inf)."""
+    would read as 0 or 1, a number that is not finite, which no rational
+    equals (a JSON 1e400 reads as inf), or one written in over 100
+    characters or with an exponent beyond 99, which `Fraction` expands."""
     for v in values:
         if isinstance(v, bool) or isinstance(v, float) and not isfinite(v):
             shown = "a boolean" if isinstance(v, bool) else repr(v)
             raise ValueError(f'"{field}" holds {shown} where a finite number '
                              f'is needed')
+        if len(str(v)) > 100 or re.search(r"e[-+]?0*(?!0)\d{3}",
+                                           str(v).replace("_", ""), re.I):
+            raise ValueError(f'"{field}" holds a coefficient over 100 '
+                             f'characters or with an exponent beyond 99')
 
 
 def scene_from_dict(d: dict) -> tuple[Scene, dict[str, CellSet]]:
-    _finite("lines", [v for row in d["lines"] for v in row])
+    _coefficients("lines", [v for row in d["lines"] for v in row])
     lines = [Line.make(Fraction(a), Fraction(b), Fraction(c))
              for a, b, c in d["lines"]]
     scene = build_arrangement(lines)

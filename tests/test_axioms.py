@@ -267,3 +267,41 @@ def test_classify_recheck_survives_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_forbidden_frames_match_their_pair_lists():
+    # the rows table closes to the frames the pair lists describe
+    pairs = {"B1": (2, [(0, 1), (1, 0)]),
+             "B2": (3, [(0, 1), (1, 0), (0, 2), (1, 2)]),
+             "B3": (4, [(0, 1), (0, 2), (0, 3)]),
+             "B4": (4, [(0, 1), (1, 2), (2, 3)]),
+             "B5": (4, [(0, 1), (1, 2), (0, 3)])}
+    assert forbidden_frames() == [
+        axioms.ForbiddenFrame(i, Frame(n, rel, root=0))
+        for i, (n, rel) in pairs.items()]
+
+
+def test_refutation_builds_only_its_target(monkeypatch):
+    # a refuting classification constructs the refuted frame and no other;
+    # a validating one constructs none
+    built = []
+    init, from_rows = Frame.__init__, Frame.from_rows.__func__
+
+    def counted_init(self, *args, **kw):
+        built.append("init")
+        init(self, *args, **kw)
+
+    def counted_from_rows(cls, *args, **kw):
+        built.append("from_rows")
+        return from_rows(cls, *args, **kw)
+
+    chain = Frame(5, [(0, 1), (1, 2), (2, 3), (3, 4)], root=0)
+    cases = [(ff.frame, ff.id) for ff in forbidden_frames()] + [
+        (crown(3), None), (chain, "B4")]
+    monkeypatch.setattr(Frame, "__init__", counted_init)
+    monkeypatch.setattr(Frame, "from_rows", classmethod(counted_from_rows))
+    for frame, refuted in cases:
+        built.clear()
+        verdict = classify_frame(frame)
+        assert verdict.refuted_id == refuted
+        assert built == ([] if refuted is None else ["from_rows"])

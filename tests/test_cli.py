@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -100,6 +101,20 @@ def test_cell_signatures_may_start_with_a_minus(tmp_path, capsys, cell, codes):
     assert run(["eval-scene", str(s), "p", "--cell", cell + "+"]) == 2
     assert capsys.readouterr() == (
         "", "error: cell signature length does not match the line count\n")
+
+
+@pytest.mark.parametrize("flag", ["--cel", "--ce", "--c"])
+def test_cell_option_prefixes_take_signatures(tmp_path, capsys, flag):
+    # argparse takes a prefix of --cell for it, so the value after a prefix
+    # is attached too, and a signature such as -+ is not read as an option
+    s = tmp_path / "scene.json"
+    s.write_text(json.dumps({"lines": [["1", "0", "0"], ["0", "1", "0"]],
+                             "val": {"p": {"dnf": [[[1, ">="]]]}}}))
+    got = []
+    for argv in ([flag, "-+"], [f"{flag}=-+"], ["--cell=-+"], [flag, "+0"]):
+        got.append((run(["eval-scene", str(s), "p", *argv]),
+                    capsys.readouterr()))
+    assert got == [(0, ("true\n", ""))] * 4
 
 
 def test_classify_exit_codes(tmp_path, capsys):
@@ -320,6 +335,27 @@ def test_deep_input_is_one_line_error(capsys):
     assert captured.err == "error: formula nested too deeply\n"
 
 
+def test_deep_input_file_error_names_the_file(tmp_path, capsys):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100_000)
+    for command in (["classify-frame", str(f)], ["realize", "--model", str(f)],
+                    ["eval-scene", str(f), "p", "--cell", "+"]):
+        assert run(command) == 2
+        assert capsys.readouterr() == (
+            "", f"error: input in {f} nested too deeply\n")
+
+
+def test_huge_scene_coefficient_is_refused_at_once(tmp_path, capsys):
+    f = tmp_path / "scene.json"
+    f.write_text('{"lines": [["1e200000", "1", "0"], ["1", "-1", "1"]]}')
+    started = time.perf_counter()
+    assert run(["eval-scene", str(f), "p", "--cell", "++"]) == 2
+    assert time.perf_counter() - started < 0.1
+    assert capsys.readouterr() == ("", 'error: "lines" holds a coefficient over '
+                                   '100 characters or with an exponent beyond '
+                                   '99\n')
+
+
 def test_internal_errors_exit_two(monkeypatch, capsys):
     from polyplane import mosaic
     from polyplane.errors import VerificationError
@@ -505,7 +541,8 @@ MODELS = st.one_of(NEAR_FRAMES, st.integers(1, 2).flatmap(
         st.integers(0, 2 * n), max_size=3), max_size=2).map(
         lambda val: model_to_dict(Model(crown(n), val)))))
 COEF = near(st.one_of(st.integers(-2, 2), st.floats(-2, 2),
-                      st.sampled_from(["1/2", "-1/3", "0", "1/0", "2.5"])))
+                      st.sampled_from(["1/2", "-1/3", "0", "1/0", "2.5",
+                                       "1e200000", "1" * 101])))
 CONSTRAINT = near(st.tuples(near(st.integers(-1, 4)), near(st.sampled_from(
     ["<", "<=", "=", ">=", ">", "!"]))).map(list))
 SCENES = st.fixed_dictionaries(

@@ -6,15 +6,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyplane.axioms import classify_frame, forbidden_frames
-from polyplane.crown import (crown, crown_sat_bruteforce, crown_sat_oracle,
-                             reduce_to_crown)
+from polyplane.crown import (_stratify, crown, crown_sat_bruteforce,
+                             crown_sat_oracle, reduce_to_crown)
 from polyplane.errors import BudgetExceededError, VerificationError
 from polyplane.formula import Var, conj, parse, variables
 from polyplane.kripke import (Frame, Model, eval_formula, find_subreduction,
                               is_p_morphism, jankov_fine, truth_mask)
 
-from helpers import (all_formulas, formulas, random_formula,
-                     reference_crown_sat_oracle, shallow_rooted_family)
+from helpers import (all_formulas, enumerate_rooted_s4, formulas,
+                     random_formula, reference_crown_sat_oracle,
+                     shallow_rooted_family)
 
 
 def test_crown_one():
@@ -355,3 +356,15 @@ def test_oracle_rejects_bounds_below_one(max_n):
         crown_sat_oracle(Var("p"), max_n)
     with pytest.raises(ValueError, match="crown bound"):
         crown_sat_bruteforce(Var("p"), max_n)
+
+
+def test_stratify_matches_predecessor_sets():
+    # middles, read off the rows, are the non-root worlds whose only
+    # predecessors are the root and themselves
+    frames = [f.rooted() for n in range(1, 6) for f in enumerate_rooted_s4(n)]
+    for g in frames + [crown(n) for n in range(1, 13)]:
+        root = g.root
+        g1 = [x for x in range(g.n)
+              if x != root and set(g.predecessors(x)) == {root, x}]
+        g2 = [x for x in range(g.n) if x != root and x not in g1]
+        assert _stratify(g) == (root, g1, g2), g

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -508,3 +509,38 @@ def test_two_line_scene_maps_onto_crown_four():
             assert mapping[i] % 2 == 0 and mapping[i] != 0
         elif zeros == 0:
             assert mapping[i] % 2 == 1
+
+
+def test_foreign_cell_message_names_the_cell():
+    s = build_arrangement([(1, 0, 0), (0, 1, 0)])
+    for call in (lambda: eval_scene(s, {}, (1, 1, 1), parse("p")),
+                 lambda: eval_scene(s, {"p": [(1, 1), (1, 1, 1)]}, (0, 0),
+                                    parse("p")),
+                 lambda: scene_closure(s, iter([(1, 1), (1, 1, 1), (2, 0)]))):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "cell (1, 1, 1) does not belong to the scene"
+        # no lookup error shows in a traceback
+        assert err.value.__cause__ is None and (
+            err.value.__context__ is None or err.value.__suppress_context__)
+
+
+@pytest.mark.parametrize("coefficient", ["1e200000", "1E-200000", "1e1_000",
+                                         "1e0100", "1" * 101, 10 ** 100, 1e-300])
+def test_scene_coefficients_are_bounded(coefficient):
+    # Fraction expands a decimal exponent in full; an over-long coefficient
+    # is refused before it sees one
+    started = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        scene_from_dict({"lines": [[coefficient, "1", "0"], ["1", "-1", "1"]]})
+    assert time.perf_counter() - started < 0.1
+    assert str(err.value) == ('"lines" holds a coefficient over 100 characters '
+                              'or with an exponent beyond 99')
+
+
+def test_scene_coefficients_within_the_bound_build():
+    for coefficient in ["1e99", "-1E-99", "1e0099", " 2.5e1_0 ", "1" * 100,
+                        10 ** 99, 1e99, "3/4"]:
+        scene, _ = scene_from_dict({"lines": [[coefficient, "1", "0"],
+                                              ["1", "-1", "1"]]})
+        assert scene.lines[0] == Line.make(Fraction(coefficient), 1, 0)
