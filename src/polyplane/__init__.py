@@ -9,7 +9,7 @@ from .errors import BudgetExceededError, VerificationError
 from .formula import (And, Bottom, Box, Diamond, Formula, Iff, Implies, Not,
                       Or, ParseError, Var, ast_size, closure, modal_depth,
                       parse, pretty, subformulas, substitute, variables)
-from .geometry import (Line, Realization, Scene, build_arrangement,
+from .geometry import (CellSet, Line, Realization, Scene, build_arrangement,
                        cells_to_dnf, compile_polygon, concurrent_crown_map,
                        eval_scene, realize_crown_model, scene_closure,
                        scene_delta, scene_frame, scene_from_dict,

@@ -346,10 +346,9 @@ def _model_from_patterns(tables: _CrownTables, n: int, pins: list[int]) -> Model
     if len(pins) != 2 * n + 1:
         raise VerificationError(
             f"{len(pins)} world patterns for the {2 * n + 1} worlds of crown({n})")
-    val = {}
-    for j, name in enumerate(tables.names):
-        val[name] = frozenset(w for w in range(2 * n + 1) if pins[w] >> j & 1)
-    return Model(crown(n), val)
+    masks = {name: sum(1 << w for w in range(2 * n + 1) if pins[w] >> j & 1)
+             for j, name in enumerate(tables.names)}
+    return Model(crown(n), masks=masks)
 
 
 def crown_sat_bruteforce(phi: Formula, max_n: int,

@@ -21,13 +21,12 @@ from typing import Iterable, Optional, Sequence
 from .crown import crown
 from .errors import VerificationError
 from .formula import Formula, compile
-from .kripke import (Frame, Model, WorldMap, _evaluate, _ints, _mask_worlds,
-                     _onto_p_morphism, _worlds_mask, closure_set,
-                     delta as frame_delta, eval_formula, interior_set)
+from .kripke import (Frame, Model, WorldMap, _closure, _evaluate, _interior,
+                     _ints, _mask_worlds, _onto_p_morphism, _worlds_mask,
+                     eval_formula)
 
 Point = tuple[Fraction, Fraction]
 SignVector = tuple[int, ...]
-CellSet = frozenset
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,10 @@ class Scene:
     """Arrangement of distinct lines; cells are exactly the realizable sign
     vectors, each with a rational witness attaining it.
 
-    The specialization frame (`frame`), the cell -> index map (`index`) and
-    the sign masks the frame and polygons are built from (`sign_masks`) are
-    built on first use and kept with the scene, so every query on one scene
-    reads the same ones; `scene_frame(scene)` builds a fresh frame."""
+    The specialization frame (`frame`), the cell -> index map (`index`),
+    the lines' integer rows (`rows`) and the sign masks the frame and
+    polygons are built from (`sign_masks`) are built on first use and kept
+    with the scene, so every query on one scene reads the same ones."""
 
     lines: tuple[Line, ...]
     cells: tuple[SignVector, ...]
@@ -98,6 +97,10 @@ class Scene:
         return {c: i for i, c in enumerate(self.cells)}
 
     @cached_property
+    def rows(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(l.row for l in self.lines)
+
+    @cached_property
     def sign_masks(self) -> list[list[int]]:
         """Per line, the cells below, on and above it, by sign + 1."""
         masks = [[0, 0, 0] for _ in self.lines]
@@ -110,6 +113,23 @@ class Scene:
         return tuple(l.sign_at(p) for l in self.lines)
 
 
+class CellSet(frozenset):
+    """The frozenset of some cells' sign vectors, which keeps their mask of
+    cell indices and its scene's `rows`: equal rows make equal cells in equal
+    order, so any scene with these rows reads the mask.  Set operations,
+    copies and pickles give plain frozensets."""
+
+    __slots__ = ("mask", "rows")
+
+    def __new__(cls, scene: Scene, mask: int) -> "CellSet":
+        self = super().__new__(cls, map(scene.cells.__getitem__, _mask_worlds(mask)))
+        self.mask, self.rows = mask, scene.rows
+        return self
+
+    def __reduce__(self):
+        return (frozenset, (tuple(self),))
+
+
 MAX_LINES = 24
 
 
@@ -117,11 +137,11 @@ def build_arrangement(lines: Sequence) -> Scene:
     """Scene of the given lines.  One walk along each line (`_walk`) gives
     the cells and a witness point for each; every witness is re-checked
     against every line, on the integer rows, before it is stored."""
+    if len(lines) > MAX_LINES:
+        raise ValueError(f"more than {MAX_LINES} lines")
     norm = tuple(l if isinstance(l, Line) else Line.make(*l) for l in lines)
     if len(set(norm)) != len(norm):
         raise ValueError("duplicate line in arrangement")
-    if len(norm) > MAX_LINES:
-        raise ValueError(f"more than {MAX_LINES} lines")
     rows = [l.row for l in norm]
     points = _walk(rows)
     cells = tuple(sorted(points))
@@ -277,7 +297,7 @@ def compile_polygon(scene: Scene, dnf: Iterable[Iterable[tuple[int, str]]]
         for i, rel in clause:
             m &= sum(masks[i][s + 1] for s in _REL_SIGNS[rel])
         got |= m
-    return frozenset(scene.cells[k] for k in _mask_worlds(got))
+    return CellSet(scene, got)
 
 
 def cells_to_dnf(scene: Scene, cells: Iterable[SignVector]) -> list[list[tuple[int, str]]]:
@@ -296,37 +316,43 @@ def _cell_ids(scene: Scene, cells: Iterable[SignVector]) -> list[int]:
         raise ValueError(f"cell {e.args[0]} does not belong to the scene") from None
 
 
-def eval_scene(scene: Scene, val: dict[str, CellSet], cell: SignVector,
-               phi: Formula) -> bool:
+def _cell_mask(scene: Scene, cells: Iterable[SignVector]) -> int:
+    """Bitmask of the cells' indices: a CellSet's own, refused if its scene
+    has other lines; any other iterable is looked up cell by cell."""
+    if isinstance(cells, CellSet):
+        if cells.rows != scene.rows:
+            raise ValueError("cell set of a scene with other lines")
+        return cells.mask
+    return _worlds_mask(_cell_ids(scene, cells))
+
+
+def eval_scene(scene: Scene, val: dict[str, Iterable[SignVector]],
+               cell: SignVector, phi: Formula) -> bool:
     """Topological truth at any point of the cell, for the cell-constant
     valuation, on the specialization frame.
 
-    Each entry of `val` becomes one bitmask of cell indices, so a cell of
-    another scene is a ValueError under any name, used by phi or not.  The
-    masks of phi's variables, in its compiled program's order and empty for
-    names `val` lacks, are evaluated once by `_evaluate`."""
+    Each entry of `val` becomes one bitmask of cell indices (`_cell_mask`),
+    so a cell of another scene is a ValueError under any name, used by phi
+    or not.  The masks of phi's variables, in its compiled program's order
+    and empty for names `val` lacks, are evaluated once by `_evaluate`."""
     [world] = _cell_ids(scene, [cell])
-    masks = {name: _worlds_mask(_cell_ids(scene, cs)) for name, cs in val.items()}
+    masks = {name: _cell_mask(scene, cs) for name, cs in val.items()}
     prog = compile(phi)
     columns = [masks.get(name, 0) for name in prog.names]
     return bool(_evaluate(scene.frame, prog, columns)[prog.root] >> world & 1)
 
 
-def _scene_cells(scene: Scene, op, cells: Iterable[SignVector]) -> CellSet:
-    got = op(scene.frame, _cell_ids(scene, cells))
-    return frozenset(scene.cells[i] for i in got)
-
-
 def scene_closure(scene: Scene, cells: Iterable[SignVector]) -> CellSet:
-    return _scene_cells(scene, closure_set, cells)
+    return CellSet(scene, _closure(scene.frame.rows, _cell_mask(scene, cells)))
 
 
 def scene_interior(scene: Scene, cells: Iterable[SignVector]) -> CellSet:
-    return _scene_cells(scene, interior_set, cells)
+    return CellSet(scene, _interior(scene.frame.rows, _cell_mask(scene, cells)))
 
 
 def scene_delta(scene: Scene, cells: Iterable[SignVector]) -> CellSet:
-    return _scene_cells(scene, frame_delta, cells)
+    m = _cell_mask(scene, cells)
+    return CellSet(scene, _closure(scene.frame.rows, m) & ~m)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +455,9 @@ def realize_crown_model(model: Model, witness: int,
     iso = concurrent_crown_map(scene)
     wrap = wrap_map(2 * L, m)
     composite = {ci: wrap[w] for ci, w in iso.items()}
-    val: dict[str, CellSet] = {}
-    for name, worlds in model.val.items():
-        val[name] = frozenset(scene.cells[ci] for ci, w in composite.items()
-                              if w in worlds)
+    val = {name: CellSet(scene, sum(1 << ci for ci, w in composite.items()
+                                    if m >> w & 1))
+           for name, m in model.masks.items()}
     if witness == 0:
         cell_idx = next(ci for ci, w in iso.items() if w == 0)
     else:
@@ -473,6 +498,9 @@ def _coefficients(field: str, values: Iterable) -> None:
 
 
 def scene_from_dict(d: dict) -> tuple[Scene, dict[str, CellSet]]:
+    # the count first, before any row is read; it wins over a duplicate
+    if len(d["lines"]) > MAX_LINES:
+        raise ValueError(f"more than {MAX_LINES} lines")
     _coefficients("lines", [v for row in d["lines"] for v in row])
     lines = [Line.make(Fraction(a), Fraction(b), Fraction(c))
              for a, b, c in d["lines"]]

@@ -8,7 +8,7 @@ construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
@@ -158,21 +158,34 @@ def _worlds_mask(worlds: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Model:
-    """Frame plus a valuation; unknown variables denote the empty set."""
+    """Frame plus a valuation, stored as one bitmask of worlds per variable
+    (`masks`) and given either as iterables of worlds (`val`) or as those
+    masks; unknown variables denote the empty set.  `val` reads the masks
+    back as frozensets, built on first read."""
 
     frame: Frame
-    val: dict[str, frozenset[int]] = field(default_factory=dict)
+    masks: dict[str, int]
 
-    def __post_init__(self):
-        norm = {}
-        for name, worlds in self.val.items():
-            ws = frozenset(worlds)
-            if any(not (0 <= w < self.frame.n) for w in ws):
+    def __init__(self, frame: Frame, val: Optional[dict] = None, *,
+                 masks: Optional[dict[str, int]] = None):
+        masks = dict(masks or {})
+        for name, worlds in (val or {}).items():
+            ws = list(worlds)
+            # checked before any world is shifted into a mask
+            if not all(0 <= w < frame.n for w in ws):
                 raise ValueError(f"valuation of {name!r} mentions unknown worlds")
-            norm[name] = ws
-        object.__setattr__(self, "val", norm)
+            masks[name] = _worlds_mask(ws)
+        for name, mask in masks.items():
+            if mask < 0 or mask >> frame.n:
+                raise ValueError(f"valuation of {name!r} mentions unknown worlds")
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "masks", masks)
+
+    @cached_property
+    def val(self) -> dict[str, frozenset[int]]:
+        return {name: frozenset(_mask_worlds(m)) for name, m in self.masks.items()}
 
 
 def _evaluate(frame: Frame, prog: Program, columns: list,
@@ -274,7 +287,7 @@ def _evaluate(frame: Frame, prog: Program, columns: list,
 
 def program_masks(model: Model, prog: Program) -> list[int]:
     """Bitmask of worlds where each node of prog holds in the model."""
-    columns = [_worlds_mask(model.val.get(name, ())) for name in prog.names]
+    columns = [model.masks.get(name, 0) for name in prog.names]
     return _evaluate(model.frame, prog, columns)
 
 
@@ -610,7 +623,7 @@ def sigma_bisimilar(m1: Model, w1: int, m2: Model, w2: int,
     f1, f2 = m1.frame, m2.frame
 
     def atoms(model, w):
-        return tuple(w in model.val.get(p, ()) for p in names)
+        return tuple(model.masks.get(p, 0) >> w & 1 for p in names)
 
     pairs = {(x, y) for x in range(f1.n) for y in range(f2.n)
              if atoms(m1, x) == atoms(m2, y)}
@@ -797,14 +810,13 @@ def frame_from_dict(d: dict) -> Frame:
 
 def model_to_dict(model: Model) -> dict:
     d = frame_to_dict(model.frame)
-    d["val"] = {name: sorted(ws) for name, ws in sorted(model.val.items())}
+    d["val"] = {name: list(_mask_worlds(m)) for name, m in sorted(model.masks.items())}
     return d
 
 
 def model_from_dict(d: dict) -> Model:
     frame = frame_from_dict(d)
-    val = {}
-    for name, ws in d.get("val", {}).items():
+    val = d.get("val", {})
+    for name, ws in val.items():
         _ints(f"val.{name}", ws)
-        val[name] = frozenset(ws)
     return Model(frame, val)

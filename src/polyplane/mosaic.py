@@ -710,9 +710,9 @@ def extract_model(pool: Iterable[Mosaic], space: LabelSpace,
     for w, lab in enumerate(world_labels):
         for i in _mask_worlds(lab):
             cols[i] |= 1 << w
-    model = Model(crown(n), {f.name: frozenset(_mask_worlds(cols[i]))
-                             for i, f in enumerate(space.positives)
-                             if space.ops[i] == VAR})
+    model = Model(crown(n), masks={f.name: cols[i]
+                                   for i, f in enumerate(space.positives)
+                                   if space.ops[i] == VAR})
 
     # a negated member fails exactly where its positive does, so checking
     # the positives in member order finds the first failing member

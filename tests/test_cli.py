@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -356,6 +357,44 @@ def test_huge_scene_coefficient_is_refused_at_once(tmp_path, capsys):
                                    '99\n')
 
 
+def test_scene_file_over_the_line_cap_is_refused_at_once(tmp_path, capsys):
+    # the count is checked before any row is read: 200,000 rows are refused
+    # within 0.1 s of reading the JSON (2.4 s when every row became a Line
+    # first), and 25 rows that repeat a line get the count message, not the
+    # duplicate one
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"lines": [[str(k), "1", "0"]
+                                         for k in range(200_000)]}))
+    started = time.perf_counter()
+    json.loads(big.read_text())
+    reading = time.perf_counter() - started
+    started = time.perf_counter()
+    assert run(["eval-scene", str(big), "p", "--cell", "+"]) == 2
+    assert time.perf_counter() - started < reading + 0.1
+    assert capsys.readouterr() == ("", "error: more than 24 lines\n")
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(json.dumps(
+        {"lines": [["1", "0", "0"]] * 2 + [["1", "0", str(k)] for k in range(1, 24)]}))
+    assert run(["eval-scene", str(repeated), "p", "--cell", "+" * 25]) == 2
+    assert capsys.readouterr() == ("", "error: more than 24 lines\n")
+
+
+def test_oracle_model_file_is_byte_stable(tmp_path, capsys):
+    # the oracle's model keeps every atom of the formula, true nowhere or
+    # not, and a countermodel file has the same layout
+    out = tmp_path / "model.json"
+    assert run(["sat", "<>[]p & <>[]~p & (q -> q)", "--oracle", "3",
+                "--model-out", str(out)]) == 0
+    assert capsys.readouterr().out == "SAT on crown(2) at world 0 (oracle)\n"
+    assert out.read_text() == (
+        '{"rel":[[0,1],[0,2],[0,3],[0,4],[2,1],[2,3],[4,1],[4,3]],"root":0,'
+        '"val":{"p":[1],"q":[]},"worlds":5}\n')
+    assert run(["valid", "p -> []p", "--model-out", str(out)]) == 1
+    assert capsys.readouterr().out == "invalid: countermodel on crown(1) at world 0\n"
+    assert out.read_text() == (
+        '{"rel":[[0,1],[0,2],[2,1]],"root":0,"val":{"p":[0,2]},"worlds":3}\n')
+
+
 def test_internal_errors_exit_two(monkeypatch, capsys):
     from polyplane import mosaic
     from polyplane.errors import VerificationError
@@ -634,6 +673,19 @@ def cli_dir(tmp_path_factory):
 @example(([], b""), "input.json")
 @example((["sat", "p", "q\nr"], b""), "input.json")
 @example((["classify-frame", "IN"], b"[1, 2]"), "in\nput")
+# each documented answer at least once
+@example((["eval-scene", "IN", "<>p", "--cell", "0"],
+          b'{"lines": [[1, 0, 0]], "val": {"p": {"dnf": [[[0, ">"]]]}}}'), "input.json")
+@example((["eval-scene", "IN", "[]p", "--cell", "0"],
+          b'{"lines": [[1, 0, 0]], "val": {"p": {"dnf": [[[0, ">"]]]}}}'), "input.json")
+@example((["realize", "--model", "IN", "--world", "2"],
+          json.dumps(model_to_dict(Model(crown(2), {"p": {1, 2}}))).encode()),
+         "input.json")
+@example((["classify-frame", "IN"], json.dumps(frame_to_dict(crown(2))).encode()),
+         "input.json")
+@example((["classify-frame", "IN"],
+          json.dumps(frame_to_dict(forbidden_frames()[2].frame)).encode()), "input.json")
+@example((["reduce", "IN"], json.dumps(frame_to_dict(crown(3))).encode()), "input.json")
 def test_exit_code_contract(cli_dir, command, name):
     # a fresh directory each time: new files are quick to write, while
     # overwriting one is slow on some file systems
@@ -648,3 +700,64 @@ def test_exit_code_contract(cli_dir, command, name):
     if code == 2:
         assert out == ""
         assert err.count("\n") == 1 and err.endswith("\n"), err
+    else:
+        documented_stdout(argv, code, out)
+
+
+def _compact_json(out, *shapes):
+    """The object of a one-line JSON answer, printed with sorted keys and no
+    spaces, whose set of keys is one of `shapes` when any are given."""
+    data = json.loads(out)
+    assert out == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    assert not shapes or set(data) in shapes, data
+    return data
+
+
+def _formula_line(out):
+    assert out.count("\n") == 1 and pretty(parse(out[:-1])) == out[:-1], out
+
+
+def _realized(out):
+    data = _compact_json(out, {"lines", "val", "cell"})
+    assert re.fullmatch("[-+0]*", data["cell"])
+    assert len(data["cell"]) == len(data["lines"]) >= 2
+
+
+# what each command prints on stdout, by exit code: a pattern of the whole
+# output, or a check of it
+STDOUT = {
+    "sat": {0: r"SAT on crown\(\d+\) at world \d+( \(oracle\))?\n",
+            1: r"UNSAT( \(oracle, crowns up to \d+\))?\n"},
+    "valid": {0: "valid\n",
+              1: r"invalid: countermodel on crown\(\d+\) at world \d+\n"},
+    "classify-frame": {0: "validates\n", 3: r"refutes B[1-5]; witness \{.*\}\n"},
+    "reduce": {0: lambda out: _compact_json(out, {"n", "map"},
+                                            {"n", "map", "embedding"})},
+    "jankov": {0: _formula_line},
+    "eval-scene": {0: "true\n", 1: "false\n"},
+    "realize": {0: _realized},
+    "fuzz": {0: r"\d+ formulas, 0 disagreements\n",
+             1: r"\d+ formulas, [1-9]\d* disagreements\n"},
+    "axioms": {0: r"\(I\)  .+\n\(II\) .+\nxi   .+\n"},
+}
+
+
+def documented_stdout(argv, code, out):
+    """Stdout of an exit 0, 1 or 3 is the answer the command documents, or
+    argparse's help on exit 0; exit 4 (budget) prints nothing there."""
+    if code == 4:
+        assert out == ""
+        return
+    if out.startswith("usage: polyplane"):
+        assert code == 0 and "--help" in argv
+        return
+    command = next(a for a in argv if a in COMMANDS)
+    want = STDOUT[command][code]
+    if callable(want):
+        want(out)
+    else:
+        assert re.fullmatch(want, out), (command, code, out)
+    if command == "sat":
+        assert ("(oracle" in out) == ("--oracle" in argv), out
+    if command == "classify-frame" and code == 3:
+        _compact_json(out.split("; witness ", 1)[1])

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -15,7 +17,8 @@ from polyplane.axioms import classify_frame
 from polyplane.crown import crown
 from polyplane.errors import VerificationError
 from polyplane.formula import Box, Diamond, Not, Var, conj, parse
-from polyplane.geometry import (Line, Scene, build_arrangement, cells_to_dnf,
+from polyplane.geometry import (CellSet, Line, Scene, build_arrangement,
+                                cells_to_dnf,
                                 compile_polygon, concurrent_crown_map,
                                 eval_scene, realize_crown_model, scene_closure,
                                 scene_delta, scene_frame, scene_from_dict,
@@ -24,8 +27,9 @@ from polyplane.geometry import (Line, Scene, build_arrangement, cells_to_dnf,
 from polyplane.kripke import Frame, Model, WorldMap, eval_formula, is_p_morphism
 from polyplane.mosaic import decide_sat
 
-from helpers import (frames_isomorphic, random_formula, reference_arrangement,
-                     reference_scene_frame, reference_truth)
+from helpers import (formulas, frames_isomorphic, random_formula,
+                     reference_arrangement, reference_scene_frame,
+                     reference_truth)
 
 
 def concurrent(L):
@@ -544,3 +548,141 @@ def test_scene_coefficients_within_the_bound_build():
         scene, _ = scene_from_dict({"lines": [[coefficient, "1", "0"],
                                               ["1", "-1", "1"]]})
         assert scene.lines[0] == Line.make(Fraction(coefficient), 1, 0)
+
+
+def test_line_count_is_checked_before_any_row():
+    # 200,000 rows are refused before a Fraction or a Line is built, and a
+    # scene over the cap that repeats a line gets the count message too
+    rows = [[str(k), "1", "0"] for k in range(200_000)]
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="^more than 24 lines$"):
+        scene_from_dict({"lines": rows})
+    assert time.perf_counter() - started < 0.1
+    for lines in ([["1", "0", "0"]] * 25, [[1, 0, k] for k in range(24)] + [[2, 0, 0]]):
+        with pytest.raises(ValueError, match="^more than 24 lines$"):
+            scene_from_dict({"lines": lines})
+        with pytest.raises(ValueError, match="^more than 24 lines$"):
+            build_arrangement(lines)
+    with pytest.raises(ValueError, match="^duplicate line in arrangement$"):
+        scene_from_dict({"lines": [[1, 0, k] for k in range(23)] + [[2, 0, 0]]})
+
+
+# ---------------------------------------------------------------------------
+# Cell sets: masks kept with the frozenset of their cells
+
+def _pencil(draw, size):
+    """Lines through one rational point, with distinct directions."""
+    x, y = (draw(st.fractions(-3, 3, max_denominator=3)) for _ in range(2))
+    return draw(st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+        .filter(lambda d: d != (0, 0))
+        .map(lambda d: Line.make(d[0], d[1], -d[0] * x - d[1] * y)),
+        min_size=size, max_size=size, unique=True))
+
+
+@st.composite
+def scenes_and_polygons(draw):
+    """(lines, polygons): 2 to 6 lines, either tangents to a parabola
+    (y = 2tx - t^2, so no two are parallel and no three concurrent),
+    lines through one point, or lines with small coefficients (parallel
+    and concurrent ones common); and one to three polygon DNFs on them."""
+    size = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["general", "pencil", "small"]))
+    if kind == "general":
+        ts = draw(st.lists(st.integers(-5, 5), min_size=size, max_size=size,
+                           unique=True))
+        lines = [Line.make(2 * t, -1, -t * t) for t in ts]
+    elif kind == "pencil":
+        lines = _pencil(draw, size)
+    else:
+        lines = draw(st.lists(
+            st.tuples(*[st.integers(-3, 3)] * 3).filter(lambda t: t[:2] != (0, 0))
+            .map(lambda t: Line.make(*t)), min_size=size, max_size=size, unique=True))
+    clause = st.lists(st.tuples(st.integers(0, size - 1),
+                                st.sampled_from(["<", "<=", "=", ">=", ">"])),
+                      max_size=3)
+    polygons = draw(st.dictionaries(st.sampled_from(["p", "q", "r"]),
+                                    st.lists(clause, max_size=3), min_size=1))
+    return lines, polygons
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenes_and_polygons(), formulas(max_size=8), st.integers(0, 10 ** 6))
+def test_cell_sets_read_as_their_frozensets(drawn, phi, pick):
+    lines, polygons = drawn
+    s = build_arrangement(lines)
+    val = {name: compile_polygon(s, dnf) for name, dnf in polygons.items()}
+    plain = {name: frozenset(cs) for name, cs in val.items()}
+    worlds = {name: frozenset(map(s.index.__getitem__, cs)) for name, cs in val.items()}
+    ref = reference_scene_frame(s)
+    cell = s.cells[pick % len(s.cells)]
+    want = s.index[cell] in reference_truth(ref, worlds, phi)
+    assert eval_scene(s, val, cell, phi) == want
+    assert eval_scene(s, plain, cell, phi) == want
+    for name, cs in val.items():
+        other = plain[name]
+        assert type(cs) is CellSet and type(other) is frozenset
+        assert cs == other and other == cs and hash(cs) == hash(other)
+        assert {cs: name}[other] == name and {other, cs} == {other}
+        assert len(cs) == len(other) and sorted(cs) == sorted(other)
+        assert all((c in cs) == (c in other) for c in s.cells)
+        assert cs != other | {("x",)} and type(cs | other) is frozenset
+        for op, f in ((scene_closure, "<>p"), (scene_interior, "[]p"),
+                      (scene_delta, "<>p & ~p")):
+            got = op(s, cs)
+            assert type(got) is CellSet and got == op(s, other)
+            assert got == {s.cells[i] for i in
+                           reference_truth(ref, {"p": worlds[name]}, parse(f))}
+    # the same lines, built again, take the cell sets; other lines refuse
+    # them, even where each cell's sign vector is also one of theirs
+    again = build_arrangement([(l.a, l.b, l.c) for l in lines])
+    assert eval_scene(again, val, cell, phi) == want
+    assert scene_closure(again, val[name]) == scene_closure(s, val[name])
+    last = lines[-1]
+    moved = next(m for k in range(1, 9)
+                 if (m := Line.make(last.a, last.b, last.c + k)) not in lines)
+    elsewhere = build_arrangement([*lines[:-1], moved])
+    for call in (lambda: eval_scene(elsewhere, val, elsewhere.cells[0], phi),
+                 lambda: scene_interior(elsewhere, val[name])):
+        with pytest.raises(ValueError, match="^cell set of a scene with other lines$"):
+            call()
+
+
+def test_eval_scene_looks_up_only_the_query_cell():
+    # a cell set's mask is read as it is, on its own scene and on one built
+    # again from the same lines; plain frozensets are looked up cell by cell
+    looked = []
+
+    class Counting(dict):
+        def __getitem__(self, key):
+            looked.append(key)
+            return super().__getitem__(key)
+
+    s, again = build_arrangement(TWELVE_LINES), build_arrangement(TWELVE_LINES)
+    val = {"p": compile_polygon(s, [[(0, ">"), (3, "<=")]]),
+           "q": compile_polygon(s, [[(5, "=")], [(1, "<")]])}
+    phi = parse("<>p & ~[]q")
+    for scene in (s, again):
+        vars(scene)["index"] = Counting(scene.index)
+        looked.clear()
+        answer = eval_scene(scene, val, scene.cells[40], phi)
+        assert looked == [scene.cells[40]]
+    looked.clear()
+    assert eval_scene(s, {name: frozenset(cs) for name, cs in val.items()},
+                      s.cells[40], phi) == answer
+    assert len(looked) == 1 + len(val["p"]) + len(val["q"])
+
+
+def test_realized_and_loaded_valuations_are_cell_sets():
+    model = Model(crown(3), {"p": {1, 2}, "q": set()})
+    real = realize_crown_model(model, 2)
+    assert all(type(cs) is CellSet for cs in real.val.values())
+    assert real.val["q"] == frozenset()
+    scene, val = scene_from_dict(scene_to_dict(real.scene, real.val))
+    assert val == real.val and all(type(cs) is CellSet for cs in val.values())
+    # copies and pickles are plain frozensets of the same cells
+    assert copy.deepcopy(real) == real
+    assert pickle.loads(pickle.dumps(real.val)) == real.val
+    for f in ("p & <>~p", "[]p", "<>q", "<>(p & []~q)"):
+        assert eval_scene(scene, real.val, real.cell, parse(f)) == \
+            eval_formula(model, 2, parse(f))

@@ -388,12 +388,40 @@ def test_delta_cubed_empty_on_crowns():
             assert d3 == frozenset(), (n, a)
 
 
+def test_model_from_masks_equals_model_from_worlds():
+    # masks are the stored form; worlds given as any iterable become them,
+    # and val reads them back as frozensets
+    fr = crown(2)
+    a = Model(fr, {"p": {0, 3}, "q": [], "r": iter([4, 1, 4])})
+    b = Model(fr, masks={"p": 0b1001, "q": 0, "r": 0b10010})
+    assert a == b and a.masks == b.masks == {"p": 0b1001, "q": 0, "r": 0b10010}
+    assert a.val == b.val == {"p": frozenset({0, 3}), "q": frozenset(),
+                              "r": frozenset({1, 4})}
+    assert model_to_dict(a) == model_to_dict(b) == {
+        "worlds": 5, "root": 0, "rel": frame_to_dict(fr)["rel"],
+        "val": {"p": [0, 3], "q": [], "r": [1, 4]}}
+    assert Model(fr) == Model(fr, {}) == Model(fr, masks={})
+    assert Model(fr, {"p": {1}}) != Model(fr, masks={"p": 1})
+    assert Model(fr, {"p": {1}}) != Model(fr, {"p": {1}, "q": ()})
+    for phi in (parse("<>p & ~[]r"), parse("q | []<>r")):
+        assert truth_mask(a, phi) == truth_mask(b, phi)
+
+
+@pytest.mark.parametrize("route", [
+    {"val": {"p": {5}}}, {"val": {"p": [0, -1]}}, {"val": {"p": [10 ** 30]}},
+    {"masks": {"p": 1 << 5}}, {"masks": {"p": -1}}, {"masks": {"p": 1 << 10 ** 6}}])
+def test_model_world_out_of_range(route):
+    with pytest.raises(ValueError, match="^valuation of 'p' mentions unknown worlds$"):
+        Model(crown(2), **route)
+
+
 def test_json_round_trips():
     fr = crown(2)
     assert frame_from_dict(frame_to_dict(fr)) == fr
     m = Model(fr, {"p": {0, 3}})
     got = model_from_dict(model_to_dict(m))
     assert got.frame == fr and got.val == m.val
+    assert got == m and got.masks == {"p": 0b1001}
     # reflexive pairs omissible, closure applied on load
     fr2 = frame_from_dict({"worlds": 3, "rel": [[0, 1], [1, 2]]})
     assert fr2.sees(0, 2)
