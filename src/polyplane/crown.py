@@ -156,11 +156,21 @@ class OracleResult:
 
 _POINT = Frame(1)
 _TABLES = "signature tables"  # the budget phase of every table fill
+# (first, last) endpoint signatures -> (any, all) masks of the worlds between
+_States = dict[tuple[int, int], set[tuple[int, int]]]
+
+
+def _add_tooth(accs, end: int, mids):
+    """(any, all) masks once a middle with a signature in mids and an
+    endpoint with signature end join each member of accs, mids outermost."""
+    return ((any_mask | o, all_mask & a)
+            for o, a in [(end | m, end & m) for m in mids]
+            for any_mask, all_mask in accs)
 
 
 class _CrownTables:
     """Per-formula signature tables for crown evaluation, one lane per atom
-    pattern.
+    pattern, and the transition system over crown states that they define.
 
     A crown world's truths depend on its own atom pattern and on the nodes
     its strict successors make true somewhere / everywhere: none for an
@@ -190,17 +200,21 @@ class _CrownTables:
         # lane a holds pattern a, on the one world of _POINT
         self._columns = [[bits] for bits in _lane_index_bits(P)]
         self.end = self._sigs(None)  # end[a]: endpoint signature of pattern a
+        self.ends = sorted(set(self.end))
         self._mids: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         self._roots: dict[tuple[int, int], Optional[int]] = {}
 
     def _sigs(self, beyond: Optional[tuple[int, int]]) -> list[int]:
-        # signature of every pattern at a world whose strict successors
-        # make `beyond` true somewhere / everywhere
+        # each pattern's signature at a world whose strict successors make
+        # `beyond` true somewhere / everywhere; lanes read off binary digits
         sigs = [0] * self.npat
         vals = _evaluate(_POINT, self.prog, self._columns, self.npat, beyond)
         for i in _mask_worlds(self.tracked):
-            for a in _mask_worlds(vals[i][0]):
+            digits = format(vals[i][0], "b")[::-1]
+            a = digits.find("1")
+            while a >= 0:
                 sigs[a] |= 1 << i
+                a = digits.find("1", a + 1)
         return sigs
 
     def mid(self, left: int, right: int, steps: StepBudget
@@ -215,19 +229,45 @@ class _CrownTables:
             got = self._mids[key] = (sigs, sorted(set(sigs)))
         return got
 
-    def root_pattern(self, any_mask: int, all_mask: int, steps: StepBudget
-                     ) -> Optional[int]:
-        """Least root pattern under which phi holds at some world, given what
-        the non-root worlds make true somewhere / everywhere, or None."""
-        if any_mask & self.phi_bit:
-            return 0
-        key = (any_mask, all_mask)
-        if key not in self._roots:
-            steps.spend(self.npat, _TABLES)
-            [lanes] = _evaluate(_POINT, self.prog, self._columns, self.npat,
-                                key)[self.prog.root]
-            self._roots[key] = (lanes & -lanes).bit_length() - 1 if lanes else None
-        return self._roots[key]
+    def close(self, accs, wraps, steps: StepBudget) -> Optional[int]:
+        """Close the cycles with masks in accs by a middle with a signature
+        in wraps; the least root pattern under which phi then holds at some
+        world, for the first closed cycle that has one, or None."""
+        for key in {(any_mask | w, all_mask & w)
+                    for w in wraps for any_mask, all_mask in accs}:
+            if key[0] & self.phi_bit:
+                return 0
+            if key not in self._roots:
+                steps.spend(self.npat, _TABLES)
+                [lanes] = _evaluate(_POINT, self.prog, self._columns,
+                                    self.npat, key)[self.prog.root]
+                self._roots[key] = (lanes & -lanes).bit_length() - 1 if lanes else None
+            if self._roots[key] is not None:
+                return self._roots[key]
+        return None
+
+    def start(self) -> _States:
+        """States of crown(1): one tooth, whose endpoint is first and last."""
+        return {(e, e): {(e, e)} for e in self.ends}
+
+    def extend(self, states: _States, steps: StepBudget) -> _States:
+        """States one tooth longer: a middle and the next endpoint follow."""
+        nxt: _States = {}
+        for (first, last), accs in states.items():
+            for e in self.ends:
+                mids = self.mid(last, e, steps)[1]
+                steps.spend(len(accs) * len(mids), "feasibility pass")
+                nxt.setdefault((first, e), set()).update(_add_tooth(accs, e, mids))
+        return nxt
+
+    def accepts(self, states: _States, steps: StepBudget) -> bool:
+        """Whether closing some state back to its first endpoint models phi."""
+        for (first, last), accs in states.items():
+            wraps = self.mid(last, first, steps)[1]
+            steps.spend(len(accs) * len(wraps), "feasibility pass")
+            if self.close(accs, wraps, steps) is not None:
+                return True
+        return False
 
 
 def crown_sat_oracle(phi: Formula, max_n: int,
@@ -237,19 +277,21 @@ def crown_sat_oracle(phi: Formula, max_n: int,
 
     Valuations are ordered as integers with bit w*k+j for variable j at
     world w (worlds 0..2n in crown order), and the least satisfying one is
-    returned.  One forward pass over crown sizes finds the least n; the
-    search then enumerates world patterns in that significance order,
-    collapsing valuation classes that agree on per-world signatures.  A
-    step is one explored state, or one pattern lane of a table fill; the
-    budget bounds their number.
+    returned.  Rounds of `extend` and `accepts` find the least n, stopping
+    early once the states stop changing; the search then enumerates world
+    patterns in that significance order, collapsing valuation classes that
+    agree on per-world signatures.  A step is one explored state, or one
+    pattern lane of a table fill; the budget bounds their number.
     """
     if max_n < 1:
         raise ValueError("crown bound must be >= 1")
     steps = StepBudget(step_budget, "crown oracle")
     tables = _CrownTables(phi, steps)
-    n = _least_crown(tables, max_n, steps)
-    if n is None:
-        return None
+    states, n = tables.start(), 1
+    while not tables.accepts(states, steps):
+        if n == max_n or (grown := tables.extend(states, steps)) == states:
+            return None
+        states, n = grown, n + 1
     pins = _crown_lex_search(tables, n, steps)
     if pins is None:
         raise VerificationError(f"feasible crown({n}) lost during reconstruction")
@@ -259,41 +301,6 @@ def crown_sat_oracle(phi: Formula, max_n: int,
         raise VerificationError("oracle search produced a non-model")
     world = next(w for w in range(2 * n + 1) if mask >> w & 1)
     return OracleResult(n, model, world)
-
-
-def _least_crown(tables: _CrownTables, max_n: int, steps: StepBudget
-                 ) -> Optional[int]:
-    """Least n <= max_n with phi satisfiable on crown(n), or None.
-
-    One forward pass over (first endpoint, last endpoint, any, all) states,
-    endpoints taken by signature: step t adds a middle and the next
-    endpoint, and the frontier after n-1 steps decides crown(n) by closing
-    the cycle with a middle back to the first endpoint and testing the root.
-    """
-    ends = sorted(set(tables.end))
-    frontier = {(e, e): {(e, e)} for e in ends}
-    for n in range(1, max_n + 1):
-        if n > 1:
-            nxt: dict[tuple[int, int], set[tuple[int, int]]] = {}
-            for (first, last), accs in frontier.items():
-                for e in ends:
-                    mids = tables.mid(last, e, steps)[1]
-                    steps.spend(len(accs) * len(mids), "feasibility pass")
-                    bucket = nxt.setdefault((first, e), set())
-                    for m in mids:
-                        c_or, c_and = e | m, e & m
-                        for any_mask, all_mask in accs:
-                            bucket.add((any_mask | c_or, all_mask & c_and))
-            frontier = nxt
-        for (first, last), accs in frontier.items():
-            wraps = tables.mid(last, first, steps)[1]
-            steps.spend(len(accs) * len(wraps), "feasibility pass")
-            roots = {(any_mask | w, all_mask & w)
-                     for w in wraps for any_mask, all_mask in accs}
-            if any(tables.root_pattern(*key, steps) is not None
-                   for key in roots):
-                return n
-    return None
 
 
 def _crown_lex_search(tables: _CrownTables, n: int, steps: StepBudget
@@ -307,34 +314,30 @@ def _crown_lex_search(tables: _CrownTables, n: int, steps: StepBudget
     for beta_n in range(P):          # world 2n
         for alpha_n in range(P):     # world 2n-1
             sig = end[alpha_n]
-            memo: set[tuple[int, int, int, int]] = set()
+            memo: set[tuple[int, int, tuple[tuple[int, int]]]] = set()
 
-            def dfs(t: int, alpha_next: int, any_mask: int, all_mask: int
+            def dfs(t: int, alpha_next: int, accs: tuple[tuple[int, int]]
                     ) -> Optional[list[int]]:
                 steps.spend(1, "lexicographic reconstruction")
                 if t == 0:
                     wrap = tables.mid(end[alpha_n], end[alpha_next],
                                       steps)[0][beta_n]
-                    a_r = tables.root_pattern(any_mask | wrap,
-                                              all_mask & wrap, steps)
-                    if a_r is None:
-                        return None
-                    return [a_r]
-                key = (t, alpha_next, any_mask, all_mask)
+                    a_r = tables.close(accs, [wrap], steps)
+                    return None if a_r is None else [a_r]
+                key = (t, alpha_next, accs)
                 if key in memo:
                     return None
                 for beta in range(P):        # world 2t
                     for alpha in range(P):   # world 2t-1
                         e = end[alpha]
                         m = tables.mid(e, end[alpha_next], steps)[0][beta]
-                        got = dfs(t - 1, alpha, any_mask | e | m,
-                                  all_mask & e & m)
+                        got = dfs(t - 1, alpha, tuple(_add_tooth(accs, e, [m])))
                         if got is not None:
                             return got + [alpha, beta]
                 memo.add(key)
                 return None
 
-            got = dfs(n - 1, alpha_n, sig, sig)
+            got = dfs(n - 1, alpha_n, ((sig, sig),))
             if got is not None:
                 # got = [a_r, alpha_1, beta_1, ..., alpha_{n-1}, beta_{n-1}]
                 return got + [alpha_n, beta_n]

@@ -306,6 +306,16 @@ def test_sat_oracle_flag(capsys):
     assert "oracle" in out
 
 
+@pytest.mark.parametrize("text", ["p & ~p", "<>p & []~p"])
+def test_oracle_stops_once_its_states_stop_changing(text, capsys):
+    # a state set that extends to itself ends the search, so a crown bound
+    # of a billion costs a round or two, not a budget-out after half a minute
+    started = time.perf_counter()
+    assert run(["sat", text, "--oracle", "1000000000"]) == 1
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr() == ("UNSAT (oracle, crowns up to 1000000000)\n", "")
+
+
 def test_crown_bounds_below_one_are_usage_errors(capsys):
     assert run(["sat", "p", "--oracle", "0"]) == 2
     captured = capsys.readouterr()

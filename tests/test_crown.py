@@ -1,4 +1,5 @@
 import random
+import time
 from importlib import import_module
 
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyplane.axioms import classify_frame, forbidden_frames
-from polyplane.crown import (_stratify, crown, crown_sat_bruteforce,
-                             crown_sat_oracle, reduce_to_crown)
-from polyplane.errors import BudgetExceededError, VerificationError
-from polyplane.formula import Var, conj, parse, variables
+from polyplane.crown import (_CrownTables, _stratify, crown,
+                             crown_sat_bruteforce, crown_sat_oracle,
+                             reduce_to_crown)
+from polyplane.errors import BudgetExceededError, StepBudget, VerificationError
+from polyplane.formula import Diamond, Var, conj, parse, variables
 from polyplane.kripke import (Frame, Model, eval_formula, find_subreduction,
                               is_p_morphism, jankov_fine, truth_mask)
 
@@ -286,10 +288,45 @@ def answer(got):
 
 
 @settings(max_examples=200)
-@given(formulas(), st.integers(1, 4))
+@given(formulas(), st.integers(1, 6))
 def test_oracle_matches_reference(f, max_n):
     assert answer(crown_sat_oracle(f, max_n)) == \
         answer(reference_crown_sat_oracle(f, max_n))
+
+
+def test_unsat_answers_stop_on_a_closed_state_set():
+    # written against start/extend/accepts alone, as an UNSAT certificate
+    # checker would be: every formula over p, q of size <= 4 that the oracle
+    # refutes on crowns up to 6 reaches, within those rounds, a state set
+    # that extends to itself and accepts nothing, and so holds on no crown
+    rounds = []
+    for f in all_formulas(4, names=("p", "q")):
+        if crown_sat_oracle(f, 6) is not None:
+            continue
+        steps = StepBudget(1_000_000)
+        tables = _CrownTables(f, steps)
+        states = tables.start()
+        for n in range(1, 7):
+            assert not tables.accepts(states, steps), f
+            grown = tables.extend(states, steps)
+            if grown == states:
+                rounds.append(n)
+                break
+            states = grown
+        else:
+            pytest.fail(f"no closed state set within 6 rounds for {f}")
+    assert (len(rounds), rounds.count(1), rounds.count(2)) == (89, 81, 8)
+
+
+def test_pattern_tables_fill_in_time_linear_in_the_pattern_count():
+    # 2^16 patterns: each tracked node's lanes are read off its binary
+    # digits, not by a set-bit walk that costs O(P) per lane
+    f = conj([Diamond(Var(f"p{j}")) for j in range(16)])
+    started = time.perf_counter()
+    got = crown_sat_oracle(f, 1)
+    assert time.perf_counter() - started < 1
+    assert (got.n, got.world) == (1, 0)
+    assert got.model.masks == {f"p{j}": 1 for j in range(16)}
 
 
 def test_oracle_witness_world_is_least():

@@ -115,6 +115,21 @@ def test_one_walk_site():
     assert _calls("mirror") == set()
 
 
+def test_one_crown_transition_system():
+    # the crown-size loop runs on start/extend/accepts alone; middles are
+    # looked up, teeth added and cycles closed only inside extend and
+    # accepts and in the reconstruction's dfs, which shares their code
+    assert _calls("start") & _calls("extend") & _calls("accepts") == {
+        "crown.py:crown_sat_oracle"}
+    assert _calls("mid") == {"crown.py:extend", "crown.py:accepts",
+                             "crown.py:dfs"}
+    assert _calls("_add_tooth") == {"crown.py:extend", "crown.py:dfs"}
+    assert _calls("close") == {"crown.py:accepts", "crown.py:dfs"}
+    # the root test is the one table evaluation besides the signature fill
+    assert {site for site in _calls("_evaluate") if site.startswith("crown.py")} \
+        == {"crown.py:_sigs", "crown.py:close"}
+
+
 def test_one_breadth_first_search():
     # shortest paths and glue-graph components read the predecessor map of
     # one breadth-first search
