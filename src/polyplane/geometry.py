@@ -413,12 +413,13 @@ def concurrent_crown_map(scene: Scene) -> dict[int, int]:
 def wrap_map(big: int, small: int) -> WorldMap:
     """The p-morphism crown(big) -> crown(small) wrapping the cycle, valid
     when the small cycle length divides the big one."""
+    source, target = crown(big), crown(small)  # each refuses a parameter < 1
     if (2 * big) % (2 * small) != 0:
         raise ValueError("cycle lengths incompatible")
     mapping = {0: 0}
     for i in range(1, 2 * big + 1):
         mapping[i] = (i - 1) % (2 * small) + 1
-    return _onto_p_morphism(mapping, crown(big), crown(small),
+    return _onto_p_morphism(mapping, source, target,
                             f"wrap crown({big}) -> crown({small})")
 
 

@@ -325,7 +325,7 @@ class ValidityReport:
         return self.valid
 
 
-_CHUNK = 1 << 16  # valuations evaluated together by valid_on_frame
+_CHUNK = 1 << 16  # lanes valid_on_frame evaluates at once; a multiple of 64
 
 
 def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
@@ -338,23 +338,16 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
     j-th variable in sorted order the worlds w with bit j*n + w of v set.
     Sampled mode checks `samples` (a non-negative int) seeded random
     valuations and can only report the absence of a counterexample among
-    them.  Sample i gives the j-th of the k sorted variables the worlds set
-    in draw i*k + j, the draws being `getrandbits(n)` calls in turn on
-    random.Random(seed).
+    them; `seed` must be an int.  The draws are 64-bit words from
+    random.Random(seed), 64 samples a word: sample i gives the j-th of the
+    k sorted variables world w when bit i % 64 of word
+    (i // 64)*n*k + j*n + w is set.  A report is the same however the
+    samples are chunked, and the first s samples are the same for any
+    larger sample count.
 
     Both modes evaluate up to 2^16 valuations at once, as one lane each:
     every variable's column is built directly as one block per world (see
-    `_evaluate`).  Sampled mode makes a chunk's draws with one
-    `getrandbits(32 * words * lanes * k)`, words = ceil(n / 32): CPython
-    fills a draw with 32-bit words from the low end and keeps the top bits
-    of the last one, so the wide draw holds the n-bit draws in turn, `words`
-    32-bit words each, and leaves the generator where they would.  Bit w
-    of a draw is bit w of its words below the last word, and bit
-    w + 32 * words - n of them in the last word.  For each variable and
-    word of a draw, a strided slice gathers that word across the lanes;
-    five delta swaps transpose each 32 x 32 tile of the gathered words
-    (Warren, Hacker's Delight, 2nd ed., 7-3), after which every world's
-    lane block is one strided slice again.
+    `_evaluate`).
 
     Exhaustive mode reuses a chunk's values in the next: only the high
     valuation bits change between chunks, and only the worlds that see a
@@ -380,22 +373,10 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
     elif mode == "sampled":
         if type(samples) is not int or samples < 0:
             raise ValueError(f"samples must be a non-negative int, not {samples!r}")
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an int, not {seed!r}")
         rng = random.Random(seed)
         total = samples
-        words = -(-n // 32)
-        # (word, bit) of the draw that world w reads
-        places = [divmod(w if w < 32 * words - 32 else w + 32 * words - n, 32)
-                  for w in range(n)]
-        # in a tile of 32 gathered words, bit 32r + c is bit c of word r;
-        # swap b exchanges bit b of r and c, moving bit 32r + c up by
-        # 31 * 2^b where bit b of c is set and bit b of r is clear: its mask
-        # is 2^b words of the columns with bit b set, then 2^b zero words,
-        # repeated through every tile of the widest chunk
-        tiles = -(-min(total, _CHUNK) // 32)
-        swaps = [(31 << b, int.from_bytes(
-            (row.to_bytes(4, "little") * (1 << b) + bytes(4 << b))
-            * (16 >> b) * tiles, "little"))
-            for b, row in enumerate(_lane_index_bits(32))]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     worlds = (1 << n) - 1
@@ -413,22 +394,13 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
                 changed = _mask_worlds(base ^ (base - _CHUNK))
                 stale = _closure(frame.rows, _worlds_mask(b % n for b in changed))
         else:
-            size = 4 * words * lanes * k
-            draws = rng.getrandbits(8 * size).to_bytes(size, "little")
-            draws = memoryview(draws).cast("I")
-            tile_bytes = 128 * -(-lanes // 32)
-            columns = []
-            for j in range(k):
-                transposed = []
-                for q in range(words):
-                    x = int.from_bytes(draws[j * words + q::k * words], "little")
-                    for d, mask in swaps:
-                        t = (x ^ x >> d) & mask
-                        x ^= t ^ t << d
-                    transposed.append(
-                        memoryview(x.to_bytes(tile_bytes, "little")).cast("I"))
-                columns.append([int.from_bytes(transposed[q][b::32], "little")
-                                for q, b in places])
+            # CPython fills a wide draw from the low end, 32 bits at a time,
+            # so its 64-bit words are those that draws one by one would give
+            size = 8 * n * k * -(-lanes // 64)
+            draws = memoryview(
+                rng.getrandbits(8 * size).to_bytes(size, "little")).cast("Q")
+            columns = [[int.from_bytes(draws[j * n + w::n * k], "little") & ones
+                        for w in range(n)] for j in range(k)]
         if stale == worlds:
             vals = None  # a full pass: let the last chunk's values go first
         vals = _evaluate(frame, prog, columns, lanes,

@@ -389,6 +389,13 @@ def test_wrap_map_validity():
         wrap_map(3, 2)
 
 
+@pytest.mark.parametrize("big, small", [(3, 0), (0, 0), (0, 1), (-2, 1), (2, -1)])
+def test_wrap_map_rejects_parameters_below_one(big, small):
+    # each parameter is checked before the divisibility test divides by it
+    with pytest.raises(ValueError, match="crown parameter must be >= 1"):
+        wrap_map(big, small)
+
+
 def test_realize_crown_two_model():
     model = Model(crown(2), {"p": {1}})
     real = realize_crown_model(model, 0, formula=parse("<>[]p"))

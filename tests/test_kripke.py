@@ -1,5 +1,7 @@
 import random
 from collections import Counter
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -530,16 +532,17 @@ def reference_exhaustive(frame, phi):
 
 
 def reference_sampled(frame, phi, samples, seed):
-    """Same report, drawing one getrandbits(n) per sorted variable per
-    sample from random.Random(seed)."""
+    """Same report, sample by sample from random.Random(seed): at each
+    multiple of 64 samples, one getrandbits(64) per sorted variable and
+    world in that order, and sample i reads bit i % 64 of those words."""
     names = sorted(variables(phi))
     n = frame.n
     rng = random.Random(seed)
     for i in range(samples):
-        val = {}
-        for name in names:
-            bits = rng.getrandbits(n)
-            val[name] = frozenset(w for w in range(n) if bits >> w & 1)
+        if i % 64 == 0:
+            words = [[rng.getrandbits(64) for _ in range(n)] for _ in names]
+        val = {name: frozenset(w for w in range(n) if row[w] >> i % 64 & 1)
+               for name, row in zip(names, words)}
         bad = set(range(n)) - reference_truth(frame, val, phi)
         if bad:
             return False, i + 1, val, min(bad)
@@ -631,47 +634,53 @@ WIDE_PHIS = [parse("F"), parse("~F"), parse("[]p -> p"), parse("p -> []p"),
 
 @pytest.mark.parametrize("n", [31, 32, 33, 64, 65])
 def test_sampled_matches_reference_across_words_and_chunks(n, monkeypatch):
-    # a draw of 31 or 32 bits is one 32-bit word, of 64 two whole words,
-    # of 33 or 65 bits keeps the top bits of its last word; with 8 lanes a
-    # chunk, 13 and 29 samples end in a part chunk
-    monkeypatch.setattr(kripke, "_CHUNK", 8)
+    # 63, 64 and 65 samples end just short of, on and just past a draw
+    # word; with 64 or 128 lanes a chunk, 65, 130 and 200 samples span one
+    # to four chunks, the last in part
     rng = random.Random(n)
-    for frame in (_random_frame(rng, n), chain(n)):
-        for phi in WIDE_PHIS:
-            for samples, seed in ((0, 1), (5, 2), (13, 3), (29, n)):
-                got = valid_on_frame(frame, phi, mode="sampled",
-                                     samples=samples, seed=seed)
-                assert (got.valid, got.checked, got.counterexample, got.world) \
-                    == reference_sampled(frame, phi, samples, seed)
+    frames = (_random_frame(rng, n), chain(n))
+    for chunk in (64, 128):
+        monkeypatch.setattr(kripke, "_CHUNK", chunk)
+        for frame in frames:
+            for phi in WIDE_PHIS:
+                for samples, seed in ((0, 1), (63, 2), (64, 3), (65, 4),
+                                      (130, 5), (200, n)):
+                    got = valid_on_frame(frame, phi, mode="sampled",
+                                         samples=samples, seed=seed)
+                    assert (got.valid, got.checked, got.counterexample,
+                            got.world) == reference_sampled(frame, phi,
+                                                            samples, seed)
 
 
-@pytest.mark.parametrize("n, seed, first", [(31, 29, 20), (33, 10, 22),
-                                            (65, 5, 23)])
+# on the chain these fail only at the top world, one sample in 64 and one
+# in 1,024
+RARE, RARER = (Not(Box(conj([Var(f"p{j}") for j in range(k)])))
+               for k in (6, 10))
+
+
+@pytest.mark.parametrize("n, seed, first", [(31, 6, 176), (33, 17, 145),
+                                            (65, 11, 174)])
 def test_sampled_first_failure_in_a_later_chunk(n, seed, first, monkeypatch):
-    # with 8 lanes a chunk the first failure lies in the third chunk, so
-    # the draws continue one random stream from chunk to chunk
-    monkeypatch.setattr(kripke, "_CHUNK", 8)
-    phi = parse("<>~p | <>~q | r")
-    got = valid_on_frame(chain(n), phi, mode="sampled", samples=29, seed=seed)
+    # with 64 lanes a chunk the first failure lies in the third chunk, so the
+    # draws continue one random stream from chunk to chunk
+    monkeypatch.setattr(kripke, "_CHUNK", 64)
+    got = valid_on_frame(chain(n), RARE, mode="sampled", samples=200, seed=seed)
     assert (got.valid, got.checked, got.world) == (False, first, n - 1)
     assert (got.valid, got.checked, got.counterexample, got.world) == \
-        reference_sampled(chain(n), phi, 29, seed)
+        reference_sampled(chain(n), RARE, 200, seed)
 
 
-@pytest.mark.parametrize("samples", [1, 31, 32, 33, 1000])
+@pytest.mark.parametrize("samples", [1, 31, 32, 33, 63, 64, 65, 1000])
 @pytest.mark.parametrize("n", [33, 70])
 def test_sampled_draws_at_tile_and_word_edges(n, samples):
-    # 1, 31, 32 and 33 lanes fill a tile of 32 lanes partly, exactly or one
-    # past it, and 1,000 take 32 tiles; a draw of 33 or 70 bits spans two
-    # or three 32-bit words; without variables nothing is drawn.  On the
-    # chain, ~[](p0 & ... & p5) fails at the top world one draw in 64, so
-    # with 1,000 lanes seeds 2 to 4 first fail at samples 1 to 172; with
-    # p0 to p9 one draw in 1,024, and seed 4 first fails at sample 999 of
-    # 70 worlds, in the last tile, and never on 33
-    rare, rarer = (Not(Box(conj([Var(f"p{j}") for j in range(k)])))
-                   for k in (6, 10))
-    for seed, phi in [(0, parse("F")), (1, parse("~F")), (2, rare), (3, rare),
-                      (4, rare), (4, rarer)]:
+    # 1 to 65 lanes fill a draw word of 64 lanes partly, exactly or one
+    # past it, and 1,000 take 16 words, the last in part; without
+    # variables nothing is drawn.  On the chain, with 1,000 lanes, RARE
+    # first fails at samples 21 to 320 under seeds 2 to 4, and RARER under
+    # seed 172 first fails at sample 997 of 70 worlds, in the last word, and
+    # never on 33
+    for seed, phi in [(0, parse("F")), (1, parse("~F")), (2, RARE), (3, RARE),
+                      (4, RARE), (172, RARER)]:
         got = valid_on_frame(chain(n), phi, mode="sampled", samples=samples,
                              seed=seed)
         assert (got.valid, got.checked, got.counterexample, got.world) == \
@@ -679,7 +688,7 @@ def test_sampled_draws_at_tile_and_word_edges(n, samples):
 
 
 @settings(max_examples=300, deadline=None)
-@given(frames(max_n=4), formulas, st.integers(3, 6), st.integers(0, 100),
+@given(frames(max_n=4), formulas, st.integers(3, 6), st.integers(0, 200),
        st.integers(0, 1 << 32))
 # on the 2-chain with 8 lanes a chunk, bit 3 is q at world 1.  The second
 # chunk raises it, and the first example fails there only at world 0,
@@ -693,7 +702,8 @@ def test_small_chunks_match_reference(frame, phi, chunk_bits, samples, seed):
     # with 8 to 64 lanes a chunk, every exhaustive chunk after the first
     # re-evaluates only the worlds that see a changed valuation bit.  No
     # valuation with r empty refutes <>r -> phi, and r takes the highest
-    # bits, so its first failure, when there is one, lies in a later chunk
+    # bits, so its first failure, when there is one, lies in a later chunk.
+    # Sampled chunks are whole draw words: 64 or 128 lanes
     late = Implies(Diamond(Var("r")), phi)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kripke, "_CHUNK", 1 << chunk_bits)
@@ -701,31 +711,78 @@ def test_small_chunks_match_reference(frame, phi, chunk_bits, samples, seed):
             rep = valid_on_frame(frame, psi)
             assert (rep.valid, rep.checked, rep.counterexample, rep.world) == \
                 reference_exhaustive(frame, psi)
+        mp.setattr(kripke, "_CHUNK", 64 << chunk_bits % 2)
         rep = valid_on_frame(frame, phi, mode="sampled", samples=samples,
                              seed=seed)
         assert (rep.valid, rep.checked, rep.counterexample, rep.world) == \
             reference_sampled(frame, phi, samples, seed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(frames(max_n=6), formulas, st.integers(0, 300), st.integers(0, 1 << 32))
+def test_sampled_reports_independent_of_chunking(frame, phi, samples, seed):
+    # 64 and 128 lanes a chunk split 300 samples into up to five chunks.
+    # phi | RARE fails at most one sample in 64, so often in a later chunk
+    with pytest.MonkeyPatch.context() as mp:
+        for psi in (phi, Or(phi, RARE)):
+            reports = []
+            for chunk in (64, 128, 1 << 16):
+                mp.setattr(kripke, "_CHUNK", chunk)
+                reports.append(valid_on_frame(frame, psi, mode="sampled",
+                                              samples=samples, seed=seed))
+            assert reports[0] == reports[1] == reports[2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 70), st.integers(0, 1 << 32),
+       st.lists(st.integers(0, 3000), max_size=4))
+def test_sampled_reports_stable_under_more_samples(n, seed, counts):
+    # 3,000 samples mostly find a failure of RARER on the chain; any count
+    # at or past it finds the same one, and any count short of it finds none
+    full = valid_on_frame(chain(n), RARER, mode="sampled", samples=3000,
+                          seed=seed)
+    for samples in counts + [full.checked, full.checked - 1]:
+        rep = valid_on_frame(chain(n), RARER, mode="sampled", samples=samples,
+                             seed=seed)
+        if full.valid or samples < full.checked:
+            assert rep == ValidityReport(True, False, samples)
+        else:
+            assert rep == full
+
+
 def test_sampled_reports_pinned():
     # any change to which draw bit gives which world shows here
     phi = parse("<>~p | <>~q | r")
     rep = valid_on_frame(crown(2), phi, mode="sampled", samples=29, seed=1)
-    assert rep == ValidityReport(False, False, 2, {
-        "p": frozenset({0, 3, 4}), "q": frozenset({3, 4}),
-        "r": frozenset({1})}, 3)
+    assert rep == ValidityReport(False, False, 1, {
+        "p": frozenset({0, 1, 4}), "q": frozenset({0, 1}),
+        "r": frozenset({2, 4})}, 1)
     rep = valid_on_frame(chain(33), phi, mode="sampled", samples=29, seed=0)
     masks = {name: sum(1 << w for w in ws)
              for name, ws in rep.counterexample.items()}
     assert (rep.valid, rep.exhaustive, rep.checked, rep.world) == \
-        (False, False, 3, 32)
-    assert masks == {"p": 0x1c8a70639, "q": 0x14da5e709, "r": 0x7a024204}
+        (False, False, 1, 32)
+    assert masks == {"p": 0x1293ab6c5, "q": 0x193cac1d0, "r": 0x143d88a3}
+    # a first failure in the second draw word, at its lane 10
+    rep = valid_on_frame(chain(5), RARE, mode="sampled", samples=200, seed=3)
+    masks = {name: sum(1 << w for w in ws)
+             for name, ws in rep.counterexample.items()}
+    assert (rep.valid, rep.checked, rep.world) == (False, 75, 4)
+    assert masks == {"p0": 0x12, "p1": 0x17, "p2": 0x1f, "p3": 0x1a,
+                     "p4": 0x18, "p5": 0x1f}
 
 
 @pytest.mark.parametrize("samples", [-5, -1, 1.5, 2.0, "10", None, True, False])
 def test_sampled_rejects_bad_sample_counts(samples):
     with pytest.raises(ValueError, match="samples"):
         valid_on_frame(crown(2), parse("p"), mode="sampled", samples=samples)
+
+
+@pytest.mark.parametrize("seed", [None, True, False, 1.5, 2.0, "1", b"1"])
+def test_sampled_rejects_bad_seeds(seed):
+    # None would reseed from the system, and True would pass for 1
+    with pytest.raises(ValueError, match="seed"):
+        valid_on_frame(crown(2), parse("p"), mode="sampled", seed=seed)
 
 
 def test_zero_samples_check_nothing():
@@ -760,16 +817,21 @@ def test_validity_reports_first_failure_past_first_chunk():
     assert rep.counterexample == {f"p{j}": frozenset({1}) for j in range(9)}
 
     # sampled: 17 variables on one point make the conjunction true in one
-    # draw out of 2^17; this seed first draws it past the first chunk
+    # sample out of 2^17; this seed first draws it past the first chunk.
+    # Each 64 samples read one 64-bit word per variable, and the first
+    # lane set in all 17 words is the first failure
     qs = [Var(f"q{j:02d}") for j in range(17)]
-    rng = random.Random(21)
-    first = 0
-    while sum(rng.getrandbits(1) for _ in qs) < len(qs):
-        first += 1
+    rng = random.Random(2)
+    first = -64
+    hits = 0
+    while not hits:
+        first += 64
+        hits = reduce(and_, (rng.getrandbits(64) for _ in qs))
+    first += (hits & -hits).bit_length() - 1
     assert first >= 1 << 16
     point = Frame(1, [])
     rep = valid_on_frame(point, Not(conj(qs)), mode="sampled",
-                         samples=first + 5, seed=21)
+                         samples=first + 5, seed=2)
     assert (rep.valid, rep.checked, rep.world) == (False, first + 1, 0)
     assert rep.counterexample == {q.name: frozenset({0}) for q in qs}
 

@@ -130,6 +130,11 @@ def test_one_crown_transition_system():
         == {"crown.py:_sigs", "crown.py:close"}
 
 
+def test_one_random_draw_site():
+    # sampled validity reads every valuation off one wide draw per chunk
+    assert _calls("getrandbits") == {"kripke.py:valid_on_frame"}
+
+
 def test_one_breadth_first_search():
     # shortest paths and glue-graph components read the predecessor map of
     # one breadth-first search
