@@ -66,6 +66,8 @@ def _cmd_sat(args) -> int:
         print(f"SAT on crown({res.n}) at world {res.world}")
         if args.trace:
             space = mo.LabelSpace.for_formula(theta)
+            if space.searched is not theta:
+                print("searched", pretty(space.searched), file=sys.stderr)
             for t in res.mosaics:
                 row = [sorted(map(pretty, space.label_formulas(lab)))
                        for lab in t]

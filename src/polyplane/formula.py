@@ -308,6 +308,64 @@ def compile(phi: Formula) -> Program:
     return phi._program
 
 
+# what a node whose operand is a constant folds to, by opcode: for NOT, DIA
+# and BOX the constant (False, True) gives; for a binary opcode a pair for a
+# constant left and a constant right operand, each giving (False, True) what
+# the node becomes: a constant, the other operand "x" or its negation "~x"
+_FOLDS = {
+    NOT: (True, False), DIA: (False, True), BOX: (False, True),
+    AND: ((False, "x"), (False, "x")), OR: (("x", True), ("x", True)),
+    IMP: ((True, "x"), ("~x", True)), IFF: (("~x", "x"), ("~x", "x")),
+}
+
+
+def _folded(rule, other):
+    """What a binary node folds to under `rule`, its other operand being
+    `other` (a formula or a constant)."""
+    if rule == "x":
+        return other
+    if rule == "~x":
+        return not other if type(other) is bool else Not(other)
+    return rule
+
+
+def simplify(theta: Formula) -> Formula:
+    """theta with its constants folded out: Boolean folding, and ◇F = □F = F
+    and ◇T = □T = T, which hold on every reflexive frame.  So the result is
+    S4-equivalent to theta, and it is F or T or holds neither.  When nothing
+    folds (theta holds no F, T being ~F, or is F or T), theta itself, the
+    same object, comes back.  Otherwise the result is built children first
+    over theta's program, sharing every unchanged subformula and making
+    fresh nodes for the rest.  Iterative, so depth is unbounded."""
+    prog = compile(theta)
+    if all(op != BOT for op, _, _ in prog.code):
+        return theta
+    out: list = []  # image of every program node: a formula, or a bool
+    for g, (op, a, b) in zip(prog.nodes, prog.code):
+        if op == VAR:
+            out.append(g)
+        elif op == BOT:
+            out.append(False)
+        elif op in (NOT, DIA, BOX):
+            x = out[a]
+            out.append(_FOLDS[op][x] if type(x) is bool
+                       else g if x is prog.nodes[a] else type(g)(x))
+        else:
+            x, y = out[a], out[b]
+            if type(x) is bool:
+                out.append(_folded(_FOLDS[op][0][x], y))
+            elif type(y) is bool:
+                out.append(_folded(_FOLDS[op][1][y], x))
+            elif x is prog.nodes[a] and y is prog.nodes[b]:
+                out.append(g)
+            else:
+                out.append(type(g)(x, y))
+    root = out[prog.root]
+    if type(root) is bool:
+        root = Not(Bottom()) if root else Bottom()
+    return theta if root == theta else root
+
+
 def conj(parts: list[Formula]) -> Formula:
     """Left-folded conjunction; empty list gives T."""
     if not parts:

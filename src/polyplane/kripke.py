@@ -338,7 +338,8 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
     j-th variable in sorted order the worlds w with bit j*n + w of v set.
     Sampled mode checks `samples` (a non-negative int) seeded random
     valuations and can only report the absence of a counterexample among
-    them; `seed` must be an int.  The draws are 64-bit words from
+    them; `seed` must be an int, and more samples than the budget are
+    rejected before any draw.  The draws are 64-bit words from
     random.Random(seed), 64 samples a word: sample i gives the j-th of the
     k sorted variables world w when bit i % 64 of word
     (i // 64)*n*k + j*n + w is set.  A report is the same however the
@@ -375,6 +376,9 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
             raise ValueError(f"samples must be a non-negative int, not {samples!r}")
         if type(seed) is not int:
             raise ValueError(f"seed must be an int, not {seed!r}")
+        if samples > budget:
+            raise BudgetExceededError(
+                f"{samples} valuations exceed the sampled budget {budget}")
         rng = random.Random(seed)
         total = samples
     else:

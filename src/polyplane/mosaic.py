@@ -16,11 +16,12 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .crown import crown
-from .errors import StepBudget
+from .errors import StepBudget, VerificationError
 from .formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, Formula,
-                      Not, compile, negation_text, pretty, render_nodes)
+                      Not, compile, negation_text, pretty, render_nodes,
+                      simplify)
 from .kripke import (Model, _breadth_first, _closed_walk, _even_degrees,
-                     _mask_worlds, _shortest_path, program_masks)
+                     _mask_worlds, _shortest_path, eval_formula, program_masks)
 
 
 class MosaicError(RuntimeError):
@@ -51,6 +52,11 @@ class LabelSpace:
     """The closure set of a formula theta (kept as `self.theta`), indexed,
     with the machinery for Hintikka-set enumeration.
 
+    The set is that of `simplify(theta)` (`self.searched`), theta
+    with its constants folded out: an S4-equivalent formula, so labels over
+    it decide theta, and theta itself when it contains no F or T.  `ref`
+    resolves theta to the searched formula's root literal.
+
     Positive members (those not of the form ~psi) get one bit each, in
     (ast_size, pretty) order; the truth of any closure member under a label
     follows by stripping negations.  Everything is read off one compiled
@@ -78,7 +84,7 @@ class LabelSpace:
 
     def __init__(self, theta: Formula):
         self.theta = theta
-        self.program = program = compile(theta)
+        self.program = program = compile(simplify(theta))
         code, nodes = program.code, program.nodes
         sizes, texts = render_nodes(program)
         order = list(zip(sizes, texts)).__getitem__
@@ -166,6 +172,11 @@ class LabelSpace:
     def for_formula(cls, theta: Formula) -> "LabelSpace":
         return cls(theta)
 
+    @property
+    def searched(self) -> Formula:
+        """The formula the space was built from: theta, constants folded."""
+        return self.program.nodes[self.program.root]
+
     @cached_property
     def members(self) -> list[Formula]:
         """The closure set in (ast_size, pretty) order: every program node
@@ -182,7 +193,10 @@ class LabelSpace:
         return [nodes[i] if i >= 0 else Not(nodes[~i]) for _, _, i in keys]
 
     def ref(self, f: Formula) -> tuple[int, bool]:
-        """(positive index, polarity); polarity False means negated."""
+        """(positive index, polarity); polarity False means negated.  theta
+        stands for the searched formula."""
+        if f == self.theta:
+            f = self.searched
         pol = True
         while isinstance(f, Not):
             f = f.sub
@@ -446,6 +460,11 @@ def decide_sat(theta: Formula, budget: int = 20_000_000) -> SatResult:
     two-teeth cover for a middle), so the search over roots holding theta
     is complete and the witness is always world 0.  Enumeration, arc
     building and witness placement spend from one step budget.
+
+    The search runs over the label space of theta with its constants
+    folded out (`simplify`, inside `LabelSpace`).  When that formula is not
+    theta itself, theta is re-checked at the returned world of the model,
+    and a failure raises VerificationError.
     """
     space = LabelSpace.for_formula(theta)
     stats = SolverStats()
@@ -477,6 +496,11 @@ def decide_sat(theta: Formula, budget: int = 20_000_000) -> SatResult:
         for cid in range(len(graph.comps)):
             got = _try_component(space, rho, graph, cid, stats, steps)
             if got is not None:
+                if (space.searched is not theta
+                        and not eval_formula(got.model, got.world, theta)):
+                    raise VerificationError(
+                        f"model of {pretty(space.searched)} fails "
+                        f"{pretty(theta)} at world {got.world}")
                 return got
     return SatResult(False, stats=stats)
 
@@ -676,8 +700,8 @@ def extract_model(pool: Iterable[Mosaic], space: LabelSpace,
     such walk.  Every closure member is re-verified at every world against
     its label before returning, which an incoherent tile fails; only a label
     beyond the closure set is refused up front.  The witness is the first
-    world holding `space.theta`; a pool where no world holds it raises
-    MosaicError.
+    world holding the searched formula (`space.searched`); a pool where no
+    world holds it raises MosaicError.
     """
     tiles = sorted(pool)
     if not tiles:
@@ -723,8 +747,8 @@ def extract_model(pool: Iterable[Mosaic], space: LabelSpace,
             raise MosaicError(
                 f"truth lemma fails at world {wrong[0]} for {pretty(f)}")
 
-    idx, pol = space.ref(space.theta)
+    idx, pol = space.ref(space.searched)
     holds = _mask_worlds(cols[idx] if pol else ~cols[idx] & (1 << 2 * n + 1) - 1)
     if not holds:
-        raise MosaicError(f"no world holds {pretty(space.theta)}")
+        raise MosaicError(f"no world holds {pretty(space.searched)}")
     return n, model, holds[0]

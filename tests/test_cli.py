@@ -44,6 +44,23 @@ def test_sat_trace(capsys):
     assert "mosaic" in err
 
 
+def test_sat_trace_names_the_folded_formula(capsys):
+    # the tiles list the members of the formula searched, constants folded
+    # out; stdout is the answer alone
+    assert run(["sat", "p & ~F -> <>q", "--trace"]) == 0
+    got = capsys.readouterr()
+    assert got.out == "SAT on crown(1) at world 0\n"
+    lines = got.err.splitlines()
+    assert lines[0] == "searched p -> <>q"
+    rows = [json.loads(line[len("mosaic "):]) for line in lines[1:]]
+    assert rows and all(line.startswith("mosaic ") for line in lines[1:])
+    assert {f for row in rows for label in row for f in label} <= {
+        "p", "~p", "q", "~q", "<>q", "~<>q", "p -> <>q", "~(p -> <>q)"}
+    # nothing folds: no searched line
+    assert run(["sat", "p -> <>q", "--trace"]) == 0
+    assert not capsys.readouterr().err.startswith("searched")
+
+
 def test_valid_section_six_pair(capsys):
     A = "[](r -> <>(~r & p & <>~p))"
     C = "(r & <>[]s & <>[]~s) -> <>(~r & <>[]s & <>[]~s)"

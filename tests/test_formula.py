@@ -2,17 +2,20 @@ import random
 
 import pytest
 
+from polyplane.crown import crown
 from polyplane.formula import (And, Bottom, Box, Diamond, Iff, Implies, Not,
                                Or, ParseError, Var, ast_size, closure, compile,
-                               modal_depth, negate, parse, pretty,
+                               modal_depth, negate, parse, pretty, simplify,
                                subformulas, substitute, variables)
+from polyplane.kripke import Model, truth_mask
 from polyplane.mosaic import decide_sat
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import (all_formulas, formulas, random_formula, reference_closure,
-                     reference_modal_depth, reference_subformulas,
-                     reference_substitute)
+from helpers import (all_formulas, enumerate_rooted_s4, formulas,
+                     random_formula, reference_closure, reference_modal_depth,
+                     reference_subformulas, reference_substitute)
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -257,3 +260,55 @@ def test_equal_deep_operands():
     assert len(compile(f).code) == 402
     assert len(closure(f)) == 403  # ~^k p for k <= 400, f and ~f
     assert decide_sat(f).sat
+
+
+# -- constant folding
+
+# crowns and every rooted S4 frame of at most 3 worlds: all reflexive
+FOLD_FRAMES = ([crown(n) for n in range(1, 5)]
+               + [g for n in (1, 2, 3) for g in enumerate_rooted_s4(n)])
+
+
+@settings(max_examples=500)
+@given(formulas(), st.sampled_from(FOLD_FRAMES), st.data())
+def test_simplify_keeps_the_truth_on_reflexive_frames(f, frame, data):
+    masks = {name: data.draw(st.integers(0, (1 << frame.n) - 1))
+             for name in "pqr"}
+    model = Model(frame, masks=masks)
+    g = simplify(f)
+    assert truth_mask(model, g) == truth_mask(model, f)
+    # constants survive only as the whole formula
+    assert Bottom() not in subformulas(g) or g in (Bottom(), Not(Bottom()))
+    if Bottom() not in subformulas(f):
+        assert g is f
+
+
+@pytest.mark.parametrize("text,want", [
+    ("p & ~F -> <>q", "p -> <>q"), ("p -> F", "~p"), ("F -> p", "T"),
+    ("p <-> F", "~p"), ("T <-> p", "p"), ("[]F | <>T", "T"),
+    ("<>(p | T) & q", "q"), ("(p -> F) -> F", "~~p"), ("~[]<>F", "T")])
+def test_simplify_folds_constants(text, want):
+    f = parse(text)
+    g = simplify(f)
+    assert g == parse(want) and g is not f
+
+
+@pytest.mark.parametrize("text", ["F", "T", "p & q"])
+def test_simplify_returns_what_does_not_fold(text):
+    f = parse(text)
+    assert simplify(f) is f
+
+
+def test_simplify_shares_what_does_not_fold():
+    f = parse("(<>p & []q) & ~F")
+    assert simplify(f) is f.left
+
+
+def test_simplify_without_recursion():
+    f = And(Var("p"), Not(Bottom()))
+    for _ in range(5000):
+        f = Diamond(f)
+    g = simplify(f)
+    for _ in range(5000):
+        g = g.sub
+    assert g == Var("p")

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from functools import reduce
 from operator import and_
@@ -129,6 +130,20 @@ def test_axiom_one_fails_on_four_chain():
 def test_valid_budget():
     with pytest.raises(BudgetExceededError):
         valid_on_frame(crown(6), parse("p & q & r"), budget=2 ** 20)
+
+
+def test_sampled_budget_is_refused_before_any_draw():
+    # 2^22 samples against a budget of 2^10: refused up front, so at once
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError,
+                       match=r"^4194304 valuations exceed the sampled "
+                             r"budget 1024$"):
+        valid_on_frame(crown(2), parse("[]p -> p"), mode="sampled",
+                       samples=1 << 22, budget=1 << 10)
+    assert time.perf_counter() - start < 0.1
+    rep = valid_on_frame(crown(2), parse("[]p -> p"), mode="sampled",
+                         samples=1 << 10, budget=1 << 10)
+    assert rep.valid and rep.checked == 1 << 10
 
 
 def test_sampled_mode():

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from polyplane.axioms import xi
 from polyplane.crown import crown, crown_sat_oracle
-from polyplane.errors import BudgetExceededError
+from polyplane.errors import BudgetExceededError, VerificationError
 from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, OR, And, Box,
                                Diamond, Not, Var, ast_size, closure, conj,
-                               parse, pretty)
+                               parse, pretty, simplify)
 from polyplane.kripke import Model, eval_formula, program_masks
 from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, SolverStats,
                               StepBudget, check_path, decide_sat,
@@ -408,10 +408,11 @@ def test_search_matches_per_root_reference_on_all_small_formulas():
 
 
 def test_search_matches_reference_on_a_former_budget_out():
-    # one of the random formulas the per-root search could not answer
-    # within 500k steps
-    f = parse("[](~((r <-> p) <-> s <-> s) -> q -> []~~(r -> []F -> ~F)) "
-              "<-> ~(<>p | <>F)")
+    # one of the random constant-free formulas the per-root search could
+    # not answer within 500k steps (a formula with constants is searched
+    # folded by both, and the one pinned here before folding now answers)
+    f = parse("<>(<>[](([](q -> s) <-> q) & (q -> s) | <>~(s -> ~p)) "
+              "& <>(<>s & r))")
     with pytest.raises(BudgetExceededError):
         reference_decide_sat(f, budget=500_000)
     got = decide_sat(f, budget=500_000)
@@ -495,6 +496,27 @@ def test_one_walk_per_formula_object(monkeypatch):
     assert len(walks) == 1 and walks[0] is f
     assert decide_sat(g).sat and crown_sat_oracle(g, 4) is not None
     assert len(walks) == 2 and walks[1] is g
+
+
+def test_constants_are_folded_before_the_search():
+    # the space holds the folded formula's closure; theta stands for its
+    # root, and the model, over the folded formula's atoms, holds theta
+    theta = parse("(p & ~F -> <>q) & ([]F | r <-> T)")
+    space = LabelSpace.for_formula(theta)
+    assert space.theta is theta and space.searched == parse("(p -> <>q) & r")
+    assert space.ref(theta) == space.ref(space.searched)
+    res = decide_sat(theta)
+    assert res.sat and set(res.model.masks) == {"p", "q", "r"}
+    assert eval_formula(res.model, res.world, theta)
+    assert not decide_sat(parse("p & <>F")).sat
+
+
+def test_a_wrong_fold_is_caught_by_the_recheck(monkeypatch):
+    # the model of the searched formula is re-checked on theta itself
+    from polyplane import mosaic
+    monkeypatch.setattr(mosaic, "simplify", lambda f: Not(f))
+    with pytest.raises(VerificationError, match="fails p at world 0"):
+        decide_sat(parse("p"))
 
 
 def test_xi_runs_out_of_budget():
@@ -591,8 +613,9 @@ def test_enumeration_matches_sweep_reference_on_deep_towers(k, ops):
 def agrees_with_table_reference(f, musts=((),)):
     # is_hintikka reads the search's tables, so it is held against the
     # reference's clause masks on every label enumerated under the musts,
-    # and on each label with one bit flipped, up to one past the closure set
-    space, want = LabelSpace.for_formula(f), reference_label_tables(f)
+    # and on each label with one bit flipped, up to one past the closure set;
+    # the space holds the closure of f with its constants folded out
+    space, want = LabelSpace.for_formula(f), reference_label_tables(simplify(f))
     masks = want.pop("_clause_masks")
     assert {name: getattr(space, name) for name in want} == want
     labels = {lab for must in musts for lab in space.enumerate_labels(must)}
@@ -628,7 +651,7 @@ def by_size_and_text(members):
 @settings(max_examples=200)
 @given(formulas(max_size=14))
 def test_member_order_is_size_then_text(f):
-    want = by_size_and_text(closure(f))
+    want = by_size_and_text(closure(simplify(f)))
     assert LabelSpace.for_formula(f).members == want
 
 
@@ -649,21 +672,21 @@ def test_deep_diamond_budget_out_is_pinned():
         decide_sat(parse("<>" * 500 + "p"), budget=500_000)
 
 
-# -- exact answers, counters and budget-outs of two random formulas
+# -- exact answers, counters and budget-outs of two random formulas, both
+# constant-free, so they are searched as written
 
-DEEP_SAT = ("<>[]<>([]q & p & []<>([]<>q | ((F <-> r) -> []s) -> ~<>p "
+DEEP_SAT = ("<>[]<>([]q & p & []<>([]<>q | ((t <-> r) -> []s) -> ~<>p "
             "| (~r <-> ~r)))")
-WIDE_UNSAT = ("~((<>(s -> r) & <>p | ~(<>p & r & ~(F -> q))) "
-              "& []<>[](F -> r & <>~[]q))")
+WIDE_UNSAT = "~[](<>[]<>s | <>~s <-> q & []<><>(~<>r <-> []q) -> q)"
 
 
 def test_many_keys_sat_is_pinned():
-    # 377 roots under 64 keys before one places every witness
+    # 753 roots under 64 keys before one places every witness
     res = decide_sat(parse(DEEP_SAT))
-    assert (res.sat, res.n, res.world, res.root_label) == (True, 6, 0, 5722720)
+    assert (res.sat, res.n, res.world, res.root_label) == (True, 6, 0, 5723232)
     assert len(res.mosaics) == 6
     assert res.stats == SolverStats(
-        roots_tried=377, labels_built=7816, arcs=540, pool_size=6,
+        roots_tried=753, labels_built=15632, arcs=540, pool_size=6,
         components=64, crown_n=6, glue_graphs=64, label_classes=4064)
 
 
@@ -671,12 +694,12 @@ def test_many_keys_unsat_is_pinned():
     res = decide_sat(parse(WIDE_UNSAT))
     assert not res.sat and res.mosaics is None
     assert res.stats == SolverStats(
-        roots_tried=180, labels_built=1344, arcs=300, components=24,
-        glue_graphs=36, label_classes=968)
+        roots_tried=330, labels_built=4800, arcs=360, components=84,
+        glue_graphs=112, label_classes=4944)
 
 
-@pytest.mark.parametrize("budget,used", [(100_000, 100_005),
-                                         (120_000, 120_008)])
+@pytest.mark.parametrize("budget,used", [(200_000, 200_002),
+                                         (220_000, 220_023)])
 def test_many_keys_budget_out_is_pinned(budget, used):
     with pytest.raises(BudgetExceededError,
                        match=rf"glue-graph arcs \({used} of {budget} steps\)$"):
@@ -685,10 +708,10 @@ def test_many_keys_budget_out_is_pinned(budget, used):
 
 def test_many_keys_placement_budget_out_is_pinned():
     # witness placement spends one step per pair_ok test; this key's
-    # placements start at step 119,730 and take 98 steps
+    # placements start at step 210,810 and take 98 steps
     with pytest.raises(BudgetExceededError,
-                       match=r"witness placement \(119751 of 119750 steps\)$"):
-        decide_sat(parse(DEEP_SAT), budget=119_750)
+                       match=r"witness placement \(210831 of 210830 steps\)$"):
+        decide_sat(parse(DEEP_SAT), budget=210_830)
 
 
 # -- endpoint formulas: one <>[] per atom pattern of p, q, r
