@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_, or_
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, StepBudget, VerificationError
@@ -40,7 +40,8 @@ def _transitive_pass(rows: list[int]) -> Optional[int]:
 class Frame:
     """Reflexive-transitive frame over worlds 0..n-1, equal and hashed by
     (n, rows, root).  The input relation is reflexive-transitively closed at
-    construction; the predecessor and successor tables on first read.
+    construction; the predecessor and successor tables and the many-lane
+    evaluator's plan are built on first read.
     """
 
     n: int
@@ -111,6 +112,30 @@ class Frame:
     def _succs(self) -> tuple[tuple[int, ...], ...]:
         """Each world's successors, ascending."""
         return tuple(map(_mask_worlds, self.rows))
+
+    @cached_property
+    def _plan(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Every world, after each world it strictly sees, with the worlds
+        whose finished modal blocks complete its own: its cluster mates
+        (the other worlds with its row) and the least world of each cluster
+        it immediately covers.  What a world sees is its cluster and all
+        that the clusters it covers see, so the many-lane evaluator joins
+        these few blocks in place of every successor's."""
+        rows = self.rows
+        cluster: dict[int, int] = {}
+        for w, row in enumerate(rows):
+            cluster[row] = cluster.get(row, 0) | 1 << w
+        lead = {row: (m & -m).bit_length() - 1 for row, m in cluster.items()}
+        above = [row & ~cluster[row] for row in rows]  # seen strictly
+        plan = []
+        for w in sorted(range(self.n), key=lambda w: rows[w].bit_count()):
+            covered = above[w]
+            for u in _mask_worlds(above[w]):
+                covered &= ~above[u]
+            heads = sorted({lead[rows[u]] for u in _mask_worlds(covered)})
+            plan.append((w, _mask_worlds(cluster[rows[w]] & ~(1 << w))
+                         + tuple(heads)))
+        return tuple(plan)
 
     def sees(self, x: int, y: int) -> bool:
         return bool(self.rows[x] >> y & 1)
@@ -191,7 +216,7 @@ class Model:
 def _evaluate(frame: Frame, prog: Program, columns: list,
               lanes: Optional[int] = None,
               beyond: Optional[tuple[int, int]] = None,
-              reuse: Optional[tuple[list, int]] = None) -> list:
+              reuse: Optional[tuple[list, int, int]] = None) -> list:
     """Value of every node of prog on the frame, under one valuation or
     under `lanes` valuations at once.
 
@@ -203,7 +228,9 @@ def _evaluate(frame: Frame, prog: Program, columns: list,
     Many lanes: a value is a list of n `lanes`-bit blocks, one per world;
     bit k of block w is the truth at world w under valuation k, and
     columns[j] holds variable prog.names[j] in that layout.  A diamond
-    ORs, a box ANDs, the blocks of each world's successors.
+    ORs, a box ANDs, along the frame's plan (`Frame._plan`): worlds seen
+    strictly come first, and each world's block joins its cluster mates'
+    blocks and the finished blocks of the clusters it covers.
 
     `beyond`, when given, is a pair (some, every) of node bitmasks for
     further worlds that every world of the frame sees: bit i of `some` says
@@ -211,14 +238,17 @@ def _evaluate(frame: Frame, prog: Program, columns: list,
     them, under every valuation.  The crown oracle evaluates one world this
     way, one lane per atom pattern, with its strict successors as `beyond`.
 
-    `reuse`, with many lanes, is a pair (before, stale): what this function
-    returned for other columns, and a bitmask of worlds that holds every
-    world seeing a world whose blocks differ between those columns and
-    these.  A node's block at a world depends only on the blocks of the
-    worlds it sees, so only the stale worlds are computed; the lists of
-    `before` take their new blocks in place and are returned again.
+    `reuse`, with many lanes, is a triple (before, moved, stale): what this
+    function returned for other columns, a bitmask of the variables
+    (bit j for prog.names[j]) whose columns differ from those, and a
+    bitmask of worlds that holds every world seeing a world where they
+    differ.  A node that reads no moved variable keeps its lists from
+    `before` whole.  A node's block at a world depends only on the blocks
+    of the worlds it sees, so every other node is computed at the stale
+    worlds alone; its list from `before` takes the new blocks in place.
     """
     n = frame.n
+    keep = 0  # nodes whose lists come from `before` unchanged
     if lanes is None:
         full = (1 << n) - 1
         top, bottom = full, 0
@@ -226,24 +256,49 @@ def _evaluate(frame: Frame, prog: Program, columns: list,
     else:
         full = (1 << lanes) - 1
         top, bottom = [full] * n, [0] * n
-        succs = frame._succs
+        plan = frame._plan
         if reuse is not None:
-            before, stale = reuse
+            before, moved, stale = reuse
+            redo = 0  # nodes that read a moved variable
+            for i, (op, a, b) in enumerate(prog.code):
+                reads = (moved >> a if op == VAR else 0 if op == BOT
+                         else redo >> a if op in (NOT, DIA, BOX)
+                         else redo >> a | redo >> b)
+                redo |= (reads & 1) << i
+            keep = ~redo
             worlds = _mask_worlds(stale)
-            succs = [succs[w] for w in worlds]
+            plan = [step for step in plan if stale >> step[0] & 1]
     vals: list = []
     for op, a, b in prog.code:
-        if op == VAR:
+        if keep >> len(vals) & 1:
+            v = before[len(vals)]
+        elif op == VAR:
             v = columns[a]
         elif op == BOT:
             v = bottom
         elif op == DIA or op == BOX:
             x = vals[a]
-            if lanes is not None:
-                join = or_ if op == DIA else and_
-                v = [reduce(join, [x[u] for u in s]) for s in succs]
-            else:
+            if lanes is None:
                 v = _closure(rows, x) if op == DIA else _interior(rows, x)
+            else:
+                if reuse is None:
+                    v = list(x)
+                else:
+                    v = before[len(vals)]
+                    for w in worlds:
+                        v[w] = x[w]
+                if op == DIA:
+                    for w, joins in plan:
+                        block = v[w]
+                        for u in joins:
+                            block |= v[u]
+                        v[w] = block
+                else:
+                    for w, joins in plan:
+                        block = v[w]
+                        for u in joins:
+                            block &= v[u]
+                        v[w] = block
             if beyond is not None:
                 some, every = beyond
                 if op == DIA and some >> a & 1:
@@ -276,11 +331,11 @@ def _evaluate(frame: Frame, prog: Program, columns: list,
                 v = [(full ^ p) | q for p, q in zip(x, y)]
             elif op == IFF:
                 v = [full ^ p ^ q for p, q in zip(x, y)]
-        if reuse is not None and op != VAR and op != BOT:
-            # v holds the stale worlds' blocks only
-            v, part = before[len(vals)], v
-            for w, block in zip(worlds, part):
-                v[w] = block
+            if reuse is not None:
+                # v holds the stale worlds' blocks only
+                v, part = before[len(vals)], v
+                for w, block in zip(worlds, part):
+                    v[w] = block
         vals.append(v)
     return vals
 
@@ -351,10 +406,11 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
     `_evaluate`).
 
     Exhaustive mode reuses a chunk's values in the next: only the high
-    valuation bits change between chunks, and only the worlds that see a
-    world with a changed bit are evaluated again (`_evaluate`'s `reuse`).
-    The others passed under the previous chunk's valuations, so the
-    first-failure scan reads the re-evaluated worlds alone.
+    valuation bits change between chunks, so only the nodes that read a
+    variable with a changed bit are evaluated again, and only at the
+    worlds that see a world with a changed bit (`_evaluate`'s `reuse`).
+    The other worlds passed under the previous chunk's valuations, so the
+    first-failure scan reads the stale worlds alone.
 
     Both modes report the first failing valuation in their order
     (`checked` is its position + 1) with the least world where phi fails
@@ -383,12 +439,11 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
         total = samples
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    worlds = (1 << n) - 1
-    vals = None
+    vals = reuse = None
     for base in range(0, total, _CHUNK):
         lanes = min(_CHUNK, total - base)
         ones = (1 << lanes) - 1
-        stale = worlds
+        stale = (1 << n) - 1
         if exhaustive:
             blocks = periodic + [ones * (base >> b & 1)
                                  for b in range(len(periodic), n * k)]
@@ -397,6 +452,7 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
                 # the valuation bits that differ from the previous chunk's
                 changed = _mask_worlds(base ^ (base - _CHUNK))
                 stale = _closure(frame.rows, _worlds_mask(b % n for b in changed))
+                reuse = vals, _worlds_mask(b // n for b in changed), stale
         else:
             # CPython fills a wide draw from the low end, 32 bits at a time,
             # so its 64-bit words are those that draws one by one would give
@@ -405,10 +461,7 @@ def valid_on_frame(frame: Frame, phi: Formula, mode: str = "exhaustive",
                 rng.getrandbits(8 * size).to_bytes(size, "little")).cast("Q")
             columns = [[int.from_bytes(draws[j * n + w::n * k], "little") & ones
                         for w in range(n)] for j in range(k)]
-        if stale == worlds:
-            vals = None  # a full pass: let the last chunk's values go first
-        vals = _evaluate(frame, prog, columns, lanes,
-                         reuse=None if vals is None else (vals, stale))
+        vals = _evaluate(frame, prog, columns, lanes, reuse=reuse)
         # a world outside `stale` kept the blocks it passed with last chunk
         root = vals[prog.root]
         fail = {w: ones ^ root[w] for w in _mask_worlds(stale)}

@@ -15,8 +15,8 @@ from polyplane.crown import OracleResult, _model_from_patterns
 from polyplane.errors import BudgetExceededError, VerificationError
 from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, And,
                                Bottom, Box, Diamond, Formula, Iff, Implies,
-                               Not, Or, Var, children, compile, modal_depth,
-                               pretty, render_nodes)
+                               Not, Or, Var, children, compile, conj, disj,
+                               modal_depth, pretty, render_nodes)
 from polyplane.geometry import Line, Scene
 from polyplane.kripke import (Frame, WorldMap, _even_degrees, find_subreduction,
                               program_masks)
@@ -99,6 +99,42 @@ def formula_pool() -> list[Formula]:
         "<>(p & q)", "[](p -> q) -> ([]p -> []q)", "<>p & <>~p",
         "<>[]p & <>[]~p", "[](p | q)",
     ]]
+
+
+def counter_formula(k: int, unsat: bool = False) -> Formula:
+    """A binary counter of k >= 2 bits stepped around the crown: satisfiable
+    on crown(2^(k+1) - 2) and on no smaller crown, and unsatisfiable with
+    `unsat`, which forbids the counter value 2^(k-1).
+
+    Over atoms r, e and b0..b{k-1}: r holds at the root, which sees e-worlds
+    with counters 0, 1 and 2^k - 1; every e-world fixes its bits for all it
+    sees; and every other world sees two e-worlds whose counters differ by
+    one (`step(j)`: bit j differs, the bits above it agree, and the bits
+    below it are all ones on the side where bit j is zero and all zeros on
+    the other).  The README gives the least-crown argument."""
+    r, e = Var("r"), Var("e")
+    bits = [Var(f"b{i}") for i in range(k)]
+
+    def count(v: int) -> Formula:
+        return conj([b if v >> i & 1 else Not(b) for i, b in enumerate(bits)])
+
+    def step(j: int) -> Formula:
+        b = bits[j]
+        return conj([Diamond(And(e, b)), Diamond(And(e, Not(b)))]
+                    + [Or(Box(Implies(e, c)), Box(Implies(e, Not(c))))
+                       for c in bits[j + 1:]]
+                    + [And(Box(Implies(And(e, b), Not(c))),
+                           Box(Implies(And(e, Not(b)), c)))
+                       for c in bits[:j]])
+
+    parts = [r,
+             Box(Implies(r, conj([Not(e)] + [Diamond(And(e, count(v)))
+                                              for v in (0, 1, (1 << k) - 1)]))),
+             Box(Implies(And(Not(e), Not(r)), disj([step(j) for j in range(k)]))),
+             Box(Implies(e, conj([Or(Box(b), Box(Not(b))) for b in bits])))]
+    if unsat:
+        parts.append(Box(Implies(e, Not(count(1 << (k - 1))))))
+    return conj(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -241,11 +241,11 @@ def test_eval_scene_matches_reference_on_twelve_lines():
 
 
 def test_eval_scene_builds_no_predecessor_table():
-    # one-lane evaluation reads the rows alone
+    # one-lane evaluation reads the rows alone, and never the many-lane plan
     s = build_arrangement(TWELVE_LINES)
     assert eval_scene(s, {"p": frozenset(s.cells[:40])}, s.cells[0],
                       parse("[]<>p -> <>[]p"))
-    assert "_preds" not in vars(s.frame) and "_succs" not in vars(s.frame)
+    assert not {"_preds", "_succs", "_plan"} & set(vars(s.frame))
 
 
 def test_compile_polygon_matches_per_cell_reference():

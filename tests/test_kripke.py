@@ -2,7 +2,7 @@ import random
 import time
 from collections import Counter
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +11,8 @@ from polyplane import axioms, kripke
 from polyplane.crown import crown, reduce_to_crown
 from polyplane.errors import BudgetExceededError, VerificationError
 from polyplane.formula import (And, Bottom, Box, Diamond, Iff, Implies, Not,
-                               Or, Var, conj, parse, substitute, variables)
+                               Or, Var, compile, conj, parse, substitute,
+                               variables)
 from polyplane.geometry import build_arrangement, concurrent_crown_map, wrap_map
 from polyplane.kripke import (Frame, Model, ValidityReport, WorldMap,
                               _closed_walk, _even_degrees, _shortest_path,
@@ -19,8 +20,8 @@ from polyplane.kripke import (Frame, Model, ValidityReport, WorldMap,
                               find_subreduction, frame_from_dict,
                               frame_to_dict, interior_set, is_p_morphism,
                               jankov_fine, model_from_dict, model_to_dict,
-                              sat_on_frame, sigma_bisimilar, truth_mask,
-                              valid_on_frame)
+                              program_masks, sat_on_frame, sigma_bisimilar,
+                              truth_mask, valid_on_frame)
 
 from helpers import (enumerate_rooted_s4, enumerate_s4, formula_pool,
                      random_formula, reference_is_p_morphism, reference_truth)
@@ -341,6 +342,21 @@ def test_frame_tables_equality_and_hash(fr):
     assert fr._preds == tuple(sum(1 << x for x in range(fr.n) if fr.sees(x, y))
                               for y in range(fr.n))
     assert fr._succs == tuple(fr.successors(x) for x in range(fr.n))
+    # the plan lists every world once, after the worlds it strictly sees;
+    # a world joins its mates and one world of each cluster it covers, and
+    # those rows with its own make up its row
+    order = [w for w, _ in fr._plan]
+    assert sorted(order) == list(range(fr.n))
+    for i, (w, joins) in enumerate(fr._plan):
+        mates = [u for u in joins if fr.rows[u] == fr.rows[w]]
+        covers = [u for u in joins if fr.rows[u] != fr.rows[w]]
+        assert mates == [u for u in range(fr.n)
+                         if u != w and fr.rows[u] == fr.rows[w]]
+        assert all(order.index(u) < i for u in covers)
+        assert len({fr.rows[u] for u in covers}) == len(covers)
+        assert all(not fr.sees(u, y) for u in covers for y in covers if u != y)
+        cluster = sum(1 << u for u in [w, *mates])
+        assert reduce(or_, [fr.rows[u] for u in covers], cluster) == fr.rows[w]
     same = Frame.from_rows(fr.rows, root=fr.root)
     assert Frame(fr.n, fr.pairs(), root=fr.root) == same
     assert hash(fr) == hash(same) == hash((fr.n, fr.rows, fr.root))
@@ -350,9 +366,23 @@ def test_frame_tables_equality_and_hash(fr):
 def test_frame_tables_are_built_on_first_read():
     fr = crown(3)
     fresh = Frame(fr.n, fr.pairs(), root=0)
-    assert "_preds" not in vars(fresh) and "_succs" not in vars(fresh)
+    assert not {"_preds", "_succs", "_plan"} & set(vars(fresh))
     assert fresh.predecessors(1) == (0, 1, 2, 6)
     assert "_preds" in vars(fresh) and "_succs" not in vars(fresh)
+    # one-lane evaluation reads the rows alone; the first many-lane one
+    # builds the plan
+    model = Model(fresh, {"p": {1}})
+    prog = compile(parse("<>p & []<>p"))
+    assert program_masks(model, prog)[prog.root] == 0b10
+    assert eval_formula(model, 0, parse("[]<>p -> <>[]p"))
+    assert "_plan" not in vars(fresh)
+    assert valid_on_frame(fresh, axioms.axiom_I(), mode="sampled", samples=64)
+    assert "_plan" in vars(fresh)
+    # crown(n) is one shared frame, so every check on it reads one plan
+    assert valid_on_frame(crown(3), axioms.axiom_I(), mode="sampled", samples=64)
+    plan = vars(crown(3))["_plan"]
+    assert valid_on_frame(crown(3), axioms.axiom_II())
+    assert vars(crown(3))["_plan"] is plan and plan == fresh._plan
 
 
 def test_frame_attributes_cannot_be_assigned():
@@ -713,9 +743,17 @@ def test_sampled_draws_at_tile_and_word_edges(n, samples):
 # re-evaluated although no bit of it is set
 @example(chain(2), parse("~(~q & <>q & ~p)"), 3, 0, 0)
 @example(chain(2), parse("~(r & q & <>~q & ~p)"), 3, 0, 0)
+# clusters the plan must join whole: a two-world cluster below a maximal
+# world, a root cluster, and two maximal clusters.  Each first fails where
+# a world sees a set only through a cluster mate
+@example(Frame(4, [(0, 1), (1, 2), (2, 1), (2, 3)]), parse("<>~q"), 4, 100, 1)
+@example(Frame(3, [(0, 1), (1, 0), (1, 2)]), parse("~[]q"), 3, 100, 2)
+@example(Frame(5, [(0, 1), (1, 2), (2, 1), (0, 3), (3, 4), (4, 3)]),
+         parse("<>~p"), 5, 100, 3)
 def test_small_chunks_match_reference(frame, phi, chunk_bits, samples, seed):
     # with 8 to 64 lanes a chunk, every exhaustive chunk after the first
-    # re-evaluates only the worlds that see a changed valuation bit.  No
+    # re-evaluates only the nodes that read a changed variable, and those
+    # only at the worlds that see a changed valuation bit.  No
     # valuation with r empty refutes <>r -> phi, and r takes the highest
     # bits, so its first failure, when there is one, lies in a later chunk.
     # Sampled chunks are whole draw words: 64 or 128 lanes
@@ -745,6 +783,23 @@ def test_sampled_reports_independent_of_chunking(frame, phi, samples, seed):
                 mp.setattr(kripke, "_CHUNK", chunk)
                 reports.append(valid_on_frame(frame, psi, mode="sampled",
                                               samples=samples, seed=seed))
+            assert reports[0] == reports[1] == reports[2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(frames(max_n=5), formulas)
+def test_exhaustive_reports_independent_of_chunking(frame, phi):
+    # <>r -> phi fails only where some world sees r, and r takes the
+    # highest valuation bits, so a failure often lies in a later chunk.
+    # With 64 and 1,024 lanes a chunk, up to 2^15 valuations take up to
+    # 512 chunks, each reusing the last; 2^16 lanes take one
+    late = Implies(Diamond(Var("r")), phi)
+    with pytest.MonkeyPatch.context() as mp:
+        for fr in (frame, crown(2)):
+            reports = []
+            for chunk in (1 << 6, 1 << 10, 1 << 16):
+                mp.setattr(kripke, "_CHUNK", chunk)
+                reports.append(valid_on_frame(fr, late))
             assert reports[0] == reports[1] == reports[2]
 
 

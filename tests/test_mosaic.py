@@ -17,7 +17,7 @@ from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, SolverStats,
                               extract_model, glue_reachable, is_coherent,
                               mirror, valid)
 
-from helpers import (all_formulas, formulas, random_formula,
+from helpers import (all_formulas, counter_formula, formulas, random_formula,
                      reference_decide_sat, reference_enumerate_labels,
                      reference_label_tables)
 
@@ -437,6 +437,17 @@ def test_long_conjunction_within_budget():
     f = conj([Var(f"p{i}") for i in range(11)])
     res = decide_sat(f, budget=500_000)
     assert res.sat and eval_formula(res.model, res.world, f)
+
+
+def test_two_bit_counter_needs_crown_six():
+    # the counter steps 0, 1, 2, 3 and back around the crown, so its least
+    # crown is 2^3 - 2 = 6 (see the README); the solver finds some crown
+    # at least that large, within its default budget
+    f = counter_formula(2)
+    assert ast_size(f) == 104
+    res = decide_sat(f)
+    assert res.sat and res.n >= 6
+    assert eval_formula(res.model, res.world, f)
 
 
 def test_enumeration_spends_from_the_budget():
