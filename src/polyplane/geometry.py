@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from math import gcd, isfinite, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -26,6 +26,7 @@ from .kripke import (Frame, Model, WorldMap, _closure, _evaluate, _interior,
                      eval_formula)
 
 Point = tuple[Fraction, Fraction]
+IntPoint = tuple[int, int, int]
 SignVector = tuple[int, ...]
 
 
@@ -40,19 +41,17 @@ class Line:
 
     @classmethod
     def make(cls, a, b, c) -> "Line":
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        if a == 0 and b == 0:
+        """The line of the coefficients: ints and Fractions are read by their
+        numerator and denominator, anything else goes through `Fraction`."""
+        terms = [v if hasattr(v, "denominator") else Fraction(v) for v in (a, b, c)]
+        if terms[0] == 0 and terms[1] == 0:
             raise ValueError("degenerate line: a = b = 0")
-        mult = 1
-        for f in (a, b, c):
-            mult = mult * f.denominator // gcd(mult, f.denominator)
-        ai, bi, ci = int(a * mult), int(b * mult), int(c * mult)
-        g = gcd(gcd(abs(ai), abs(bi)), abs(ci)) or 1
-        ai, bi, ci = ai // g, bi // g, ci // g
-        lead = ai if ai != 0 else bi
-        if lead < 0:
-            ai, bi, ci = -ai, -bi, -ci
-        return cls(Fraction(ai), Fraction(bi), Fraction(ci))
+        mult = lcm(*(v.denominator for v in terms))
+        ai, bi, ci = (v.numerator * (mult // v.denominator) for v in terms)
+        g = gcd(ai, bi, ci)
+        if (ai or bi) < 0:
+            g = -g
+        return cls(Fraction(ai // g), Fraction(bi // g), Fraction(ci // g))
 
     def at(self, p: Point) -> Fraction:
         return self.a * p[0] + self.b * p[1] + self.c
@@ -77,16 +76,28 @@ class Line:
 @dataclass(frozen=True)
 class Scene:
     """Arrangement of distinct lines; cells are exactly the realizable sign
-    vectors, each with a rational witness attaining it.
+    vectors, each with a rational witness attaining it, stored in `points`
+    as integers (X, Y, D) with D > 0 for the point (X/D, Y/D).
 
-    The specialization frame (`frame`), the cell -> index map (`index`),
-    the lines' integer rows (`rows`) and the sign masks the frame and
-    polygons are built from (`sign_masks`) are built on first use and kept
-    with the scene, so every query on one scene reads the same ones."""
+    The witnesses as Fraction points (`witness`), the specialization frame
+    (`frame`), the cell -> index map (`index`), the lines' integer rows
+    (`rows`) and the sign masks the frame and polygons are built from
+    (`sign_masks`) are built on first use and kept with the scene, so every
+    query on one scene reads the same ones."""
 
     lines: tuple[Line, ...]
     cells: tuple[SignVector, ...]
-    witness: dict[SignVector, Point]
+    points: dict[SignVector, IntPoint]
+
+    @cached_property
+    def witness(self) -> dict[SignVector, Point]:
+        """Each cell's witness point in Fractions, for callers; the library
+        reads `points`."""
+        out = {}
+        for c in self.cells:
+            x, y, d = self.points[c]
+            out[c] = (Fraction(x, d), Fraction(y, d))
+        return out
 
     @cached_property
     def frame(self) -> Frame:
@@ -145,18 +156,16 @@ def build_arrangement(lines: Sequence) -> Scene:
     rows = [l.row for l in norm]
     points = _walk(rows)
     cells = tuple(sorted(points))
-    witness: dict[SignVector, Point] = {}
     for cell in cells:
         x, y, d = points[cell]
-        p = (Fraction(x, d), Fraction(y, d))
         if tuple([((v := a * x + b * y + c * d) > 0) - (v < 0)
                   for a, b, c in rows]) != cell:
-            raise VerificationError(f"witness {p} does not attain cell {cell}")
-        witness[cell] = p
-    return Scene(norm, cells, witness)
+            raise VerificationError(f"witness {(Fraction(x, d), Fraction(y, d))} "
+                                    f"does not attain cell {cell}")
+    return Scene(norm, cells, points)
 
 
-def _walk(rows: list[tuple[int, int, int]]) -> dict[SignVector, tuple[int, int, int]]:
+def _walk(rows: list[tuple[int, int, int]]) -> dict[SignVector, IntPoint]:
     """Every cell of the lines with integer rows `rows`, mapped to a witness
     (X, Y, D) with D > 0 that stands for the point (X/D, Y/D).
 
@@ -170,7 +179,7 @@ def _walk(rows: list[tuple[int, int, int]]) -> dict[SignVector, tuple[int, int, 
     yet.  The arithmetic is in integers throughout."""
     if not rows:
         return {(): (0, 0, 1)}
-    out: dict[SignVector, tuple[int, int, int]] = {}
+    out: dict[SignVector, IntPoint] = {}
     for i, (a, b, c) in enumerate(rows):
         d0 = b or a
         x0, y0 = (0, -c) if b else (-c, 0)
@@ -218,13 +227,13 @@ def _walk(rows: list[tuple[int, int, int]]) -> dict[SignVector, tuple[int, int, 
     return out
 
 
-def _midpoint(p: tuple[int, int, int], q: tuple[int, int, int]) -> tuple[int, int, int]:
+def _midpoint(p: IntPoint, q: IntPoint) -> IntPoint:
     (x, y, d), (u, v, e) = p, q
     return (x * e + u * d, y * e + v * d, 2 * d * e)
 
 
 def _add_edge(out: dict, rows: list[tuple[int, int, int]], signs: list[int],
-              i: int, q: tuple[int, int, int]) -> None:
+              i: int, q: IntPoint) -> None:
     """Add the edge of line i through q, with these signs elsewhere, and the
     two faces beside it.  Moving q = (X, Y, D) by e*(a, b), the normal of
     line i, changes line j's value by e*(a*aj + b*bj) from wj/D, where wj is
@@ -358,35 +367,40 @@ def scene_delta(scene: Scene, cells: Iterable[SignVector]) -> CellSet:
 # ---------------------------------------------------------------------------
 # Realizing crown models as concurrent-line scenes
 
-def _angle_key(u: Point) -> tuple:
-    """Sort key of a nonzero direction by its angle counterclockwise from
-    the positive x-axis, exact: the half-plane (angles [0, pi), then
-    [pi, 2*pi)), the direction along the x-axis first in each, then the
-    cotangent x/y, which falls as the angle grows within a half."""
-    x, y = u
-    if y == 0:
-        return (0 if x > 0 else 1, 0, 0)
-    return (0 if y > 0 else 1, 1, -x / y)
+def _angle_order(u: tuple[int, int], v: tuple[int, int]) -> int:
+    """Compare two nonzero integer directions by their angles
+    counterclockwise from the positive x-axis, exactly: by half-plane
+    (angles [0, pi), then [pi, 2*pi)), and within one half by the sign of
+    the cross product, positive when v lies counterclockwise of u."""
+    hu, hv = u[1] < 0 or u[1] == 0 and u[0] < 0, v[1] < 0 or v[1] == 0 and v[0] < 0
+    if hu != hv:
+        return hu - hv
+    cross = u[0] * v[1] - u[1] * v[0]
+    return (cross < 0) - (cross > 0)
 
 
 def _around(scene: Scene) -> tuple[SignVector, list[SignVector],
-                                   dict[SignVector, Point]]:
+                                   dict[SignVector, tuple[int, int]]]:
     """The vertex of a scene of L >= 2 concurrent lines, its 2L rays and
     2L sectors in counterclockwise order from the positive x-axis, and the
-    direction from the vertex's witness to each of their witnesses; a
-    scene of another shape is a ValueError."""
+    direction from the vertex's witness to each of their witnesses, in
+    integers: from (vx, vy, vd) to (wx, wy, wd) it is
+    (wx*vd - vx*wd, wy*vd - vy*wd), vd*wd > 0 times the direction between
+    the points.  A scene of another shape is a ValueError."""
     L = len(scene.lines)
     vertex = [c for c in scene.cells if all(s == 0 for s in c)]
     rays = [c for c in scene.cells if c.count(0) == 1]
     sectors = [c for c in scene.cells if 0 not in c]
     if not (len(vertex) == 1 and len(rays) == 2 * L and len(sectors) == 2 * L):
         raise ValueError("scene is not a concurrent-line arrangement")
-    vx, vy = scene.witness[vertex[0]]
+    points = scene.points
+    vx, vy, vd = points[vertex[0]]
     direction = {}
     for c in rays + sectors:
-        wx, wy = scene.witness[c]
-        direction[c] = (wx - vx, wy - vy)
-    around = sorted(rays + sectors, key=lambda c: _angle_key(direction[c]))
+        wx, wy, wd = points[c]
+        direction[c] = (wx * vd - vx * wd, wy * vd - vy * wd)
+    order = cmp_to_key(_angle_order)
+    around = sorted(rays + sectors, key=lambda c: order(direction[c]))
     if any((0 in c) == (0 in around[i - 1]) for i, c in enumerate(around)):
         raise VerificationError("rays and sectors do not alternate around the vertex")
     return vertex[0], around, direction
@@ -503,8 +517,7 @@ def scene_from_dict(d: dict) -> tuple[Scene, dict[str, CellSet]]:
     if len(d["lines"]) > MAX_LINES:
         raise ValueError(f"more than {MAX_LINES} lines")
     _coefficients("lines", [v for row in d["lines"] for v in row])
-    lines = [Line.make(Fraction(a), Fraction(b), Fraction(c))
-             for a, b, c in d["lines"]]
+    lines = [Line.make(a, b, c) for a, b, c in d["lines"]]
     scene = build_arrangement(lines)
     val = {}
     for name, entry in d.get("val", {}).items():
@@ -531,9 +544,13 @@ def scene_to_svg(scene: Scene, val: dict[str, CellSet]) -> str:
     color = {k: _PALETTE[i % len(_PALETTE)] for i, k in enumerate(combos)}
 
     def unit(c):
+        # the direction over its larger coordinate: a correctly rounded int
+        # division that stays in [-1, 1] however long the integers are
         dx, dy = direction[c]
-        norm = (float(dx) ** 2 + float(dy) ** 2) ** 0.5
-        return (float(dx) / norm * radius, float(dy) / norm * radius)
+        big = max(abs(dx), abs(dy))
+        ux, uy = dx / big, dy / big
+        norm = (ux ** 2 + uy ** 2) ** 0.5
+        return (ux / norm * radius, uy / norm * radius)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{-radius-10} '
              f'{-radius-10} {2*radius+20} {2*radius+20}">',

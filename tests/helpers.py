@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import lcm
 from typing import Iterable, Optional
 
 from hypothesis import strategies as st
@@ -430,8 +431,8 @@ def reference_feasible_point(eqs, ins):
 def reference_arrangement(lines) -> Scene:
     """Scene by depth-first search over sign prefixes, pruned by
     `reference_feasible_point` at every node; the witness of a cell is the
-    point found for its full sign system.  The reference for
-    `build_arrangement`."""
+    point found for its full sign system, over a common denominator.  The
+    reference for `build_arrangement`."""
     norm = tuple(l if isinstance(l, Line) else Line.make(*l) for l in lines)
     found: dict[tuple[int, ...], tuple] = {}
 
@@ -456,7 +457,13 @@ def reference_arrangement(lines) -> Scene:
 
     dfs([], [], [])
     cells = tuple(sorted(found))
-    return Scene(norm, cells, {c: found[c] for c in cells})
+    points = {}
+    for c in cells:
+        x, y = map(Fraction, found[c])
+        d = lcm(x.denominator, y.denominator)
+        points[c] = (x.numerator * (d // x.denominator),
+                     y.numerator * (d // y.denominator), d)
+    return Scene(norm, cells, points)
 
 
 def reference_scene_frame(scene: Scene) -> Frame:

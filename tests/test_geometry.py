@@ -7,10 +7,11 @@ import sys
 import time
 from fractions import Fraction
 from functools import cached_property
+from math import atan2, cos, sin
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polyplane import geometry
 from polyplane.axioms import classify_frame
@@ -503,6 +504,97 @@ def test_svg_output():
     assert svg == scene_to_svg(real.scene, real.val)  # deterministic
     with pytest.raises(ValueError):
         scene_to_svg(build_arrangement([(1, 0, 0), (1, 0, -1)]), {})
+    # the rays of y = 0, y = x and y = 2x, counterclockwise from the
+    # positive x-axis, on a circle of radius 160
+    real = realize_crown_model(Model(crown(3), {"p": {1, 2}, "q": {4}}), 0)
+    ends = [line.split('x2="')[1].split('" stroke')[0]
+            for line in scene_to_svg(real.scene, real.val).splitlines()
+            if line.startswith("<line")]
+    assert ends == ['160.00" y2="0.00', '113.14" y2="113.14', '71.55" y2="143.11',
+                    '-160.00" y2="0.00', '-113.14" y2="-113.14',
+                    '-71.55" y2="-143.11']
+
+
+def _quadrant_key(u):
+    """Exact angle key of a nonzero Fraction direction: its quadrant, then
+    the tangent of its angle past the quadrant's start, which grows with
+    the angle there."""
+    x, y = u
+    if x > 0 and y >= 0:
+        return (0, y / x)
+    if x <= 0 and y > 0:
+        return (1, -x / y)
+    if x < 0 and y <= 0:
+        return (2, y / x)
+    return (3, -x / y)
+
+
+_rational = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))
+_long = st.builds(Fraction, st.integers(-10 ** 60, 10 ** 60),
+                  st.integers(10 ** 59, 10 ** 60))
+_normals = st.lists(st.sampled_from([(1, 0), (0, 1)])
+                    | st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+                    min_size=2, max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.just((Fraction(0), Fraction(0))) | st.tuples(_rational, _rational)
+       | st.tuples(_long, _long), _normals)
+@example((Fraction(10 ** 60 + 7, 3 * 10 ** 59 + 1),
+          Fraction(-10 ** 59 - 3, 10 ** 60 - 9)),
+         [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (3, -1), (1, -3)])
+def test_pencil_order_matches_fraction_angles(centre, normals):
+    # 2..8 lines through one rational centre, vertical and horizontal ones
+    # among them, the centre's coordinates up to 60 digits
+    cx, cy = centre
+    lines = {Line.make(a, b, -(a * cx + b * cy))
+             for a, b in normals if (a, b) != (0, 0)}
+    assume(len(lines) >= 2)
+    s = build_arrangement(sorted(lines, key=repr))
+    vertex, around, _ = geometry._around(s)
+    vx, vy = s.witness[vertex]
+    want = sorted(around, key=lambda c: _quadrant_key(
+        (s.witness[c][0] - vx, s.witness[c][1] - vy)))
+    assert around == want
+    mapping = concurrent_crown_map(s)
+    target = crown(2 * len(lines))
+    assert sorted(mapping.values()) == list(range(target.n))
+    assert is_p_morphism(WorldMap(mapping), s.frame, target)
+    # each ray's end in the figure lies on the ray, at radius 160
+    rays = [c for c in around if 0 in c]
+    svg = scene_to_svg(s, {})
+    ends = [tuple(float(line.split(f'{k}="')[1].split('"')[0]) for k in ("x2", "y2"))
+            for line in svg.splitlines() if line.startswith("<line")]
+    assert len(ends) == len(rays) == 2 * len(lines)
+    for (x, y), c in zip(ends, rays):
+        dx, dy = s.witness[c][0] - vx, s.witness[c][1] - vy
+        big = max(abs(dx), abs(dy))
+        angle = atan2(dy / big, dx / big)
+        assert abs(x - 160 * cos(angle)) < 0.006 and abs(y - 160 * sin(angle)) < 0.006
+
+
+def test_witness_view_is_built_on_first_read():
+    # the library reads the integer points; the Fraction points are a view
+    # for callers, built on first read and kept
+    s = build_arrangement(TWELVE_LINES)
+    scene_frame(s)
+    compile_polygon(s, [[(0, ">"), (3, "<=")]])
+    assert eval_scene(s, {"p": frozenset(s.cells[:40])}, s.cells[0],
+                      parse("[]<>p -> <>[]p"))
+    pencil = concurrent(4)
+    concurrent_crown_map(pencil)
+    real = realize_crown_model(Model(crown(3), {"p": {1, 2}}), 2,
+                               formula=parse("p & <>~p"))
+    scene_to_svg(real.scene, real.val)
+    loaded, _ = scene_from_dict(scene_to_dict(real.scene, real.val))
+    for scene in (s, pencil, real.scene, loaded):
+        assert "witness" not in vars(scene)
+        witness = scene.witness
+        assert scene.witness is witness and list(witness) == list(scene.cells)
+        for c, (x, y, d) in scene.points.items():
+            assert d > 0 and witness[c] == (Fraction(x, d), Fraction(y, d))
+            values = [l.at(witness[c]) for l in scene.lines]
+            assert tuple((v > 0) - (v < 0) for v in values) == c
 
 
 def test_two_line_scene_maps_onto_crown_four():

@@ -450,6 +450,23 @@ def test_two_bit_counter_needs_crown_six():
     assert eval_formula(res.model, res.world, f)
 
 
+# The two pins below take seconds each, too long for tier-1; `-m slow` runs
+# them (CI does, in its own step).
+
+@pytest.mark.slow
+def test_oracle_finds_the_two_bit_counter_on_crown_six():
+    # the crown oracle settles the least crown exactly: none below 6
+    res = crown_sat_oracle(counter_formula(2), 8)
+    assert res is not None and res.n == 6
+    assert eval_formula(res.model, res.world, counter_formula(2))
+
+
+@pytest.mark.slow
+def test_two_bit_counter_without_its_middle_value_is_unsat():
+    # forbidding the counter value 2 leaves no way from 1 up to 3
+    assert not decide_sat(counter_formula(2, unsat=True)).sat
+
+
 def test_enumeration_spends_from_the_budget():
     space = LabelSpace.for_formula(parse("<>p & []q & (r | s)"))
     labels = space.enumerate_labels()

@@ -201,6 +201,19 @@ def test_sign_masks_built_once_per_scene():
     assert read == {"geometry.py:scene_frame", "geometry.py:compile_polygon"}
 
 
+def test_scene_witnesses_read_as_integers():
+    # Scene.witness, the cells' points in Fractions, is a view for callers,
+    # built on first read from Scene.points; library code reads the integer
+    # points, so the one `.witness` read in src is of a Verdict's world map
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func, node in _functions(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "witness":
+                found.add(f"{path.name}:{func}")
+    assert found == {"cli.py:_cmd_classify"}
+
+
 def test_label_space_keeps_clauses_once():
     # a member's clauses live as implication closures (_closure) and long
     # clauses (_long), which is_hintikka reads too; no third table of them
