@@ -15,8 +15,11 @@ B5  for some world u, the worlds strictly above u fall into two or more
     components and one of them has more than one world.
 
 Each test builds its own witness map; `classify_frame` gives the argument
-that the tests are exact.  `kripke.find_subreduction` remains the generic
-search and the tests' independent reference.
+that the tests are exact.  The tests work on whole rows and predecessor
+masks, and the up-set flood fills walk set bits inline.  The five frames
+are built once, at import, and a refutation re-checks its witness against
+the one it names.  `kripke.find_subreduction` remains the generic search
+and the tests' independent reference.
 """
 
 from __future__ import annotations
@@ -36,9 +39,13 @@ class ForbiddenFrame:
     frame: Frame
 
 
-# closed rows of B1..B5, world 0 the root: bit y of row x says x sees y
-_FORBIDDEN_ROWS = {"B1": (3, 3), "B2": (7, 7, 4), "B3": (15, 2, 4, 8),
-                   "B4": (15, 14, 12, 8), "B5": (15, 6, 4, 8)}
+# B1..B5 built once from their closed rows, world 0 the root: bit y of row
+# x says x sees y.  Frames are immutable, so refutations and callers of
+# forbidden_frames() share these
+_FORBIDDEN = {i: ForbiddenFrame(i, Frame.from_rows(rows, root=0))
+              for i, rows in (("B1", (3, 3)), ("B2", (7, 7, 4)),
+                              ("B3", (15, 2, 4, 8)), ("B4", (15, 14, 12, 8)),
+                              ("B5", (15, 6, 4, 8)))}
 
 
 def forbidden_frames() -> list[ForbiddenFrame]:
@@ -50,8 +57,7 @@ def forbidden_frames() -> list[ForbiddenFrame]:
     B4  reflexive-transitive 4-chain
     B5  root seeing a 2-chain and, separately, a maximal point
     """
-    return [ForbiddenFrame(i, Frame.from_rows(rows, root=0))
-            for i, rows in _FORBIDDEN_ROWS.items()]
+    return list(_FORBIDDEN.values())
 
 
 def xi() -> Formula:
@@ -128,8 +134,8 @@ def classify_frame(frame: Frame, budget: int = 2_000_000) -> Verdict:
     if found is None:
         return Verdict(True)
     refuted_id, mapping = found
-    target = Frame.from_rows(_FORBIDDEN_ROWS[refuted_id], root=0)
-    wm = _onto_p_morphism(mapping, frame, target, f"{refuted_id} witness")
+    wm = _onto_p_morphism(mapping, frame, _FORBIDDEN[refuted_id].frame,
+                          f"{refuted_id} witness")
     return Verdict(False, refuted_id, wm)
 
 
@@ -151,6 +157,7 @@ def _find_forbidden(frame: Frame, budget: int
 
     # a poset from here on
     spend = StepBudget(budget, "classifier").spend
+    comparable = [row | pred for row, pred in zip(rows, preds)]
     for u in range(n):
         rest = rows[u] & ~(1 << u)
         comps = []
@@ -159,8 +166,10 @@ def _find_forbidden(frame: Frame, budget: int
             while front:
                 comp |= front
                 reach = 0
-                for y in _mask_worlds(front):
-                    reach |= rows[y] | preds[y]
+                while front:
+                    low = front & -front
+                    front ^= low
+                    reach |= comparable[low.bit_length() - 1]
                 front = reach & rest & ~comp
             # one step per world the flood fill visited
             spend(comp.bit_count(), "up-set components")
@@ -176,16 +185,19 @@ def _find_forbidden(frame: Frame, budget: int
             root_comps = comps
 
     # peel the maximal worlds three times; what is left has depth >= 4
-    mapping = {}
-    left = (1 << n) - 1
-    for image in (3, 2, 1):
-        top = 0
-        for x in _mask_worlds(left):
-            if rows[x] & left == 1 << x:
-                top |= 1 << x
-                mapping[x] = image
+    left, tops = (1 << n) - 1, []
+    for _ in range(3):
+        top, m = 0, left
+        while m:
+            low = m & -m
+            m ^= low
+            if rows[low.bit_length() - 1] & left == low:
+                top |= low
         left &= ~top
+        tops.append(top)
     if left:
+        mapping = {x: image for image, top in zip((3, 2, 1), tops)
+                   for x in _mask_worlds(top)}
         mapping.update((x, 0) for x in _mask_worlds(left))
         return "B4", mapping
 

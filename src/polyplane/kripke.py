@@ -528,17 +528,30 @@ class WorldMap:
 def is_p_morphism(f: WorldMap, source: Frame, target: Frame) -> bool:
     """Monotone + back condition on the declared domain; the domain must be
     an up-set of the source (a generated subframe).  Together the two
-    conditions say f carries each domain world's row onto its image's."""
-    dom = f.mapping
-    if not all(0 <= fx < target.n for fx in dom.values()):
-        return False
-    dom_mask = _worlds_mask(dom)
-    for x, fx in dom.items():
-        row = source.rows[x]
-        if row & ~dom_mask:
-            return False  # domain not an up-set
-        if _worlds_mask(dom[y] for y in _mask_worlds(row)) != target.rows[fx]:
+    conditions say f carries each domain world's row onto its image's.
+
+    Both are read off the preimage masks of the target's worlds.  A domain
+    world's row must lie inside the union of the preimages of its image's
+    row, so it stays in the domain and maps where the image sees (up-set
+    and monotone), and must meet each of those preimages (back).  A domain
+    world or an image outside its frame makes no p-morphism."""
+    n, m = source.n, target.n
+    pre = [0] * m
+    for x, t in f.mapping.items():
+        if not (0 <= x < n and 0 <= t < m):
             return False
+        pre[t] |= 1 << x
+    parts = [[pre[y] for y in ys] for ys in target._succs]
+    rows = source.rows
+    for x, t in f.mapping.items():
+        row = rows[x]
+        inside = 0
+        for p in parts[t]:
+            if not row & p:
+                return False  # back condition fails
+            inside |= p
+        if row & ~inside:
+            return False  # leaves the domain, or not monotone
     return True
 
 

@@ -251,11 +251,13 @@ def frames_isomorphic(f1: Frame, f2: Frame) -> bool:
     return bt(0)
 
 
-def enumerate_rooted_s4(n: int) -> list[Frame]:
+@lru_cache(maxsize=None)
+def enumerate_rooted_s4(n: int) -> tuple[Frame, ...]:
     """All rooted S4 frames with n worlds, one per isomorphism class,
-    rooted at world 0."""
+    rooted at world 0.  Built once per n: frames are immutable, and the
+    tuple cannot be changed by one test under another."""
     if n == 1:
-        return [Frame(1, [], root=0)]
+        return (Frame(1, [], root=0),)
     full = (1 << n) - 1
     free = [(x, y) for x in range(1, n) for y in range(n) if y != x]
     out = {}
@@ -283,11 +285,13 @@ def enumerate_rooted_s4(n: int) -> list[Frame]:
         frame = Frame(n, [(x, y) for x in range(n) for y in range(n)
                           if rows[x] >> y & 1 and x != y], root=0)
         out.setdefault(canonical_rows(frame), frame)
-    return [out[k] for k in sorted(out)]
+    return tuple(out[k] for k in sorted(out))
 
 
-def enumerate_s4(n: int) -> list[Frame]:
-    """All S4 frames with n worlds, one per isomorphism class."""
+@lru_cache(maxsize=None)
+def enumerate_s4(n: int) -> tuple[Frame, ...]:
+    """All S4 frames with n worlds, one per isomorphism class, built once
+    per n like enumerate_rooted_s4's."""
     free = [(x, y) for x in range(n) for y in range(n) if y != x]
     out = {}
     for mask in range(1 << len(free)):
@@ -311,7 +315,7 @@ def enumerate_s4(n: int) -> list[Frame]:
         frame = Frame(n, [(x, y) for x in range(n) for y in range(n)
                           if rows[x] >> y & 1 and x != y])
         out.setdefault(canonical_rows(frame), frame)
-    return [out[k] for k in sorted(out)]
+    return tuple(out[k] for k in sorted(out))
 
 
 def reference_classify(frame: Frame, budget: int = 2_000_000) -> Verdict:
@@ -1022,14 +1026,16 @@ def reference_substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
 
 def reference_is_p_morphism(f: WorldMap, source: Frame, target: Frame) -> bool:
     """Monotone and back conditions checked world by world over successor
-    sets, kept as the reference for the row-image test."""
+    sets, kept as the reference for the preimage-mask test.  A domain world
+    or an image outside its frame makes no p-morphism."""
     dom = f.mapping
+    if not all(0 <= x < source.n and 0 <= fx < target.n
+               for x, fx in dom.items()):
+        return False
     for x in dom:
         if any(y not in dom for y in source.successors(x)):
             return False  # domain not an up-set
         fx = dom[x]
-        if not (0 <= fx < target.n):
-            return False
         for y in source.successors(x):
             if not target.sees(fx, dom[y]):
                 return False  # not monotone

@@ -25,12 +25,12 @@ from polyplane.geometry import (CellSet, Line, Scene, build_arrangement,
                                 scene_delta, scene_frame, scene_from_dict,
                                 scene_interior, scene_to_dict, scene_to_svg,
                                 wrap_map)
-from polyplane.kripke import Frame, Model, WorldMap, eval_formula, is_p_morphism
+from polyplane.kripke import Frame, Model, WorldMap, eval_formula
 from polyplane.mosaic import decide_sat
 
 from helpers import (formulas, frames_isomorphic, random_formula,
-                     reference_arrangement, reference_scene_frame,
-                     reference_truth)
+                     reference_arrangement, reference_is_p_morphism,
+                     reference_scene_frame, reference_truth)
 
 
 def concurrent(L):
@@ -404,7 +404,7 @@ def test_realize_crown_two_model():
     assert all(v == 0 for v in real.cell)
     assert eval_scene(real.scene, real.val, real.cell, parse("<>[]p"))
     wm = WorldMap(real.cell_world)
-    assert is_p_morphism(wm, scene_frame(real.scene), crown(2))
+    assert reference_is_p_morphism(wm, scene_frame(real.scene), crown(2))
 
 
 def test_realize_crown_one_uses_wrap():
@@ -412,7 +412,7 @@ def test_realize_crown_one_uses_wrap():
     real = realize_crown_model(model, 0, formula=parse("<>[]p & <><>p"))
     assert len(real.scene.lines) == 2  # crown(4) scene wrapped onto crown(1)
     wm = WorldMap(real.cell_world)
-    assert is_p_morphism(wm, scene_frame(real.scene), crown(1))
+    assert reference_is_p_morphism(wm, scene_frame(real.scene), crown(1))
     assert wm.is_onto(crown(1))
 
 
@@ -559,7 +559,7 @@ def test_pencil_order_matches_fraction_angles(centre, normals):
     mapping = concurrent_crown_map(s)
     target = crown(2 * len(lines))
     assert sorted(mapping.values()) == list(range(target.n))
-    assert is_p_morphism(WorldMap(mapping), s.frame, target)
+    assert reference_is_p_morphism(WorldMap(mapping), s.frame, target)
     # each ray's end in the figure lies on the ray, at radius 160
     rays = [c for c in around if 0 in c]
     svg = scene_to_svg(s, {})
@@ -602,7 +602,7 @@ def test_two_line_scene_maps_onto_crown_four():
     s = build_arrangement([(1, 0, 0), (0, 1, 0)])
     mapping = concurrent_crown_map(s)
     wm = WorldMap(mapping)
-    assert is_p_morphism(wm, scene_frame(s), crown(4))
+    assert reference_is_p_morphism(wm, scene_frame(s), crown(4))
     assert wm.is_onto(crown(4))
     vertex_idx = s.cells.index((0, 0))
     assert mapping[vertex_idx] == 0

@@ -174,11 +174,12 @@ def test_p_morphism_identity_and_constant():
 @st.composite
 def world_maps(draw):
     """(map, source, target): a domain that is R[u] or any set of worlds,
-    with images drawn from the target's worlds and one past them."""
-    source, target = draw(frames(max_n=4)), draw(frames(max_n=3))
+    these also from one before and one past the source's, with images
+    drawn from the target's worlds and one past them."""
+    source, target = draw(frames(max_n=6)), draw(frames(max_n=5))
     u = draw(st.integers(0, source.n - 1))
     dom = draw(st.one_of(st.just(source.successors(u)), st.lists(
-        st.integers(0, source.n - 1), min_size=1, unique=True)))
+        st.integers(-1, source.n), min_size=1, unique=True)))
     images = st.integers(0, target.n) if draw(st.booleans()) \
         else st.integers(0, target.n - 1)
     return WorldMap({w: draw(images) for w in dom}), source, target
@@ -193,8 +194,11 @@ def test_p_morphism_matches_reference(case):
 
 
 def test_negative_image_is_no_p_morphism():
-    # a negative image names no target world
+    # a negative image names no target world, and a domain world outside
+    # the source no source world
     assert not is_p_morphism(WorldMap({0: 0, 1: -1, 2: 0}), crown(1), Frame(1))
+    for w in (-1, 3):
+        assert not is_p_morphism(WorldMap({w: 0}), crown(1), Frame(1))
 
 
 def test_find_subreduction_fixtures():
@@ -527,7 +531,7 @@ def test_subreduction_against_bruteforce_all_upsets():
         return False
 
     rng = random.Random(62)
-    targets = [ff.frame for ff in forbidden_frames()[:3]] + enumerate_rooted_s4(2)
+    targets = [*(ff.frame for ff in forbidden_frames()[:3]), *enumerate_rooted_s4(2)]
     for _ in range(25):
         n = rng.randint(1, 4)
         fr = Frame(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)])
