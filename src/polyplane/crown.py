@@ -310,38 +310,41 @@ def _crown_lex_search(tables: _CrownTables, n: int, steps: StepBudget
     first complete success is the least valuation integer."""
     P = tables.npat
     end = tables.end
+    memo: set[tuple[int, int, tuple[tuple[int, int]]]] = set()
+    alpha_n = beta_n = 0  # the patterns of worlds 2n-1 and 2n being tried
 
-    for beta_n in range(P):          # world 2n
-        for alpha_n in range(P):     # world 2n-1
-            sig = end[alpha_n]
-            memo: set[tuple[int, int, tuple[tuple[int, int]]]] = set()
+    def dfs(t: int, alpha_next: int, accs: tuple[tuple[int, int]]
+            ) -> Optional[list[int]]:
+        steps.spend(1, "lexicographic reconstruction")
+        if t == 0:
+            wrap = tables.mid(end[alpha_n], end[alpha_next], steps)[0][beta_n]
+            a_r = tables.close(accs, [wrap], steps)
+            return None if a_r is None else [a_r]
+        key = (t, alpha_next, accs)
+        if key in memo:
+            return None
+        for beta in range(P):        # world 2t
+            for alpha in range(P):   # world 2t-1
+                e = end[alpha]
+                m = tables.mid(e, end[alpha_next], steps)[0][beta]
+                got = dfs(t - 1, alpha, tuple(_add_tooth(accs, e, [m])))
+                if got is not None:
+                    return got + [alpha, beta]
+        memo.add(key)
+        return None
 
-            def dfs(t: int, alpha_next: int, accs: tuple[tuple[int, int]]
-                    ) -> Optional[list[int]]:
-                steps.spend(1, "lexicographic reconstruction")
-                if t == 0:
-                    wrap = tables.mid(end[alpha_n], end[alpha_next],
-                                      steps)[0][beta_n]
-                    a_r = tables.close(accs, [wrap], steps)
-                    return None if a_r is None else [a_r]
-                key = (t, alpha_next, accs)
-                if key in memo:
-                    return None
-                for beta in range(P):        # world 2t
-                    for alpha in range(P):   # world 2t-1
-                        e = end[alpha]
-                        m = tables.mid(e, end[alpha_next], steps)[0][beta]
-                        got = dfs(t - 1, alpha, tuple(_add_tooth(accs, e, [m])))
-                        if got is not None:
-                            return got + [alpha, beta]
-                memo.add(key)
-                return None
-
-            got = dfs(n - 1, alpha_n, ((sig, sig),))
-            if got is not None:
-                # got = [a_r, alpha_1, beta_1, ..., alpha_{n-1}, beta_{n-1}]
-                return got + [alpha_n, beta_n]
-    return None
+    try:
+        for beta_n in range(P):          # world 2n
+            for alpha_n in range(P):     # world 2n-1
+                memo.clear()
+                sig = end[alpha_n]
+                got = dfs(n - 1, alpha_n, ((sig, sig),))
+                if got is not None:
+                    # got = [a_r, alpha_1, beta_1, ..., alpha_{n-1}, beta_{n-1}]
+                    return got + [alpha_n, beta_n]
+        return None
+    finally:
+        dfs = None  # dfs reaches itself through its closure: free it now
 
 
 def _model_from_patterns(tables: _CrownTables, n: int, pins: list[int]) -> Model:

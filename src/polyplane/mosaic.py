@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .crown import crown
 from .errors import StepBudget, VerificationError
@@ -80,6 +80,11 @@ class LabelSpace:
     members that imply none either.  The closures are therefore built
     without search: first those of such literals, largest member first,
     then the others, smallest first.
+
+    `enumerate_labels` lists every label meeting some constraints, and
+    `least_label` finds only the least one.  Both run the same depth-first
+    search over closed states (`_labels`), which spends one step per
+    positive member for each state entered, in phase `label enumeration`.
     """
 
     def __init__(self, theta: Formula):
@@ -225,8 +230,8 @@ class LabelSpace:
         count by position, so `p & p` derives nothing from being false, just
         as the member's rule reads its operands apart; the fixpoint, and any
         conflict, is then the one a sweep over every member until nothing
-        changes reaches.  Spends nothing itself; enumerate_labels charges
-        the node."""
+        changes reaches.  Spends nothing itself; `_labels` charges the
+        node."""
         closure, long, watched = self._closure, self._long, self._watched
         done = t | f
         while lits:
@@ -257,28 +262,25 @@ class LabelSpace:
                         lits.append(2 * free.bit_length() - 1)
         return t, f
 
-    def enumerate_labels(self, must: Iterable[tuple[int, bool, bool]] = (),
-                         budget: Optional[StepBudget] = None) -> list[int]:
-        """All Hintikka labels satisfying the given (index, polarity, value)
-        constraints, as ascending bitmasks.
-
-        Depth first over the decisions (atoms and modal members), each node
-        a closed state: a pair of masks (true, false).  A node branches on
-        its lowest open decision, keeping each child whose propagation finds
-        no conflict, and searches False first.  A node with no open decision
-        is a leaf whose label is its true mask; one with a member still
-        undecided raises MosaicError.  Every search node entered spends one
-        step per positive member from the budget (by default a fresh one of
-        `decide_sat`'s size), as when each node swept every member."""
-        # from nothing, only false constants and the constrained members
-        # derive anything
-        root = self._propagate(0, 0, self._bottoms + [
+    def _start(self, must: Iterable[tuple[int, bool, bool]]
+               ) -> Optional[tuple[int, int]]:
+        """The closed state of the (index, polarity, value) constraints, or
+        None: from nothing, only false constants and the constrained
+        members derive anything."""
+        return self._propagate(0, 0, self._bottoms + [
             2 * idx + (v != pol) for idx, pol, v in must])
-        out: list[int] = []
+
+    def _labels(self, start: Optional[tuple[int, int]], budget: StepBudget
+                ) -> Iterator[int]:
+        """The Hintikka labels extending a closed state, depth first over
+        the decisions (atoms and modal members).  A node branches on its
+        lowest open decision, keeping each child whose propagation finds no
+        conflict, and searches False first.  A node with no open decision
+        is a leaf whose label is its true mask; one with a member still
+        undecided raises MosaicError.  Every node entered spends one step
+        per positive member, as when each node swept every member."""
         decisions, full = self._decisions, (1 << self.size) - 1
-        stack = [] if root is None else [root]
-        if budget is None:
-            budget = StepBudget(20_000_000, "mosaic search")
+        stack = [] if start is None else [start]
         while stack:
             t, f = stack.pop()
             budget.spend(self.size, "label enumeration")
@@ -287,15 +289,53 @@ class LabelSpace:
                 if t | f != full:
                     raise MosaicError("propagation left a closure member "
                                       "undecided in a complete label")
-                out.append(t)
+                yield t
                 continue
             lit = 2 * (undecided & -undecided).bit_length() - 2
             for child in (self._propagate(t, f, (lit,)),
                           self._propagate(t, f, (lit + 1,))):
                 if child is not None:
                     stack.append(child)  # False, pushed last, is popped first
-        out.sort()
-        return out
+
+    def enumerate_labels(self, must: Iterable[tuple[int, bool, bool]] = (),
+                         budget: Optional[StepBudget] = None) -> list[int]:
+        """All Hintikka labels satisfying the given (index, polarity, value)
+        constraints, as ascending bitmasks (`_labels`), spending from the
+        budget (by default a fresh one of `decide_sat`'s size)."""
+        if budget is None:
+            budget = StepBudget(20_000_000, "mosaic search")
+        return sorted(self._labels(self._start(must), budget))
+
+    def least_label(self, must: Iterable[tuple[int, bool, bool]] = (),
+                    budget: Optional[StepBudget] = None) -> Optional[int]:
+        """The least Hintikka label satisfying the constraints, or None: the
+        least of `enumerate_labels(must)`, without enumerating the rest.
+
+        It decides every member, highest first, keeping a label that meets
+        the decisions so far.  A member that label holds false is set false;
+        one it holds true is set false only if `_labels` finds a label
+        extending that state, which becomes the label kept.  It never goes
+        back on a member, and each search stops at its first leaf or
+        exhausts the tree below a false member that no label extends."""
+        if budget is None:
+            budget = StepBudget(20_000_000, "mosaic search")
+        state = self._start(must)
+        label = next(self._labels(state, budget), None)
+        if label is None:
+            return None
+        for j in range(self.size - 1, -1, -1):
+            t, f = state
+            if (t | f) >> j & 1:
+                continue
+            child = self._propagate(t, f, (2 * j + 1,))
+            if label >> j & 1:
+                lower = next(self._labels(child, budget), None)
+                if lower is None:
+                    child = self._propagate(t, f, (2 * j,))
+                else:
+                    label = lower
+            state = child
+        return label
 
     def is_hintikka(self, label: int) -> bool:
         """No bit beyond the closure set, and no conflict from setting all
@@ -411,7 +451,11 @@ class SolverStats:
     in the classes the key's filter keeps), label_classes (middle- and
     edge-class representatives), arcs (between edge classes) and
     components.  Of the answer: pool_size (the tiles, counted with
-    multiplicity, so equal to crown_n) and crown_n."""
+    multiplicity, so equal to crown_n) and crown_n.
+
+    A closure with no diamond and no box builds no glue graph: a SAT answer
+    reads roots_tried, pool_size and crown_n 1 and every other counter 0,
+    and an UNSAT answer reads 0 throughout."""
 
     roots_tried: int = 0
     labels_built: int = 0
@@ -461,6 +505,15 @@ def decide_sat(theta: Formula, budget: int = 20_000_000) -> SatResult:
     is complete and the witness is always world 0.  Enumeration, arc
     building and witness placement spend from one step budget.
 
+    A closure with no diamond and no box skips all of this: every modal
+    vector is empty, so the labels below form one class whose least label
+    L is every edge and middle, and the search's first root rho (the least
+    label holding theta) answers at once with the one tile (rho, L, L, L).
+    `_least_tile` builds that tile from two `least_label` searches, without
+    enumerating either set of labels.  Its counters read one root, no glue
+    graph, no labels built, no classes, no arcs and no components, and a
+    one-tile pool on crown(1) (`SolverStats`).
+
     The search runs over the label space of theta with its constants
     folded out (`simplify`, inside `LabelSpace`).  When that formula is not
     theta itself, theta is re-checked at the returned world of the model,
@@ -469,10 +522,37 @@ def decide_sat(theta: Formula, budget: int = 20_000_000) -> SatResult:
     space = LabelSpace.for_formula(theta)
     stats = SolverStats()
     steps = StepBudget(budget, "mosaic search")
-    idx, pol = space.ref(theta)
-    roots = space.enumerate_labels(must=[(idx, pol, True)], budget=steps)
-    if not roots:
+    top = [(*space.ref(theta), True)]
+    search = _search if space.dia_list or space.box_list else _least_tile
+    got = search(space, top, stats, steps)
+    if got is None:
         return SatResult(False, stats=stats)
+    if (space.searched is not theta
+            and not eval_formula(got.model, got.world, theta)):
+        raise VerificationError(
+            f"model of {pretty(space.searched)} fails "
+            f"{pretty(theta)} at world {got.world}")
+    return got
+
+
+def _least_tile(space: LabelSpace, top: list[tuple[int, bool, bool]],
+                stats: SolverStats, steps: StepBudget) -> Optional[SatResult]:
+    """decide_sat on a closure without modal members: the least root and
+    the least label below it, in one tile."""
+    rho = space.least_label(top, steps)
+    if rho is None:
+        return None
+    stats.roots_tried = 1
+    least = space.least_label(budget=steps)
+    return _answer(space, rho, (Mosaic(rho, least, least, least),), stats)
+
+
+def _search(space: LabelSpace, top: list[tuple[int, bool, bool]],
+            stats: SolverStats, steps: StepBudget) -> Optional[SatResult]:
+    """decide_sat's search over roots, glue graphs and components."""
+    roots = space.enumerate_labels(must=top, budget=steps)
+    if not roots:
+        return None
     dia_any, box_all = 0, -1
     for rho in roots:
         dt, _, bt, _ = space.vectors(rho)
@@ -496,13 +576,17 @@ def decide_sat(theta: Formula, budget: int = 20_000_000) -> SatResult:
         for cid in range(len(graph.comps)):
             got = _try_component(space, rho, graph, cid, stats, steps)
             if got is not None:
-                if (space.searched is not theta
-                        and not eval_formula(got.model, got.world, theta)):
-                    raise VerificationError(
-                        f"model of {pretty(space.searched)} fails "
-                        f"{pretty(theta)} at world {got.world}")
                 return got
-    return SatResult(False, stats=stats)
+    return None
+
+
+def _answer(space: LabelSpace, rho: int, pool: tuple[Mosaic, ...],
+            stats: SolverStats) -> SatResult:
+    """The SAT answer of a pool of tiles: its crown model, re-checked."""
+    n, model, witness = extract_model(pool, space, rho)
+    stats.pool_size = len(pool)
+    stats.crown_n = n
+    return SatResult(True, n, model, witness, rho, pool, stats)
 
 
 def valid(theta: Formula, budget: int = 20_000_000) -> bool:
@@ -679,10 +763,7 @@ def _try_component(space: LabelSpace, rho: int, graph: _GlueGraph,
     _even_degrees(tiles, arcs)
 
     pool = tuple(Mosaic(rho, m, edges[xi], edges[yi]) for xi, yi, m in tiles)
-    n, model, witness = extract_model(pool, space, rho)
-    stats.pool_size = len(pool)
-    stats.crown_n = n
-    return SatResult(True, n, model, witness, rho, pool, stats)
+    return _answer(space, rho, pool, stats)
 
 
 # ---------------------------------------------------------------------------

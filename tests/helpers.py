@@ -30,15 +30,16 @@ BINARY = (And, Or, Implies, Iff)
 
 
 def all_formulas(max_size: int, names: tuple[str, ...] = ("p", "q"),
-                 include_bottom: bool = True) -> list[Formula]:
+                 include_bottom: bool = True,
+                 unary: tuple = UNARY) -> list[Formula]:
     """Every formula with at most max_size AST nodes over the given
-    variables, in a deterministic order."""
+    variables and unary operators, in a deterministic order."""
     by_size: list[list[Formula]] = [[]]
     leaves = [Var(n) for n in names] + ([Bottom()] if include_bottom else [])
     by_size.append(list(leaves))
     for size in range(2, max_size + 1):
         layer: list[Formula] = []
-        for op in UNARY:
+        for op in unary:
             layer.extend(op(f) for f in by_size[size - 1])
         for op in BINARY:
             for ls in range(1, size - 1):

@@ -28,6 +28,10 @@ def test_sat_exit_codes(capsys):
     assert run(["sat", "p"]) == 0
     out = capsys.readouterr().out
     assert "UNSAT" in out and "SAT on crown(" in out
+    # no modality: answered from the least labels, not by enumerating the
+    # 2^26 labels below the root
+    assert run(["sat", " & ".join(f"p{i}" for i in range(26))]) == 0
+    assert capsys.readouterr().out == "SAT on crown(1) at world 0\n"
 
 
 def test_sat_model_out(tmp_path, capsys):
@@ -42,6 +46,13 @@ def test_sat_trace(capsys):
     assert run(["sat", "p", "--trace"]) == 0
     err = capsys.readouterr().err
     assert "mosaic" in err
+    # a formula without modalities has one tile, its three lower worlds
+    # sharing the least label
+    assert run(["sat", "p & q -> r", "--trace"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("mosaic ")
+    root, middle, edge0, edge1 = json.loads(lines[0][len("mosaic "):])
+    assert "p & q -> r" in root and middle == edge0 == edge1
 
 
 def test_sat_trace_names_the_folded_formula(capsys):
@@ -67,6 +78,10 @@ def test_valid_section_six_pair(capsys):
     assert run(["valid", f"({A}) -> ({C})"]) == 0
     assert run(["valid", "p"]) == 1
     capsys.readouterr()
+    # a 20-atom propositional tautology
+    chain = " & ".join(f"(p{i} -> p{i + 1})" for i in range(19))
+    assert run(["valid", f"{chain} -> (p0 -> p19)"]) == 0
+    assert capsys.readouterr().out == "valid\n"
 
 
 def test_usage_and_parse_errors(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from importlib import import_module
@@ -11,7 +12,8 @@ from polyplane.crown import (_CrownTables, _stratify, crown,
                              crown_sat_bruteforce, crown_sat_oracle,
                              reduce_to_crown)
 from polyplane.errors import BudgetExceededError, StepBudget, VerificationError
-from polyplane.formula import Diamond, Var, conj, parse, variables
+from polyplane.formula import (Diamond, Var, compile, conj, parse,
+                               variables)
 from polyplane.kripke import (Frame, Model, eval_formula, find_subreduction,
                               jankov_fine, truth_mask)
 
@@ -350,6 +352,23 @@ def test_oracle_rechecks_its_answer(monkeypatch):
     monkeypatch.setattr(cr, "_crown_lex_search", lambda *args: None)
     with pytest.raises(VerificationError, match="reconstruction"):
         crown_sat_oracle(Var("p"), 3)
+
+
+def test_oracle_leaves_no_reference_cycles():
+    # each call's tables, memo and budget are freed by reference counting;
+    # the formulas are compiled, and held, before the collector is paused
+    fs = [parse(t) for t in ("<>[]p & <>[]~p", "p & <>~p", "<>p & []~p",
+                             "p & ~p", "[](p -> q) & <>(p & ~q)")]
+    for f in fs:
+        compile(f)
+    gc.disable()
+    try:
+        gc.collect()
+        for f in fs:
+            crown_sat_oracle(f, 6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_oracle_budgets():

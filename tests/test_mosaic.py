@@ -1,3 +1,4 @@
+import functools
 import random
 from math import ceil, log2
 
@@ -9,8 +10,8 @@ from polyplane.axioms import xi
 from polyplane.crown import crown, crown_sat_oracle
 from polyplane.errors import BudgetExceededError, VerificationError
 from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, OR, And, Box,
-                               Diamond, Not, Var, ast_size, closure, conj,
-                               parse, pretty, simplify)
+                               Diamond, Iff, Not, Var, ast_size, closure,
+                               conj, disj, parse, pretty, simplify)
 from polyplane.kripke import Model, eval_formula, program_masks
 from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, SolverStats,
                               StepBudget, check_path, decide_sat,
@@ -422,7 +423,8 @@ def test_search_matches_reference_on_a_former_budget_out():
 
 def test_long_conjunction_pinned():
     # the per-root search needs seconds here (one root, 512 labels below
-    # it, all in one class); its answer is the single all-true tile
+    # it, all in one class); its answer is the single all-true tile, found
+    # without enumerating a label below the root
     f = conj([Var(f"p{i}") for i in range(9)])
     res = decide_sat(f)
     top = (1 << 17) - 1
@@ -430,13 +432,91 @@ def test_long_conjunction_pinned():
     assert res.mosaics == (Mosaic(top, 0, 0, 0),)
     assert res.model.val == {f"p{i}": frozenset({0}) for i in range(9)}
     assert (res.stats.roots_tried, res.stats.glue_graphs,
-            res.stats.labels_built, res.stats.label_classes) == (1, 1, 512, 2)
+            res.stats.labels_built, res.stats.label_classes) == (1, 0, 0, 0)
 
 
 def test_long_conjunction_within_budget():
     f = conj([Var(f"p{i}") for i in range(11)])
     res = decide_sat(f, budget=500_000)
     assert res.sat and eval_formula(res.model, res.world, f)
+
+
+# -- closures without diamonds and boxes: the least tile, from two least labels
+
+def least_meeting(labels, must):
+    return min((lab for lab in labels
+                if all((lab >> idx & 1) == (pol == v) for idx, pol, v in must)),
+               default=None)
+
+
+@settings(max_examples=300)
+@given(formulas(max_size=14), st.data())
+def test_least_label_is_the_least_enumerated(f, data):
+    space = LabelSpace.for_formula(f)
+    must = data.draw(st.lists(st.tuples(st.integers(0, space.size - 1),
+                                        st.booleans(), st.booleans()),
+                              max_size=3))
+    got = space.least_label(must)
+    assert got == min(space.enumerate_labels(must), default=None)
+    if space.size <= 10:
+        assert got == least_meeting(brute_hintikka(space), must)
+
+
+def test_least_label_spends_from_the_budget():
+    # 2^41 labels, and the least is found without listing them
+    space = LabelSpace(conj([Var(f"p{i}") for i in range(41)]))
+    budget = StepBudget(10**6)
+    assert space.least_label(budget=budget) == 0
+    assert budget.used % space.size == 0 and 0 < budget.used < 10**4
+    with pytest.raises(BudgetExceededError, match="label enumeration"):
+        space.least_label(budget=StepBudget(budget.used - 1))
+    top = [(space.size - 1, True, True)]
+    assert space.least_label(top) == (1 << space.size) - 1
+
+
+def modal_free(f):
+    space = LabelSpace.for_formula(f)
+    return not (space.dia_list or space.box_list)
+
+
+def test_modal_free_answers_match_reference_on_all_small_formulas():
+    # every formula of up to 6 nodes over p, q and F without a modality, and
+    # the formulas of up to 5 nodes whose modalities fold away (<>F, []F)
+    small = all_formulas(6, unary=(Not,))
+    seen = set(small)
+    small += [f for f in all_formulas(5) if f not in seen and modal_free(f)]
+    for f in small:
+        res = decide_sat(f)
+        assert answer(res) == answer(reference_decide_sat(f)), pretty(f)
+        stats = (res.stats.roots_tried, res.stats.glue_graphs,
+                 res.stats.labels_built, res.stats.label_classes,
+                 res.stats.arcs, res.stats.components, res.stats.pool_size,
+                 res.stats.crown_n)
+        assert stats == ((1, 0, 0, 0, 0, 0, 1, 1) if res.sat else (0,) * 8)
+
+
+P = [Var(f"p{i}") for i in range(41)]
+
+
+@pytest.mark.parametrize("f", [
+    conj(P),
+    disj(P[:16]),
+    functools.reduce(Iff, P[:12]),
+    conj([Iff(a, b) for a, b in zip(P[:11], P[1:12])]),
+    parse("(p & F) -> q"),
+], ids=["and41", "or16", "iff12", "iffchain12", "folds_to_T"])
+def test_modal_free_inputs_answer_within_the_default_budget(f):
+    assert modal_free(f)
+    res = decide_sat(f)
+    assert res.sat and res.n == 1 and res.world == 0
+    assert eval_formula(res.model, res.world, f)
+
+
+def test_modal_free_budget_out_names_label_enumeration():
+    with pytest.raises(BudgetExceededError,
+                       match=r"^mosaic search budget exhausted in label "
+                             r"enumeration \(\d+ of 1000 steps\)$"):
+        decide_sat(conj(P), budget=1000)
 
 
 def test_two_bit_counter_needs_crown_six():
