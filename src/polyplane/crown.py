@@ -16,7 +16,7 @@ from .errors import BudgetExceededError, StepBudget, VerificationError
 from .formula import BOX, DIA, Formula, compile
 from .kripke import (Frame, Model, WorldMap, _closed_walk, _evaluate,
                      _even_degrees, _lane_index_bits, _mask_worlds,
-                     _onto_p_morphism, program_masks)
+                     _onto_p_morphism, truth_mask)
 
 
 @lru_cache(maxsize=64)
@@ -296,7 +296,7 @@ def crown_sat_oracle(phi: Formula, max_n: int,
     if pins is None:
         raise VerificationError(f"feasible crown({n}) lost during reconstruction")
     model = _model_from_patterns(tables, n, pins)
-    mask = program_masks(model, tables.prog)[tables.prog.root]
+    mask = truth_mask(model, phi)
     if not mask:
         raise VerificationError("oracle search produced a non-model")
     world = next(w for w in range(2 * n + 1) if mask >> w & 1)
@@ -364,8 +364,7 @@ def crown_sat_bruteforce(phi: Formula, max_n: int,
     cross-check for the table-driven oracle."""
     if max_n < 1:
         raise ValueError("crown bound must be >= 1")
-    prog = compile(phi)
-    names = prog.names
+    names = compile(phi).names
     k = len(names)
     for n in range(1, max_n + 1):
         worlds = 2 * n + 1
@@ -379,7 +378,7 @@ def crown_sat_bruteforce(phi: Formula, max_n: int,
                                    if value >> (w * k + j) & 1)
                    for j, name in enumerate(names)}
             model = Model(frame, val)
-            mask = program_masks(model, prog)[prog.root]
+            mask = truth_mask(model, phi)
             if mask:
                 world = next(w for w in range(worlds) if mask >> w & 1)
                 return OracleResult(n, model, world)

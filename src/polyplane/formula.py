@@ -440,11 +440,6 @@ def _bracketed(op: int, text: str, min_prec: int) -> str:
     return text
 
 
-def negation_text(op: int, text: str) -> str:
-    """pretty(Not(g)) from g's opcode and pretty(g)."""
-    return _PREFIX[NOT] + _bracketed(op, text, 4)
-
-
 def render_nodes(program: Program) -> tuple[list[int], list[str]]:
     """`ast_size` and `pretty` of every program node, each built from its
     operands' in one pass, children first."""

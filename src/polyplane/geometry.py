@@ -22,8 +22,8 @@ from .crown import crown
 from .errors import VerificationError
 from .formula import Formula, compile
 from .kripke import (Frame, Model, WorldMap, _closure, _evaluate, _interior,
-                     _ints, _mask_worlds, _onto_p_morphism, _worlds_mask,
-                     eval_formula)
+                     _ints, _mask_worlds, _onto_p_morphism, _rows,
+                     _worlds_mask, eval_formula)
 
 Point = tuple[Fraction, Fraction]
 IntPoint = tuple[int, int, int]
@@ -516,12 +516,15 @@ def scene_from_dict(d: dict) -> tuple[Scene, dict[str, CellSet]]:
     # the count first, before any row is read; it wins over a duplicate
     if len(d["lines"]) > MAX_LINES:
         raise ValueError(f"more than {MAX_LINES} lines")
+    _rows("lines", d["lines"], 3, "a row of three coefficients")
     _coefficients("lines", [v for row in d["lines"] for v in row])
     lines = [Line.make(a, b, c) for a, b, c in d["lines"]]
     scene = build_arrangement(lines)
     val = {}
     for name, entry in d.get("val", {}).items():
         dnf = entry["dnf"]
+        _rows(f"val.{name}.dnf", [lit for clause in dnf for lit in clause], 2,
+              "an [index, relation] pair")
         _ints(f"val.{name}.dnf", [i for clause in dnf for i, _ in clause])
         val[name] = compile_polygon(scene, dnf)
     return scene, val
@@ -574,7 +577,9 @@ def scene_to_svg(scene: Scene, val: dict[str, CellSet]) -> str:
     parts.append('</g>')
     legend_y = -radius - 8
     for i, kk in enumerate(combos):
-        label = "{" + ",".join(kk) + "}"
+        # XML-escaped by hand: xml.sax.saxutils would load urllib on import
+        label = ("{" + ",".join(kk) + "}").replace("&", "&amp;").replace(
+            "<", "&lt;").replace(">", "&gt;")
         parts.append(f'<rect x="{-radius-8}" y="{legend_y + 12*i}" width="10" '
                      f'height="10" fill="{color[kk]}"/>')
         parts.append(f'<text x="{-radius+6}" y="{legend_y + 12*i + 9}" '

@@ -8,6 +8,7 @@ construction.
 from __future__ import annotations
 
 import random
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
@@ -833,12 +834,22 @@ def _ints(field: str, values: Iterable) -> None:
             raise ValueError(f'"{field}" holds {shown} where an integer is needed')
 
 
+def _rows(field: str, rows: Iterable, length: int, what: str) -> None:
+    """A ValueError naming the field unless every row is a list of the
+    given length; a long row is shown abbreviated."""
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != length:
+            raise ValueError(f'"{field}" holds {reprlib.repr(row)} where '
+                             f'{what} is needed')
+
+
 # the most worlds a frame file may declare: a frame keeps one row of
 # `worlds` bits per world, so 4,096 worlds take 2 MB of rows
 MAX_WORLDS = 4096
 
 
 def frame_from_dict(d: dict) -> Frame:
+    _rows("rel", d.get("rel", []), 2, "a pair of worlds")
     pairs = [tuple(p) for p in d.get("rel", [])]
     root = d.get("root")
     _ints("worlds", [d["worlds"]])

@@ -12,14 +12,12 @@ iff some root label admits a glueable, witness-complete family of tiles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .crown import crown
 from .errors import StepBudget, VerificationError
 from .formula import (AND, BOT, BOX, DIA, IFF, IMP, NOT, OR, VAR, Formula,
-                      Not, compile, negation_text, pretty, render_nodes,
-                      simplify)
+                      Not, closure, compile, pretty, render_nodes, simplify)
 from .kripke import (Model, _breadth_first, _closed_walk, _even_degrees,
                      _mask_worlds, _shortest_path, eval_formula, program_masks)
 
@@ -59,7 +57,8 @@ class LabelSpace:
 
     Positive members (those not of the form ~psi) get one bit each, in
     (ast_size, pretty) order; the truth of any closure member under a label
-    follows by stripping negations.  Everything is read off one compiled
+    follows by stripping negations, and `label_formulas` reads the members
+    themselves off `formula.closure`.  Everything is read off one compiled
     program (`self.program`), with each positive's operands resolved to
     (positive index, polarity).
 
@@ -182,21 +181,6 @@ class LabelSpace:
         """The formula the space was built from: theta, constants folded."""
         return self.program.nodes[self.program.root]
 
-    @cached_property
-    def members(self) -> list[Formula]:
-        """The closure set in (ast_size, pretty) order: every program node
-        and the negation of each non-NOT node that no NOT node covers (~i
-        stands for that negation)."""
-        code, nodes = self.program.code, self.program.nodes
-        sizes, texts = render_nodes(self.program)
-        keys = list(zip(sizes, texts, range(len(code))))
-        covered = {a for op, a, _ in code if op == NOT}
-        keys += [(sizes[i] + 1, negation_text(op, texts[i]), ~i)
-                 for i, (op, _, _) in enumerate(code)
-                 if op != NOT and i not in covered]
-        keys.sort()
-        return [nodes[i] if i >= 0 else Not(nodes[~i]) for _, _, i in keys]
-
     def ref(self, f: Formula) -> tuple[int, bool]:
         """(positive index, polarity); polarity False means negated.  theta
         stands for the searched formula."""
@@ -216,7 +200,10 @@ class LabelSpace:
         return bool(label >> idx & 1) == pol
 
     def label_formulas(self, label: int) -> frozenset[Formula]:
-        return frozenset(f for f in self.members if self.member(label, f))
+        """The members of the searched formula's closure set that the label
+        makes true."""
+        return frozenset(f for f in closure(self.searched)
+                         if self.member(label, f))
 
     # -- Hintikka enumeration -------------------------------------------
 

@@ -4,6 +4,7 @@ import json
 import re
 import tempfile
 import time
+import xml.dom.minidom
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -217,6 +218,17 @@ def test_realize_command(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert "lines" in data and "cell" in data
     assert svg.read_text().startswith("<svg")
+
+
+def test_realize_svg_escapes_valuation_names(tmp_path):
+    m = tmp_path / "model.json"
+    m.write_text(json.dumps({"worlds": 3, "rel": [[0, 1], [0, 2], [2, 1]],
+                             "root": 0, "val": {"a&b<c": [1]}}))
+    svg = tmp_path / "fig.svg"
+    assert run(["realize", "--model", str(m), "--svg", str(svg)]) == 0
+    doc = xml.dom.minidom.parse(str(svg))
+    legend = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    assert "{a&b<c}" in legend
 
 
 def test_failed_svg_write_prints_no_scene(tmp_path, capsys):
@@ -567,10 +579,19 @@ def test_scene_lines_take_integers_finite_numbers_and_fractions(tmp_path,
     (["realize", "--model"], {"worlds": 3, "rel": [[0, 1], [0, 2], [2, 1]],
                               "root": 0, "val": {"p": [1.0]}},
      '"val.p" holds 1.0 where an integer is needed'),
+    # a row of the wrong length is named by its field, not unpacked
+    (["classify-frame"], {"worlds": 2, "rel": [[0]]},
+     '"rel" holds [0] where a pair of worlds is needed'),
+    (["eval-scene"], {"lines": {"a": 1}},
+     '"lines" holds \'a\' where a row of three coefficients is needed'),
+    (["eval-scene"], {"lines": [["1", "0", "0"]],
+                      "val": {"p": {"dnf": [[[0]]]}}},
+     '"val.p.dnf" holds [0] where an [index, relation] pair is needed'),
 ], ids=["root-past-end", "root-negative", "frame-list", "worlds-string",
         "pair-float", "val-int", "scene-zero-denominator", "root-bool",
         "worlds-bool", "pair-bool", "val-bool", "dnf-bool", "dnf-float",
-        "dnf-string", "val-fraction", "val-float-int"])
+        "dnf-string", "val-fraction", "val-float-int", "pair-short",
+        "lines-dict", "dnf-short"])
 def test_input_of_the_wrong_shape_is_one_line_error(tmp_path, capsys, command,
                                                     data, message):
     f = tmp_path / "input.json"

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import xml.dom.minidom
 from fractions import Fraction
 from functools import cached_property
 from math import atan2, cos, sin
@@ -513,6 +514,16 @@ def test_svg_output():
     assert ends == ['160.00" y2="0.00', '113.14" y2="113.14', '71.55" y2="143.11',
                     '-160.00" y2="0.00', '-113.14" y2="-113.14',
                     '-71.55" y2="-143.11']
+
+
+def test_svg_legend_escapes_valuation_names():
+    names = ["a&b", "x<y", 'q>"r']
+    model = Model(crown(2), {names[0]: {1}, names[1]: {2}, names[2]: {1, 2}})
+    real = realize_crown_model(model, 0)
+    doc = xml.dom.minidom.parseString(scene_to_svg(real.scene, real.val))
+    legend = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    assert {name for text in legend for name in text[1:-1].split(",")
+            if name} == set(names)
 
 
 def _quadrant_key(u):

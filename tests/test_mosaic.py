@@ -11,7 +11,7 @@ from polyplane.crown import crown, crown_sat_oracle
 from polyplane.errors import BudgetExceededError, VerificationError
 from polyplane.formula import (AND, BOT, BOX, DIA, IFF, IMP, OR, And, Box,
                                Diamond, Iff, Not, Var, ast_size, closure,
-                               conj, disj, parse, pretty, simplify)
+                               compile, conj, disj, parse, pretty, simplify)
 from polyplane.kripke import Model, eval_formula, program_masks
 from polyplane.mosaic import (LabelSpace, Mosaic, MosaicError, SolverStats,
                               StepBudget, check_path, decide_sat,
@@ -752,24 +752,59 @@ def test_label_tables_match_reference_on_deep_towers(k, ops):
                                                  (0, 2)))
 
 
-def by_size_and_text(members):
-    return sorted(members, key=lambda g: (ast_size(g), pretty(g)))
+def positives_in_bit_order(f):
+    """The non-negation members of the closure set of f, by (size, text)."""
+    return sorted((g for g in closure(f) if not isinstance(g, Not)),
+                  key=lambda g: (ast_size(g), pretty(g)))
+
+
+def true_members(model, world, f):
+    """The members of the closure set of f that hold at a world, read off one
+    evaluation of f's program (one `eval_formula` per member would compile
+    each member again: quadratic on a deep tower).  A member outside the
+    program negates one inside it."""
+    prog = compile(f)
+    masks = program_masks(model, prog)
+
+    def holds(g):
+        i = prog.index.get(g)
+        return bool(masks[i] >> world & 1) if i is not None else not holds(g.sub)
+
+    return {g for g in closure(f) if holds(g)}
 
 
 @settings(max_examples=200)
 @given(formulas(max_size=14))
-def test_member_order_is_size_then_text(f):
-    want = by_size_and_text(closure(simplify(f)))
-    assert LabelSpace.for_formula(f).members == want
+def test_bit_order_is_size_then_text(f):
+    assert (LabelSpace.for_formula(f).positives
+            == positives_in_bit_order(simplify(f)))
+
+
+@settings(max_examples=200)
+@given(formulas(max_size=14))
+def test_root_label_formulas_hold_at_the_root(f):
+    res = decide_sat(f)
+    if res.sat:
+        space = LabelSpace.for_formula(f)
+        assert (space.label_formulas(res.root_label)
+                == true_members(res.model, 0, space.searched))
 
 
 @pytest.mark.parametrize("prefix", [Diamond, Not, lambda g: Box(Not(g))])
-def test_member_order_of_deep_towers(prefix):
+def test_bit_order_and_labels_of_deep_towers(prefix):
+    # the labels of a crown(2) model's worlds: a 1000-deep []~ tower runs
+    # out of decide_sat's default budget
     f = Var("p")
     for _ in range(1000):
         f = prefix(f)
-    want = by_size_and_text(closure(f))
-    assert LabelSpace.for_formula(f).members == want
+    space = LabelSpace.for_formula(f)
+    assert space.positives == positives_in_bit_order(f)
+    model = Model(crown(2), {"p": {1, 2}})
+    masks = program_masks(model, space.program)
+    for w in range(5):
+        label = sum(1 << j for j, i in enumerate(space.nodes)
+                    if masks[i] >> w & 1)
+        assert space.label_formulas(label) == true_members(model, w, f)
 
 
 def test_deep_diamond_budget_out_is_pinned():
